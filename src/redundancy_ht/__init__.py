@@ -7,7 +7,7 @@ brute-force oracles and discrete-event simulation.
 from .model import (SystemModel, TrajectorySpec, aggregate, default_trajectory,
                     effective_rates, load_model, model_at_trajectory, parse_model)
 from .criticality import (ComponentDag, CriticalityReport, CrpClass, CrpComponent,
-                          check_stability, critical_rate,
+                          check_stability, critical_rate, require_stable,
                           critical_rate_and_subsets_bruteforce, crp_components,
                           critical_subsets_via_construction, report_from_construction)
 from .analytic import (LimitLaw, MixtureLaw, OrderedTypeVector, beta_hat,

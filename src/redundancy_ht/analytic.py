@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .criticality import ComponentDag, CriticalityReport, check_stability
+from .criticality import ComponentDag, CriticalityReport, require_stable
 from .errors import CapExceeded, ConsistencyError, DomainError, PoleError
-from .model import Scalar, SystemModel, TrajectorySpec
+from .model import Scalar, SystemModel, TrajectorySpec, cache_by_backend
 
 ENUM_CAP = 8  # full ordered-vector enumeration refuses beyond this many types
 COS_SERVER_CAP = 8  # idle-server vector enumeration refuses beyond this many servers
@@ -157,24 +155,9 @@ def _sum_h_terms(model: SystemModel, z, allowed) -> Scalar:
     return total[0]
 
 
-def _require_stable(model: SystemModel):
-    is_exact_model = all(isinstance(x, (Fraction, int)) for x in (*model.mu, *model.p, model.lam))
-    if is_exact_model:
-        stable, witness = check_stability(model)
-        if not stable:
-            raise DomainError(f"model is unstable; violating subset {sorted(witness)}")
-    else:
-        # float models: check the same inequalities directly
-        n = model.n_servers
-        for m in range(1, model.n_types + 1):
-            for sub in itertools.combinations(model.type_indices, m):
-                if n * model.lam * model.p_of(sub) >= model.mu_of(sub):
-                    raise DomainError(f"model is unstable; violating subset {sorted(sub)}")
-
-
 def pgf_coc(model: SystemModel, z, cap: int = ENUM_CAP) -> Scalar:
     """Joint PGF of per-type job counts under cancel-on-completion: f(z)/f(1)."""
-    _require_stable(model)
+    require_stable(model)
     if model.n_types > cap:
         raise CapExceeded(f"{model.n_types} job types exceeds the PGF cap {cap}")
     one = [1] * model.n_types
@@ -204,7 +187,7 @@ def idle_vector_weight(model: SystemModel, u) -> Scalar:
 
 def pgf_cos(model: SystemModel, z, cap: int = ENUM_CAP) -> Scalar:
     """Joint PGF of per-type *waiting* job counts under cancel-on-start: g(z)/g(1)."""
-    _require_stable(model)
+    require_stable(model)
     if model.n_types > cap:
         raise CapExceeded(f"{model.n_types} job types exceeds the PGF cap {cap}")
     if model.n_servers > COS_SERVER_CAP:
@@ -259,7 +242,7 @@ def omega_weight(model: SystemModel, vec: OrderedTypeVector, lam_star: Scalar,
     return val
 
 
-@lru_cache(maxsize=None)
+@cache_by_backend
 def _nk_vectors(model: SystemModel, report: CriticalityReport) -> tuple:
     return tuple(enumerate_k_critical(model, report, report.depth_K))
 

@@ -70,9 +70,8 @@ def _load(args):
 
 
 def _analysis(model):
-    report = criticality.critical_rate_and_subsets_bruteforce(model)
-    dag = criticality.crp_components(model, report.lambda_star)
-    return report, dag
+    dag = criticality.crp_components(model)
+    return criticality.report_from_construction(model, dag), dag
 
 
 def cmd_analyze(args):
@@ -206,7 +205,10 @@ def cmd_simulate(args):
 def cmd_verify_limit(args):
     model, traj = _load(args)
     report, dag = _analysis(model)
-    law = analytic.limit_law(dag, traj)
+    if dag.subtrees_laminar:
+        law = analytic.limit_law(dag, traj)
+    else:
+        law = analytic.sigma_aggregate(analytic.mixture_law(model, report, traj), dag)
     eps_values = [float(Fraction(e)) for e in args.eps.split(",")]
     rows = simulator.scaled_law_check(model, report.lambda_star, law, args.discipline,
                                       eps_values, args.events, seed=args.seed,
@@ -242,28 +244,6 @@ def cmd_verify(args):
     return 1 if failures else 0
 
 
-def emit_plot_data(out_dir, kind, results):
-    """Write plot-ready CSV (no rendering): laplace_grid, ks_sequence or scaled_scatter."""
-    path = Path(out_dir) / f"{kind}.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if kind == "laplace_grid":
-            w.writerow(["t", "laplace"])
-            w.writerows(results)
-        elif kind == "ks_sequence":
-            first = results[0]
-            w.writerow(["epsilon", "ks_total"] + [f"ks_type_{i}" for i in
-                                                  range(len(first.ks_per_type))])
-            for r in results:
-                w.writerow([r.eps, r.ks_total, *r.ks_per_type])
-        elif kind == "scaled_scatter":
-            w.writerow([f"scaled_q_{i}" for i in range(results.shape[1])])
-            w.writerows(results.tolist())
-        else:
-            raise DomainError(f"unknown plot kind {kind!r}")
-    return path
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rht", description=__doc__)
     parser.add_argument("--version", action="version",
@@ -274,11 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, model_required=True):
         p.add_argument("--model", required=model_required, help="model JSON file")
         p.add_argument("--out-dir", default=None, help="write artifacts here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=seed_default)
         p.add_argument("--backend", choices=("exact", "float"), default="exact")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (execution is sequential and deterministic)")
 
     p = sub.add_parser("analyze", help="criticality report, components, DAG")
     common(p)

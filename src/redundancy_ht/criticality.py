@@ -1,15 +1,19 @@
-"""Criticality analysis: lambda*, critical subsets, CRP components and their DAG.
+"""Criticality analysis: stability, lambda*, critical subsets, CRP components and their DAG.
 
-Two independent routes to the critical subsets are provided:
+The max-flow route is the production path for every criticality question:
+`critical_rate` finds lambda* by Dinkelbach iteration on max-flow min-cuts,
+`require_stable` decides lambda < lambda* from it, and `crp_components` +
+`report_from_construction` enumerate the CRP components from the residual
+matching at lambda = lambda* and take unions along topological prefixes.
 
-* a brute-force scan of all 2^|S|-1 nonempty type subsets
-  (`critical_rate_and_subsets_bruteforce`), and
-* the max-flow construction (`crp_components` + `critical_subsets_via_construction`),
-  which enumerates CRP components from the residual matching at lambda = lambda*
-  and takes unions along topological prefixes.
+The scans of all 2^|S|-1 nonempty type subsets (`check_stability`,
+`critical_rate_and_subsets_bruteforce`) are the literal definitions, kept as
+oracles for tests, demos and the acceptance battery.
 
 All structural decisions (equalities like N*lambda* p(T) = mu(T)) are made in
-exact rational arithmetic; feeding float models into these routines is rejected.
+exact rational arithmetic. `critical_rate` and `require_stable` take float
+models exactly (each number through Fraction(x)); the component construction
+and the subset scans reject them.
 """
 from __future__ import annotations
 
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import CapExceeded, ConsistencyError, ModelError
-from .model import Scalar, SystemModel, is_exact
+from .errors import CapExceeded, ConsistencyError, DomainError, ModelError
+from .model import Scalar, SystemModel
 
 BRUTEFORCE_CAP = 20  # refuse 2^|S| scans beyond this many job types
 TOPO_CAP = 12  # refuse materializing Sigma_K beyond this many components
@@ -109,8 +113,7 @@ class ComponentDag:
 
 
 def _require_exact(model: SystemModel, what: str):
-    if not (all(is_exact(m) for m in model.mu) and all(is_exact(p) for p in model.p)
-            and is_exact(model.lam)):
+    if not model.exact:
         raise ModelError(f"{what} requires an exact-rational model (criticality is an equality test)")
 
 
@@ -252,7 +255,7 @@ def _build_net(model: SystemModel, lam: Scalar) -> _FlowNet:
     net = _FlowNet()
     n = model.n_servers
     for t in model.type_indices:
-        net.add_edge(_SRC, ("t", t), Fraction(n) * lam * model.p[t])
+        net.add_edge(_SRC, ("t", t), Fraction(n) * lam * Fraction(model.p[t]))
         for srv in model.job_types[t]:
             net.add_edge(("t", t), ("s", srv), None)
     for srv in range(1, n + 1):
@@ -279,23 +282,42 @@ def critical_rate(model: SystemModel) -> Fraction:
     Starts from the best singleton ratio and repeatedly replaces the guess
     by the ratio of the min-cut's violating subset; terminates at the exact
     minimum since successive ratios strictly decrease and stay >= lambda*.
+    Float models are taken exactly, each number through Fraction(x); their
+    p then need not sum to exactly 1, so the termination test compares the
+    flow with the whole arrival rate N*lam*p(S).
     """
-    _require_exact(model, "critical_rate")
     n = model.n_servers
-    lam = min(Fraction(model.mu_of({t}), n * model.p[t]) for t in model.type_indices)
+
+    def ratio(types):
+        mu = sum(Fraction(model.mu[s - 1]) for s in model.servers_of(types))
+        return mu / (n * sum(Fraction(model.p[t]) for t in types))
+
+    lam = min(ratio({t}) for t in model.type_indices)
+    total_p = sum(Fraction(x) for x in model.p)
     while True:
         net = _build_net(model, lam)
         value = net.max_flow()
-        if value == n * lam:
+        if value == n * lam * total_p:
             return lam
         reachable = net.src_reachable()
         tight = frozenset(t for t in model.type_indices if ("t", t) in reachable)
         if not tight:
             raise ConsistencyError("min cut yielded no violating subset")
-        lam_next = Fraction(model.mu_of(tight), n * model.p_of(tight))
+        lam_next = ratio(tight)
         if lam_next >= lam:
             raise ConsistencyError("Dinkelbach iteration failed to decrease")
         lam = lam_next
+
+
+def require_stable(model: SystemModel):
+    """Raise DomainError unless lambda < lambda*.
+
+    The comparison is exact for float models too (see critical_rate), so the
+    decision never depends on floating-point rounding.
+    """
+    lam_star = critical_rate(model)
+    if not Fraction(model.lam) < lam_star:
+        raise DomainError(f"model is unstable: lambda = {model.lam} >= lambda* = {lam_star}")
 
 
 def crp_components(model: SystemModel, lam_star: Scalar = None, audit: bool = False) -> ComponentDag:

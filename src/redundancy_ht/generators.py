@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .criticality import ComponentDag, critical_rate_and_subsets_bruteforce, crp_components
+from .criticality import ComponentDag, critical_rate, crp_components, report_from_construction
 from .model import SystemModel
 
 
@@ -35,8 +35,7 @@ def random_stable_model(rng: random.Random, max_servers: int = 6, max_types: int
     p = tuple(Fraction(w, total) for w in weights)
     mu = tuple(Fraction(rng.randint(1, 8), rng.choice((1, 2))) for _ in range(n))
     probe = SystemModel(mu=mu, lam=Fraction(1), job_types=tuple(types), p=p)
-    lam_star = critical_rate_and_subsets_bruteforce(probe.with_lambda(Fraction(1))).lambda_star
-    return probe.with_lambda(load * lam_star)
+    return probe.with_lambda(load * critical_rate(probe))
 
 
 def random_laminar_model(rng: random.Random, max_servers: int = 5, max_types: int = 5,
@@ -47,12 +46,9 @@ def random_laminar_model(rng: random.Random, max_servers: int = 5, max_types: in
     """
     while True:
         model = random_stable_model(rng, max_servers, max_types, cover_all_servers)
-        report = critical_rate_and_subsets_bruteforce(model)
-        if report.depth_K > max_k:
-            continue
-        dag = crp_components(model, report.lambda_star)
-        if dag.subtrees_laminar:
-            return model, report, dag
+        dag = crp_components(model)
+        if dag.K <= max_k and dag.subtrees_laminar:
+            return model, report_from_construction(model, dag), dag
 
 
 def forest_model(parent: dict, n_components: int, lam=Fraction(1, 2)) -> SystemModel:

@@ -10,7 +10,9 @@ All operations here are generic over the two.
 """
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -26,21 +28,23 @@ MODEL_FORMAT_VERSION = 1
 def parse_scalar(value) -> Scalar:
     """Parse a JSON-ish numeric value: strings become exact Fractions, bare numbers floats."""
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ModelError(f"not a number: {value!r}") from None
     if isinstance(value, bool):
         raise ModelError(f"not a number: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, float) and math.isfinite(value):
         return value
     raise ModelError(f"not a number: {value!r}")
 
 
-def scalar_str(x: Scalar) -> str:
-    """Serialize a scalar; exact values round-trip as rational strings."""
-    if isinstance(x, Fraction):
-        return str(x)
-    return repr(float(x))
+def _dump_scalar(x: Scalar):
+    """Serialize a scalar so that parse_scalar returns it in its own backend:
+    exact values as rational strings, floats as JSON numbers."""
+    return str(x) if is_exact(x) else float(x)
 
 
 def is_exact(x: Scalar) -> bool:
@@ -103,6 +107,11 @@ class SystemModel:
             raise ModelError(f"p_S must sum to 1, got {total!r}")
 
     @property
+    def exact(self) -> bool:
+        """True on the exact backend: every rate and fraction is a Fraction or int."""
+        return all(is_exact(x) for x in (*self.mu, self.lam, *self.p))
+
+    @property
     def n_servers(self) -> int:
         return len(self.mu)
 
@@ -153,6 +162,25 @@ class SystemModel:
             job_types=self.job_types,
             p=tuple(float(ps) for ps in self.p),
         )
+
+
+def cache_by_backend(fn):
+    """functools.lru_cache for a function of a SystemModel, keyed also on its backend.
+
+    An exact model compares and hashes equal to its as_float(), so a plain
+    lru_cache would return one backend's results for the other.
+    """
+    @functools.lru_cache(maxsize=None)
+    def cached(exact, *args, **kwargs):
+        return fn(*args, **kwargs)
+
+    @functools.wraps(fn)
+    def wrapper(model, *args, **kwargs):
+        return cached(model.exact, model, *args, **kwargs)
+
+    wrapper.cache_info = cached.cache_info
+    wrapper.cache_clear = cached.cache_clear
+    return wrapper
 
 
 def aggregate(model: SystemModel, type_set: Iterable[int]):
@@ -233,13 +261,45 @@ def model_at_trajectory(model: SystemModel, traj: TrajectorySpec, lam_star: Scal
     )
 
 
+def _field(obj, key: str, where: str):
+    """obj[key] of a parsed JSON object; ModelError when obj is no object or lacks key."""
+    if not isinstance(obj, Mapping):
+        raise ModelError(f"{where}: expected a JSON object, got {obj!r}")
+    if key not in obj:
+        raise ModelError(f"{where}: missing field {key!r}")
+    return obj[key]
+
+
+def _scalar_field(obj, key: str, where: str) -> Scalar:
+    value = _field(obj, key, where)
+    try:
+        return parse_scalar(value)
+    except ModelError as exc:
+        raise ModelError(f"{where}: {key}: {exc}") from None
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ModelError(f"{where}: expected a JSON list, got {value!r}")
+    return value
+
+
+def _server_ids(value, where: str) -> list:
+    ids = _list(value, where)
+    if not all(type(v) is int for v in ids):
+        raise ModelError(f"{where}: server ids must be integers, got {ids}")
+    return ids
+
+
 def _parse_gamma(raw: Mapping, job_types: Sequence[frozenset]) -> tuple:
+    if not isinstance(raw, Mapping):
+        raise ModelError(f"trajectory.gamma: expected a JSON object, got {raw!r}")
     by_label = {type_label(s): i for i, s in enumerate(job_types)}
     gamma = [None] * len(job_types)
-    for key, val in raw.items():
+    for key in raw:
         if key not in by_label:
             raise ModelError(f"trajectory.gamma key {key!r} matches no job type")
-        gamma[by_label[key]] = parse_scalar(val)
+        gamma[by_label[key]] = _scalar_field(raw, key, "trajectory.gamma")
     missing = [lbl for lbl, i in by_label.items() if gamma[i] is None]
     if missing:
         raise ModelError(f"trajectory.gamma missing entries for types {missing}")
@@ -271,43 +331,44 @@ def load_model(path) -> tuple:
 
 def parse_model(raw: Mapping, where: str = "<model>") -> tuple:
     for key in ("servers", "types", "lambda"):
-        if key not in raw:
-            raise ModelError(f"{where}: missing field {key!r}")
+        _field(raw, key, where)
     unknown = set(raw) - {"servers", "types", "lambda", "trajectory"}
     if unknown:
         raise ModelError(f"{where}: unknown fields {sorted(unknown)}")
-    servers = raw["servers"]
-    ids = [s["id"] for s in servers]
+    servers = _list(raw["servers"], f"{where}: servers")
+    ids = _server_ids([_field(s, "id", f"{where}: servers[{i}]") for i, s in enumerate(servers)],
+                      f"{where}: servers")
     if sorted(ids) != list(range(1, len(ids) + 1)):
         raise ModelError(f"{where}: server ids must be exactly 1..N, got {ids}")
     mu = [None] * len(ids)
-    for s in servers:
-        mu[s["id"] - 1] = parse_scalar(s["mu"])
+    for i, s in enumerate(servers):
+        mu[s["id"] - 1] = _scalar_field(s, "mu", f"{where}: servers[{i}]")
     job_types, p = [], []
-    for t in raw["types"]:
-        job_types.append(frozenset(t["servers"]))
-        p.append(parse_scalar(t["p"]))
-    model = SystemModel(mu=tuple(mu), lam=parse_scalar(raw["lambda"]),
+    for i, t in enumerate(_list(raw["types"], f"{where}: types")):
+        at = f"{where}: types[{i}]"
+        job_types.append(frozenset(_server_ids(_field(t, "servers", at), f"{at}: servers")))
+        p.append(_scalar_field(t, "p", at))
+    model = SystemModel(mu=tuple(mu), lam=_scalar_field(raw, "lambda", where),
                         job_types=tuple(job_types), p=tuple(p))
     traj = None
     if "trajectory" in raw:
-        tr = raw["trajectory"]
-        traj = TrajectorySpec(gamma=_parse_gamma(tr["gamma"], model.job_types),
-                              epsilon=parse_scalar(tr["epsilon"]))
+        tr, at = raw["trajectory"], f"{where}: trajectory"
+        traj = TrajectorySpec(gamma=_parse_gamma(_field(tr, "gamma", at), model.job_types),
+                              epsilon=_scalar_field(tr, "epsilon", at))
     return model, traj
 
 
 def dump_model(model: SystemModel, traj: TrajectorySpec = None) -> dict:
     out = {
-        "servers": [{"id": n + 1, "mu": scalar_str(m)} for n, m in enumerate(model.mu)],
-        "types": [{"servers": sorted(s), "p": scalar_str(ps)}
+        "servers": [{"id": n + 1, "mu": _dump_scalar(m)} for n, m in enumerate(model.mu)],
+        "types": [{"servers": sorted(s), "p": _dump_scalar(ps)}
                   for s, ps in zip(model.job_types, model.p)],
-        "lambda": scalar_str(model.lam),
+        "lambda": _dump_scalar(model.lam),
     }
     if traj is not None:
         out["trajectory"] = {
-            "gamma": {type_label(s): scalar_str(g)
+            "gamma": {type_label(s): _dump_scalar(g)
                       for s, g in zip(model.job_types, traj.gamma)},
-            "epsilon": scalar_str(traj.epsilon),
+            "epsilon": _dump_scalar(traj.epsilon),
         }
     return out

@@ -233,20 +233,6 @@ def scaled_total_moment(model: SystemModel, lam_star: Scalar, eps: Scalar, n: in
     return eps ** n * moment_total(pre, n, discipline)
 
 
-def limit_moment_sweep(model: SystemModel, lam_star: Scalar, n: int, eps_values,
-                       discipline: str = "coc"):
-    """Error sequence |scaled moment - limit| over an epsilon grid (for convergence checks)."""
-    from .criticality import critical_rate_and_subsets_bruteforce
-
-    report = critical_rate_and_subsets_bruteforce(model)
-    target = limit_moment_total(report, n)
-    rows = []
-    for eps in eps_values:
-        val = scaled_total_moment(model, lam_star, eps, n, discipline)
-        rows.append((eps, val, abs(val - target)))
-    return target, rows
-
-
 def linear_exponential_moment(coeffs, n: int) -> Scalar:
     """E[(sum_k a_k U_k)^n] = n! sum_{|n|=n} prod a_k^{n_k} for independent unit exponentials."""
     total = 0
@@ -280,39 +266,6 @@ def limit_moment_type(model: SystemModel, report: CriticalityReport, dag: Compon
         a = [row[type_index] for row in coeffs]
         total = total + w * linear_exponential_moment(a, n)
     return total
-
-
-def limit_moment_type_formula(model: SystemModel, dag: ComponentDag, sigma_weights,
-                              type_index: int, n: int) -> Scalar:
-    """The sigma-sum composition formula for the per-type limit moment.
-
-    sigma_weights maps each topological order to its aggregated weight.
-    Restricted so that components before the one containing S contribute no
-    exponent (they do not feed type S).
-    """
-    model_p = model.p[type_index]
-    total = 0
-    for sigma, w in sigma_weights.items():
-        prefix_p = []
-        acc = set()
-        pos_of_type = None
-        for pos, comp_idx in enumerate(sigma):
-            acc |= dag.components[comp_idx].types
-            prefix_p.append(model.p_of(acc))
-            if type_index in dag.components[comp_idx].types:
-                pos_of_type = pos
-        if pos_of_type is None:
-            continue
-        live = prefix_p[pos_of_type:]
-        inner = 0
-        for ks in _compositions(n, len(live)):
-            term = 1
-            for pp, k in zip(live, ks):
-                if k:
-                    term = term * pp ** (-k) if not isinstance(pp, float) else term / pp ** k
-            inner = inner + term
-        total = total + w * inner
-    return math.factorial(n) * model_p ** n * total
 
 
 def limit_response_time(report: CriticalityReport, model: SystemModel) -> Scalar:

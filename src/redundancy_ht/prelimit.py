@@ -11,15 +11,14 @@ critical prefixes become unit exponentials and all others vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .analytic import (_require_stable, h_term, idle_vector_weight,
-                       iter_idle_server_tuples, iter_ordered_type_tuples, ordered_vector)
-from .criticality import CriticalityReport
+from .analytic import (h_term, idle_vector_weight, iter_idle_server_tuples,
+                       iter_ordered_type_tuples, ordered_vector)
+from .criticality import CriticalityReport, require_stable
 from .errors import DomainError
-from .model import Scalar, SystemModel
+from .model import Scalar, SystemModel, cache_by_backend
 
 DISCIPLINES = ("coc", "cos")
 
@@ -29,7 +28,7 @@ def _check_discipline(discipline: str):
         raise DomainError(f"unknown discipline {discipline!r}; expected one of {DISCIPLINES}")
 
 
-@lru_cache(maxsize=None)
+@cache_by_backend
 def config_distribution(model: SystemModel, discipline: str = "coc") -> tuple:
     """Stationary distribution over ordered first-occurrence vectors.
 
@@ -38,7 +37,7 @@ def config_distribution(model: SystemModel, discipline: str = "coc") -> tuple:
     extra ordered-idle-server factor k(T).
     """
     _check_discipline(discipline)
-    _require_stable(model)
+    require_stable(model)
     ones = [1] * model.n_types
     entries_list, weights = [], []
     for entries in iter_ordered_type_tuples(model):

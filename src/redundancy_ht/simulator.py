@@ -24,6 +24,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 import scipy.stats
 
+from .criticality import require_stable
 from .errors import CapExceeded, DomainError
 from .model import SystemModel
 from .prelimit import _check_discipline
@@ -62,8 +63,13 @@ def simulate(model: SystemModel, discipline: str, horizon_events: int,
         raise DomainError("need at least one event")
     if warmup_events is None:
         warmup_events = horizon_events // 5
+    try:
+        require_stable(model)
+    except DomainError as exc:
+        if not allow_unstable:
+            raise DomainError(f"{exc}; pass allow_unstable=True") from None
+        warnings.warn(f"{exc}; simulating anyway")
     fmodel = model.as_float()
-    _warn_if_unstable(fmodel, allow_unstable)
     if literal_copies and discipline != "coc":
         raise DomainError("literal-copies mode exists only for cancel-on-completion")
     start = time.perf_counter()
@@ -96,20 +102,6 @@ def simulate(model: SystemModel, discipline: str, horizon_events: int,
         wall_seconds=wall,
         time_avg_in_service=extra,
     )
-
-
-def _warn_if_unstable(fmodel: SystemModel, allow_unstable: bool):
-    import itertools
-
-    n = fmodel.n_servers
-    for m in range(1, fmodel.n_types + 1):
-        for sub in itertools.combinations(fmodel.type_indices, m):
-            if n * fmodel.lam * fmodel.p_of(sub) >= fmodel.mu_of(sub):
-                if allow_unstable:
-                    warnings.warn(f"simulating an unstable model (subset {sorted(sub)})")
-                    return
-                raise DomainError(
-                    f"model is unstable on subset {sorted(sub)}; pass allow_unstable=True")
 
 
 class _Accumulator:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -186,17 +187,85 @@ def test_laplace_grid_is_erlang_transform(n_model_file, tmp_path, capsys):
         assert val == (1 + t) ** -2  # K = 2 for this system
 
 
-def test_emit_plot_data(tmp_path):
-    import numpy as np
+def _n_model_with(section, index, key, value=None):
+    """N_MODEL_DOC with one entry's field replaced, or deleted when value is None."""
+    doc = json.loads(json.dumps(N_MODEL_DOC))
+    if value is None:
+        del doc[section][index][key]
+    else:
+        doc[section][index][key] = value
+    return doc
 
-    from redundancy_ht.cli import emit_plot_data
-    from redundancy_ht.simulator import ScaledLawRow
 
-    path = emit_plot_data(tmp_path, "laplace_grid", [[0, 1.0], [1, 0.25]])
-    assert path.read_text().splitlines()[0] == "t,laplace"
-    rows = [ScaledLawRow(eps=0.1, ks_per_type=(0.1, 0.2), ks_total=0.15,
-                         ks_total_critical=0.2, mean_scaled=(0.5, 1.4))]
-    path = emit_plot_data(tmp_path, "ks_sequence", rows)
-    assert "epsilon,ks_total" in path.read_text().splitlines()[0]
-    path = emit_plot_data(tmp_path, "scaled_scatter", np.zeros((3, 2)))
-    assert path.read_text().splitlines()[0] == "scaled_q_0,scaled_q_1"
+@pytest.mark.parametrize("doc", [
+    _n_model_with("servers", 0, "mu"),
+    _n_model_with("servers", 0, "mu", "x"),
+    _n_model_with("types", 0, "p", "1/0"),
+    _n_model_with("types", 0, "servers"),
+    _n_model_with("servers", 0, "id", "1"),
+    _n_model_with("types", 1, "servers", ["2"]),
+    {"servers": {"id": 1}, "types": [], "lambda": "1"},
+    [N_MODEL_DOC],
+    dict(N_MODEL_DOC, trajectory={"gamma": {"1,2": "1", "2": "1"}}),
+], ids=["missing-mu", "bad-mu", "p-zero-denominator", "type-without-servers",
+        "string-server-id", "string-type-server", "servers-not-a-list", "not-an-object",
+        "trajectory-without-epsilon"])
+def test_malformed_model_exits_2(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_analyze_beyond_subset_scan_cap(tmp_path, capsys):
+    # 21 distinct types on 5 unit servers with uniform p: the whole type set
+    # is the only critical subset, so K = 1 and lambda* = mu_bar = 1
+    subsets = [list(s) for k in range(1, 6) for s in itertools.combinations(range(1, 6), k)]
+    doc = {"servers": [{"id": i, "mu": "1"} for i in range(1, 6)],
+           "types": [{"servers": s, "p": "1/21"} for s in subsets[-21:]],
+           "lambda": "1/2"}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out = _run(["analyze", "--model", str(path)], capsys)
+    assert code == 0
+    payload = json.loads(out[:out.rindex("}") + 1])
+    assert payload["lambda_star"] == "1"
+    assert payload["depth_K"] == 1
+    assert payload["critical_subsets"] == [list(range(21))]
+
+
+DIAMOND_DOC = {
+    "servers": [{"id": i, "mu": "1"} for i in (1, 2, 3)],
+    "types": [{"servers": [1, 3], "p": "1/3"}, {"servers": [2, 3], "p": "1/3"},
+              {"servers": [3], "p": "1/3"}],
+    "lambda": "1/2",
+}
+
+
+@pytest.mark.parametrize("doc, law_type", [(DIAMOND_DOC, "MixtureLaw"),
+                                           (N_MODEL_DOC, "LimitLaw")],
+                         ids=["diamond", "n-model"])
+def test_verify_limit_uses_the_mixture_off_laminar(doc, law_type, tmp_path, monkeypatch,
+                                                   capsys):
+    from fractions import Fraction
+
+    from redundancy_ht import simulator
+
+    seen = []
+
+    def fake_check(model, lam_star, law, *args, **kwargs):
+        seen.append(law)
+        return []
+
+    monkeypatch.setattr(simulator, "scaled_law_check", fake_check)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-limit", "--model", str(path), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    (law,) = seen
+    assert type(law).__name__ == law_type
+    if law_type == "MixtureLaw":  # the product form would give means 1/2, 1/2, 2
+        means = [sum(w * sum(row[t] for row in coeffs) for w, coeffs, _ in law.atoms)
+                 for t in range(3)]
+        assert means == [Fraction(7, 12), Fraction(7, 12), Fraction(11, 6)]

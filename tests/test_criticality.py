@@ -7,8 +7,9 @@ import pytest
 from redundancy_ht import SystemModel, generators
 from redundancy_ht.criticality import (CrpClass, check_stability, critical_rate,
                                        critical_rate_and_subsets_bruteforce,
-                                       critical_subsets_via_construction, crp_components)
-from redundancy_ht.errors import CapExceeded
+                                       critical_subsets_via_construction, crp_components,
+                                       require_stable)
+from redundancy_ht.errors import CapExceeded, DomainError
 
 
 def _report_and_dag(model):
@@ -77,6 +78,43 @@ def test_dinkelbach_matches_bruteforce(rng):
         model = generators.random_stable_model(rng, max_servers=6, max_types=6)
         report = critical_rate_and_subsets_bruteforce(model)
         assert critical_rate(model) == report.lambda_star
+
+
+def _max_flow_says_stable(model):
+    try:
+        require_stable(model)
+    except DomainError:
+        return False
+    return True
+
+
+def test_require_stable_matches_subset_scan(rng):
+    for _ in range(60):
+        model = generators.random_stable_model(rng, max_servers=6, max_types=6)
+        lam_star = critical_rate(model)
+        cases = [model.with_lambda(lam_star)]
+        for load in (F(1, 2), F(999, 1000), F(1001, 1000)):
+            exact = model.with_lambda(load * lam_star)
+            cases += [exact, exact.as_float()]
+        for case in cases:
+            assert _max_flow_says_stable(case) == check_stability(case)[0]
+
+
+def test_require_stable_decides_floats_exactly(rng):
+    # at float(lambda*) a float subset scan depends on rounding; the decision
+    # must equal the scan of the float inputs taken exactly
+    for _ in range(30):
+        fm = generators.random_stable_model(rng, max_servers=5, max_types=5).as_float()
+        lam = float(critical_rate(fm))
+        for case in (fm.with_lambda(x) for x in (math.nextafter(lam, 0), lam,
+                                                 math.nextafter(lam, 2 * lam))):
+            n = case.n_servers
+            exact_scan = all(
+                n * F(case.lam) * sum(F(case.p[t]) for t in sub)
+                < sum(F(case.mu[s - 1]) for s in case.servers_of(sub))
+                for k in range(1, case.n_types + 1)
+                for sub in itertools.combinations(case.type_indices, k))
+            assert _max_flow_says_stable(case) == exact_scan
 
 
 def test_components_four_server(four_server):

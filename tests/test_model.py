@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction as F
 
@@ -127,3 +128,38 @@ def test_parse_floats_vs_strings(tmp_path):
     path.write_text(json.dumps(doc))
     model, _ = load_model(path)
     assert isinstance(model.lam, float) and isinstance(model.p[0], float)
+
+
+@st.composite
+def models_and_trajectories(draw):
+    n = draw(st.integers(1, 4))
+    subsets = [frozenset(s) for k in range(1, n + 1)
+               for s in itertools.combinations(range(1, n + 1), k)]
+    types = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(st.integers(1, 50), min_size=len(types), max_size=len(types)))
+    positive = st.fractions(min_value=F(1, 100), max_value=10, max_denominator=1000)
+    model = SystemModel(mu=tuple(draw(positive) for _ in range(n)), lam=draw(positive),
+                        job_types=tuple(types),
+                        p=tuple(F(w, sum(weights)) for w in weights))
+    traj = None
+    if draw(st.booleans()):
+        traj = TrajectorySpec(gamma=tuple(draw(positive) for _ in types),
+                              epsilon=draw(st.fractions(min_value=0, max_value=1,
+                                                        max_denominator=1000)))
+    if draw(st.booleans()):
+        model = model.as_float()
+        if traj is not None:
+            traj = TrajectorySpec(gamma=tuple(float(g) for g in traj.gamma),
+                                  epsilon=float(traj.epsilon))
+    return model, traj
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=models_and_trajectories())
+def test_dump_parse_round_trip(case):
+    model, traj = case
+    got_model, got_traj = parse_model(json.loads(json.dumps(dump_model(model, traj))))
+    assert (got_model, got_traj) == (model, traj)
+    assert got_model.exact == model.exact  # each backend comes back as itself
+    if traj is not None:
+        assert type(got_traj.epsilon) is type(traj.epsilon)

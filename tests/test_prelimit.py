@@ -203,3 +203,23 @@ def test_unstable_model_rejected():
     bad = SystemModel(mu=(F(1),), lam=F(2), job_types=(frozenset({1}),), p=(F(1),))
     with pytest.raises(DomainError):
         config_distribution(bad)
+
+
+def test_caches_keep_backends_apart():
+    # an exact model equals and hashes like its as_float(); neither cache may
+    # hand one backend's results to the other
+    from redundancy_ht.analytic import _nk_vectors
+
+    model = SystemModel(mu=(F(1), F(1)), lam=F(1, 2),
+                        job_types=(frozenset({1, 2}), frozenset({2})), p=(F(1, 2), F(1, 2)))
+    fm = model.as_float()
+    assert fm == model
+    report = critical_rate_and_subsets_bruteforce(model)
+    for first, second, kind in ((model, fm, float), (fm, model, F)):
+        config_distribution.cache_clear()
+        _nk_vectors.cache_clear()
+        config_distribution(first)
+        _nk_vectors(first, report)
+        assert all(type(p) is kind for p in config_distribution(second)[1])
+        assert all(type(x) is kind for vec in _nk_vectors(second, report)
+                   for x in vec.prefix_p)
