@@ -491,6 +491,7 @@ def limiting_laplace_cos_general(model: SystemModel, report: CriticalityReport,
     if traj is None:
         traj = fixed_direction(model, report.lambda_star)
     lam_star = report.lambda_star
+    at_critical = model.with_lambda(lam_star)
     n = model.n_servers
     num = 0
     norm = 0
@@ -500,7 +501,7 @@ def limiting_laplace_cos_general(model: SystemModel, report: CriticalityReport,
         free = [srv for srv in range(1, n + 1) if srv not in used]
         k_weight = 0
         for u in iter_idle_server_tuples(model, allowed=free):
-            k_weight = k_weight + _alpha_idle(model, lam_star, u)
+            k_weight = k_weight + idle_vector_weight(at_critical, u)
         factor = 1
         for i in vec.cr_indices:
             g = vec.prefix_gamma(traj, i)
@@ -509,18 +510,6 @@ def limiting_laplace_cos_general(model: SystemModel, report: CriticalityReport,
         num = num + k_weight * w * factor
         norm = norm + k_weight * w
     return num / norm
-
-
-def _alpha_idle(model: SystemModel, lam_star, u) -> Scalar:
-    val = 1
-    n = model.n_servers
-    for l in range(1, len(u) + 1):
-        head = set(u[:l])
-        compat = sum(model.p[t] for t in model.type_indices if model.job_types[t] & head)
-        if compat == 0:
-            raise DomainError(f"servers {sorted(head)} have no compatible job type")
-        val = val * model.mu[u[l - 1] - 1] / (n * lam_star * compat)
-    return val
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, acceptance, analytic, criticality, moments, prelimit, simulator
 from .errors import CapExceeded, DomainError, ModelError
-from .model import MODEL_FORMAT_VERSION, load_model
+from .model import MODEL_FORMAT_VERSION, load_model, parse_scalar
 
 
 def _num(x):
@@ -31,11 +31,18 @@ def _num(x):
     return repr(float(x))
 
 
-def _parse_vector(text: str, n: int, exact: bool):
-    parts = [p.strip() for p in text.split(",")]
+def _parse_vector(text: str, n: int, exact: bool, sep: str = ","):
+    parts = text.split(sep)
     if len(parts) != n:
-        raise ModelError(f"expected {n} comma-separated values, got {len(parts)}")
-    return [Fraction(p) if exact else float(p) for p in parts]
+        raise ModelError(f"expected {n} values separated by {sep!r} in {text!r}, "
+                         f"got {len(parts)}")
+    values = [parse_scalar(p) for p in parts]
+    if exact:
+        return values
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise ModelError(f"a value is out of float range: {text!r}") from None
 
 
 def _write_json(args, name, payload):
@@ -125,7 +132,9 @@ def cmd_laplace(args):
                 model, report, dag, traj, t))
         _write_json(args, "laplace", payload)
         return 0
-    lo, hi, steps = (Fraction(v) for v in args.t_grid.split(":"))
+    lo, hi, steps = _parse_vector(args.t_grid, 3, True, sep=":")
+    if steps.denominator != 1 or steps < 1:
+        raise ModelError(f"--t-grid: steps must be an integer >= 1, got {steps}")
     steps = int(steps)
     rows = []
     for i in range(steps):
@@ -209,10 +218,13 @@ def cmd_verify_limit(args):
         law = analytic.limit_law(dag, traj)
     else:
         law = analytic.sigma_aggregate(analytic.mixture_law(model, report, traj), dag)
-    eps_values = [float(Fraction(e)) for e in args.eps.split(",")]
+    eps_values = [parse_scalar(e) for e in args.eps.split(",")]
+    if any(e <= 0 for e in eps_values):
+        raise ModelError(f"--eps: every epsilon must be positive, got {args.eps!r}")
+    eps_values = [float(e) for e in eps_values]
     rows = simulator.scaled_law_check(model, report.lambda_star, law, args.discipline,
                                       eps_values, args.events, seed=args.seed,
-                                      keep_samples=args.scatter)
+                                      keep_samples=args.scatter, traj=traj)
     header = ["epsilon", "ks_total", "ks_total_critical"] + \
         [f"ks_{lbl}" for lbl in model.labels()]
     csv_rows = [[r.eps, r.ks_total, r.ks_total_critical, *r.ks_per_type] for r in rows]

@@ -1,23 +1,34 @@
 """Event-driven simulation of the redundancy dynamics and a truncated-CTMC oracle.
 
-The cancel-on-completion dynamics are simulated on the aggregated central
-queue: each server works at its own speed on the earliest compatible job,
-so a job's departure rate is the total speed of the servers whose earliest
-compatible job it is (the incremental-rate form of the product-form chain).
-A literal per-copy mode exists for differential testing at small scale.
+One event loop (`_run`) serves every discipline: it draws the time to the
+next transition at the total rate, then an arrival of a random type or a
+completion at a server chosen in proportion to its speed, and leaves what
+these do to a queue policy with `busy()`, `arrive(t)`, `finish(server)` and
+an invariant `check()`:
 
-Cancel-on-start is simulated as FCFS-ALIS: an arriving job is assigned to
-the longest-idle compatible server if any, otherwise it waits; a freeing
-server takes the earliest compatible waiting job.
+- `_CentralQueue`: cancel-on-completion on the aggregated central queue.
+  Each server works on the earliest compatible job, so a job departs at
+  the total speed of the servers whose earliest compatible job it is.
+- `_CopyQueues`: literal cancel-on-completion, one FCFS copy queue per
+  server; the reference for differential tests, on the same sample path.
+- `_FcfsAlis`: cancel-on-start. An arriving job goes to the longest-idle
+  compatible server, else it waits; a freed server takes the earliest
+  compatible waiting job.
+
+Busy rates are looked up per state mask (`_BusyRates`, filled on first
+use), and counts go to one lazily integrated accumulator (`_Integrals`).
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
 import time
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse
@@ -26,7 +37,7 @@ import scipy.stats
 
 from .criticality import require_stable
 from .errors import CapExceeded, DomainError
-from .model import SystemModel
+from .model import SystemModel, TrajectorySpec, default_trajectory, model_at_trajectory
 from .prelimit import _check_discipline
 
 STATE_CAP = 2_000_000
@@ -63,6 +74,12 @@ def simulate(model: SystemModel, discipline: str, horizon_events: int,
         raise DomainError("need at least one event")
     if warmup_events is None:
         warmup_events = horizon_events // 5
+    if warmup_events < 0:
+        raise DomainError(f"need a nonnegative warm-up, got {warmup_events} events")
+    if sample_every < 1:
+        raise DomainError(f"need sample_every >= 1, got {sample_every}")
+    if literal_copies and discipline != "coc":
+        raise DomainError("literal-copies mode exists only for cancel-on-completion")
     try:
         require_stable(model)
     except DomainError as exc:
@@ -70,23 +87,19 @@ def simulate(model: SystemModel, discipline: str, horizon_events: int,
             raise DomainError(f"{exc}; pass allow_unstable=True") from None
         warnings.warn(f"{exc}; simulating anyway")
     fmodel = model.as_float()
-    if literal_copies and discipline != "coc":
-        raise DomainError("literal-copies mode exists only for cancel-on-completion")
-    start = time.perf_counter()
-    if discipline == "coc":
-        if literal_copies:
-            res = _run_coc_literal(fmodel, horizon_events, warmup_events, seed, sample_every)
-        else:
-            res = _run_coc(fmodel, horizon_events, warmup_events, seed, sample_every,
-                           debug_checks)
+    if discipline == "cos":
+        policy = _FcfsAlis(fmodel)
     else:
-        res = _run_cos(fmodel, horizon_events, warmup_events, seed, sample_every,
-                       debug_checks)
-    integrals, batch_means, samples, extra = res
+        policy = _CopyQueues(fmodel) if literal_copies else _CentralQueue(fmodel)
+    start = time.perf_counter()
+    batches, samples = _run(policy, fmodel, horizon_events, warmup_events, seed,
+                            sample_every, debug_checks)
     wall = time.perf_counter() - start
     s = fmodel.n_types
-    time_avg = integrals
-    bm = np.asarray(batch_means)
+    areas = np.array([area for area, _ in batches])
+    durations = np.array([duration for _, duration in batches])
+    time_avg = areas.sum(axis=0) / durations.sum()
+    bm = areas[:, :s] / durations[:, None]
     nb = bm.shape[0]
     if nb >= 2:
         tcrit = scipy.stats.t.ppf(0.975, nb - 1)
@@ -95,106 +108,43 @@ def simulate(model: SystemModel, discipline: str, horizon_events: int,
         half = np.full(s, np.inf)
     return SimEstimate(
         discipline=discipline,
-        time_avg=time_avg,
+        time_avg=time_avg[:s],
         half_width=half,
         samples=np.asarray(samples, dtype=np.int64).reshape(-1, s),
         events=horizon_events,
         wall_seconds=wall,
-        time_avg_in_service=extra,
+        time_avg_in_service=time_avg[s:] if discipline == "cos" else None,
     )
 
 
-class _Accumulator:
-    """Time integrals of per-type counts, total and per batch."""
-
-    def __init__(self, n_types: int, horizon: int, n_batches: int = MIN_BATCHES):
-        self.integral = np.zeros(n_types)
-        self.elapsed = 0.0
-        self.batch_integral = np.zeros((n_batches, n_types))
-        self.batch_time = np.zeros(n_batches)
-        self.per_batch = max(1, horizon // n_batches)
-        self.n_batches = n_batches
-
-    def add(self, counts, dt: float, event_index: int):
-        b = min(event_index // self.per_batch, self.n_batches - 1)
-        for t, c in enumerate(counts):
-            self.integral[t] += c * dt
-            self.batch_integral[b, t] += c * dt
-        self.elapsed += dt
-        self.batch_time[b] += dt
-
-    def results(self):
-        avg = self.integral / self.elapsed
-        live = self.batch_time > 0
-        means = self.batch_integral[live] / self.batch_time[live, None]
-        return avg, means
-
-
-def _cum_probs(fmodel: SystemModel):
-    cum = []
-    acc = 0.0
-    for ps in fmodel.p:
-        acc += ps
-        cum.append(acc)
-    cum[-1] = 1.0
-    return cum
-
-
-def _draw_type(cum, u: float) -> int:
-    for i, c in enumerate(cum):
-        if u <= c:
-            return i
-    return len(cum) - 1
-
-
-def _run_coc(fmodel, horizon, warmup, seed, sample_every, debug_checks):
+def _run(policy, fmodel, horizon, warmup, seed, sample_every, debug_checks):
+    """The event loop: returns the policy's batch integrals and the sampled type counts."""
     rng = random.Random(seed)
     expo, unif = rng.expovariate, rng.random
-    s, n = fmodel.n_types, fmodel.n_servers
-    lam_total = float(n * fmodel.lam)
-    mu = [float(m) for m in fmodel.mu]
-    compat = [[t for t in range(s) if (srv + 1) in fmodel.job_types[t]] for srv in range(n)]
-    compat_mask = [sum(1 << t for t in compat[srv]) for srv in range(n)]
-    # lookup per nonempty-types bitmask: total busy rate and the busy (server, mu) pairs
-    busy_table = []
-    for mask in range(1 << s):
-        pairs = [(srv, mu[srv]) for srv in range(n) if compat_mask[srv] & mask]
-        busy_table.append((sum(m for _, m in pairs), pairs))
-    cum = _cum_probs(fmodel)
-    queues = [deque() for _ in range(s)]
-    counts = [0] * s
-    acc = _Accumulator(s, horizon)
-    integral, batch_integral, batch_time = acc.integral, acc.batch_integral, acc.batch_time
-    per_batch, last_batch = acc.per_batch, acc.n_batches - 1
+    s = fmodel.n_types
+    lam_total = fmodel.n_servers * fmodel.lam
+    cum = list(itertools.accumulate(fmodel.p))
+    cum[-1] = 1.0  # no rounding gap at the top
+    acc, busy_now, arrive, finish = policy.acc, policy.busy, policy.arrive, policy.finish
+    per_batch = max(1, horizon // MIN_BATCHES)
+    cuts = iter(range(per_batch, per_batch * MIN_BATCHES, per_batch))
+    next_cut = next(cuts)
     samples = []
-    next_id = 0
     departures = 0
-    mask = 0
-    event = -warmup
-    while event < horizon:
-        busy_rate, busy = busy_table[mask]
+    for event in range(-warmup, horizon):
         if debug_checks:
-            present = {t for t in range(s) if queues[t]}
-            assert abs(busy_rate - (float(fmodel.mu_of(present)) if present else 0.0)) < 1e-9
+            policy.check()
+        busy_rate, busy = busy_now()
         total_rate = lam_total + busy_rate
         dt = expo(total_rate)
         if event >= 0:
-            b = event // per_batch
-            if b > last_batch:
-                b = last_batch
-            for t in range(s):
-                c = counts[t] * dt
-                integral[t] += c
-                batch_integral[b, t] += c
-            acc.elapsed += dt
-            batch_time[b] += dt
+            if event == next_cut:
+                acc.cut()
+                next_cut = next(cuts, None)
+            acc.now += dt
         u = unif() * total_rate
         if u < lam_total:
-            t = _draw_type(cum, u / lam_total)
-            queues[t].append(next_id)
-            next_id += 1
-            counts[t] += 1
-            mask |= 1 << t
+            arrive(bisect.bisect_left(cum, u / lam_total))
         else:
             u -= lam_total
             chosen = busy[-1][0]
@@ -203,155 +153,195 @@ def _run_coc(fmodel, horizon, warmup, seed, sample_every, debug_checks):
                     chosen = srv
                     break
                 u -= m
-            target, target_type = None, None
-            for t in compat[chosen]:
-                q = queues[t]
-                if q and (target is None or q[0] < target):
-                    target = q[0]
-                    target_type = t
-            queues[target_type].popleft()
-            counts[target_type] -= 1
-            if not queues[target_type]:
-                mask &= ~(1 << target_type)
+            finish(chosen)
             departures += 1
             if event >= 0 and departures % sample_every == 0:
-                samples.append(list(counts))
-        event += 1
-    avg, means = acc.results()
-    return avg, means, samples, None
+                samples.append(acc.count[:s])
+    acc.cut()
+    return acc.batches, samples
 
 
-def _run_coc_literal(fmodel, horizon, warmup, seed, sample_every):
-    """Per-copy bookkeeping: one FCFS copy queue per server, cancel siblings on completion."""
-    rng = random.Random(seed)
-    s, n = fmodel.n_types, fmodel.n_servers
-    lam_total = n * fmodel.lam
-    mu = [float(m) for m in fmodel.mu]
-    cum = _cum_probs(fmodel)
-    server_q = [deque() for _ in range(n)]
-    alive = {}
-    counts = [0] * s
-    acc = _Accumulator(s, horizon)
-    samples = []
-    next_id = 0
-    departures = 0
+class _Integrals:
+    """Time integrals of integer counts, one channel per count, cut into batches.
 
-    def head(srv):
-        q = server_q[srv]
-        while q and q[0] not in alive:
+    A channel's area is brought up to date only when its count changes, and
+    every channel's at a batch cut. The clock restarts at 0 after each cut
+    and stays at 0 during warm-up, so warm-up is not integrated.
+    """
+
+    def __init__(self, channels: int):
+        self.count = [0] * channels
+        self.batches = []  # (area per channel, duration) of each finished batch
+        self._restart()
+
+    def _restart(self):
+        self.now = 0.0
+        self.area = [0.0] * len(self.count)
+        self.since = [0.0] * len(self.count)
+
+    def change(self, channel: int, delta: int):
+        self.area[channel] += self.count[channel] * (self.now - self.since[channel])
+        self.since[channel] = self.now
+        self.count[channel] += delta
+
+    def cut(self):
+        now = self.now
+        self.batches.append(([a + c * (now - t) for a, c, t in
+                              zip(self.area, self.count, self.since)], now))
+        self._restart()
+
+
+class _BusyRates(dict):
+    """Per state mask, filled on first use: (total speed, [(server, mu)]) of
+    the servers srv with mask & masks[srv] nonzero, in server order."""
+
+    def __init__(self, mu, masks):
+        self.mu, self.masks = mu, masks
+
+    def __missing__(self, key):
+        pairs = [(srv, m) for srv, (m, bits) in enumerate(zip(self.mu, self.masks))
+                 if bits & key]
+        self[key] = value = (sum(m for _, m in pairs), pairs)
+        return value
+
+
+def _compat(fmodel):
+    """Per server, the indices of the job types it can serve."""
+    return [[t for t in fmodel.type_indices if srv + 1 in fmodel.job_types[t]]
+            for srv in range(fmodel.n_servers)]
+
+
+def _earliest(queues, types):
+    """The type among `types` whose queue head is the earliest job, or None if all are empty."""
+    best, best_type = None, None
+    for t in types:
+        q = queues[t]
+        if q and (best is None or q[0] < best):
+            best, best_type = q[0], t
+    return best_type
+
+
+class _CentralQueue:
+    """Cancel-on-completion on one FCFS queue of job ids per type."""
+
+    def __init__(self, fmodel):
+        self.model = fmodel
+        self.acc = _Integrals(fmodel.n_types)
+        self.compat = _compat(fmodel)
+        self.rates = _BusyRates(fmodel.mu, [sum(1 << t for t in c) for c in self.compat])
+        self.queues = [deque() for _ in fmodel.type_indices]
+        self.present = 0  # bitmask of the types with a job in the system
+        self.next_id = 0
+
+    def busy(self):
+        return self.rates[self.present]
+
+    def arrive(self, t):
+        self.queues[t].append(self.next_id)
+        self.next_id += 1
+        self.acc.change(t, 1)
+        self.present |= 1 << t
+
+    def finish(self, srv):
+        t = _earliest(self.queues, self.compat[srv])
+        self.queues[t].popleft()
+        self.acc.change(t, -1)
+        if not self.queues[t]:
+            self.present &= ~(1 << t)
+
+    def check(self):
+        present = {t for t, c in enumerate(self.acc.count) if c}
+        want = float(self.model.mu_of(present)) if present else 0.0
+        assert abs(self.busy()[0] - want) < 1e-9, "busy rate is not the speed of the present types"
+
+
+class _CopyQueues:
+    """Cancel-on-completion with one FCFS copy queue per server; the copies
+    of a completed job are dropped when they reach the head of a queue."""
+
+    def __init__(self, fmodel):
+        self.model = fmodel
+        self.acc = _Integrals(fmodel.n_types)
+        self.rates = _BusyRates(fmodel.mu, [1 << srv for srv in range(fmodel.n_servers)])
+        self.server_q = [deque() for _ in range(fmodel.n_servers)]
+        self.alive = {}  # job id -> type index
+        self.next_id = 0
+
+    def _head(self, srv):
+        q = self.server_q[srv]
+        while q and q[0] not in self.alive:
             q.popleft()
         return q[0] if q else None
 
-    event = -warmup
-    while event < horizon:
-        busy = [srv for srv in range(n) if head(srv) is not None]
-        busy_rate = sum(mu[srv] for srv in busy)
-        total_rate = lam_total + busy_rate
-        dt = rng.expovariate(total_rate)
-        if event >= 0:
-            acc.add(counts, dt, event)
-        u = rng.random() * total_rate
-        if u < lam_total:
-            t = _draw_type(cum, u / lam_total)
-            alive[next_id] = t
-            for srv in fmodel.job_types[t]:
-                server_q[srv - 1].append(next_id)
-            counts[t] += 1
-            next_id += 1
-        else:
-            u -= lam_total
-            chosen = busy[-1]
-            for srv in busy:
-                if u < mu[srv]:
-                    chosen = srv
-                    break
-                u -= mu[srv]
-            job = head(chosen)
-            t = alive.pop(job)
-            counts[t] -= 1
-            departures += 1
-            if event >= 0 and departures % sample_every == 0:
-                samples.append(list(counts))
-        event += 1
-    avg, means = acc.results()
-    return avg, means, samples, None
+    def busy(self):
+        return self.rates[sum(1 << srv for srv in range(len(self.server_q))
+                              if self._head(srv) is not None)]
+
+    def arrive(self, t):
+        self.alive[self.next_id] = t
+        for srv in self.model.job_types[t]:
+            self.server_q[srv - 1].append(self.next_id)
+        self.next_id += 1
+        self.acc.change(t, 1)
+
+    def finish(self, srv):
+        self.acc.change(self.alive.pop(self._head(srv)), -1)
+
+    check = _CentralQueue.check
 
 
-def _run_cos(fmodel, horizon, warmup, seed, sample_every, debug_checks):
-    rng = random.Random(seed)
-    s, n = fmodel.n_types, fmodel.n_servers
-    lam_total = n * fmodel.lam
-    mu = [float(m) for m in fmodel.mu]
-    compat = [[t for t in range(s) if (srv + 1) in fmodel.job_types[t]] for srv in range(n)]
-    cum = _cum_probs(fmodel)
-    waiting = [deque() for _ in range(s)]
-    wait_counts = [0] * s
-    serving = [None] * n  # type index being served, or None
-    in_service = [0] * s
-    idle = list(range(n))  # longest idle first
-    acc = _Accumulator(s, horizon)
-    serve_integral = np.zeros(s)
-    samples = []
-    next_id = 0
-    departures = 0
-    event = -warmup
-    while event < horizon:
-        busy = [srv for srv in range(n) if serving[srv] is not None]
-        busy_rate = sum(mu[srv] for srv in busy)
-        if debug_checks:
-            for srv in idle:
-                assert all(not waiting[t] for t in compat[srv]), "idle server with compatible waiting job"
-        total_rate = lam_total + busy_rate
-        dt = rng.expovariate(total_rate)
-        if event >= 0:
-            acc.add(wait_counts, dt, event)
-            for t in range(s):
-                serve_integral[t] += in_service[t] * dt
-        u = rng.random() * total_rate
-        if u < lam_total:
-            t = _draw_type(cum, u / lam_total)
-            assigned = None
-            for pos, srv in enumerate(idle):
-                if t in compat[srv]:
-                    assigned = pos
-                    break
-            if assigned is not None:
-                srv = idle.pop(assigned)
-                serving[srv] = t
-                in_service[t] += 1
-            else:
-                waiting[t].append(next_id)
-                wait_counts[t] += 1
-            next_id += 1
+class _FcfsAlis:
+    """Cancel-on-start as FCFS-ALIS; accumulator channels 0..S-1 count the
+    waiting jobs per type and S..2S-1 the jobs in service."""
+
+    def __init__(self, fmodel):
+        n = fmodel.n_servers
+        self.n_types = fmodel.n_types
+        self.acc = _Integrals(2 * fmodel.n_types)
+        self.compat = _compat(fmodel)
+        self.compat_mask = [sum(1 << t for t in c) for c in self.compat]
+        self.rates = _BusyRates(fmodel.mu, [1 << srv for srv in range(n)])
+        self.waiting = [deque() for _ in fmodel.type_indices]
+        self.serving = [None] * n  # type index in service per server
+        self.idle = list(range(n))  # longest idle first
+        self.busy_mask = 0
+        self.next_id = 0
+
+    def busy(self):
+        return self.rates[self.busy_mask]
+
+    def _start(self, srv, t):
+        self.serving[srv] = t
+        self.busy_mask |= 1 << srv
+        self.acc.change(self.n_types + t, 1)
+
+    def arrive(self, t):
+        for pos, srv in enumerate(self.idle):
+            if self.compat_mask[srv] >> t & 1:
+                del self.idle[pos]
+                self._start(srv, t)
+                break
         else:
-            u -= lam_total
-            chosen = busy[-1]
-            for srv in busy:
-                if u < mu[srv]:
-                    chosen = srv
-                    break
-                u -= mu[srv]
-            t_done = serving[chosen]
-            in_service[t_done] -= 1
-            serving[chosen] = None
-            target, target_type = None, None
-            for t in compat[chosen]:
-                if waiting[t] and (target is None or waiting[t][0] < target):
-                    target = waiting[t][0]
-                    target_type = t
-            if target_type is not None:
-                waiting[target_type].popleft()
-                wait_counts[target_type] -= 1
-                serving[chosen] = target_type
-                in_service[target_type] += 1
-            else:
-                idle.append(chosen)
-            departures += 1
-            if event >= 0 and departures % sample_every == 0:
-                samples.append(list(wait_counts))
-        event += 1
-    avg, means = acc.results()
-    return avg, means, samples, serve_integral / acc.elapsed
+            self.waiting[t].append(self.next_id)
+            self.acc.change(t, 1)
+        self.next_id += 1
+
+    def finish(self, srv):
+        self.acc.change(self.n_types + self.serving[srv], -1)
+        t = _earliest(self.waiting, self.compat[srv])
+        if t is None:
+            self.serving[srv] = None
+            self.busy_mask &= ~(1 << srv)
+            self.idle.append(srv)
+        else:
+            self.waiting[t].popleft()
+            self.acc.change(t, -1)
+            self._start(srv, t)
+
+    def check(self):
+        for srv in self.idle:
+            assert not any(self.waiting[t] for t in self.compat[srv]), \
+                "idle server with compatible waiting job"
 
 
 # ---------------------------------------------------------------------------
@@ -378,21 +368,25 @@ class ScaledLawRow:
 
 def scaled_law_check(model: SystemModel, lam_star, law, discipline, eps_values,
                      events_per_eps, seed: int = 0, sample_every: int = None,
-                     law_samples: int = 100_000, keep_samples: bool = False) -> list:
-    """Simulate along the lambda = (1-eps) lambda* ray and compare eps*Q with the law.
+                     law_samples: int = 100_000, keep_samples: bool = False,
+                     traj: TrajectorySpec = None) -> list:
+    """Simulate along lambda_S(eps) = N*lambda* p_S - eps*gamma_S and compare eps*Q with the law.
 
-    Returns one row per eps with per-marginal and total two-sample KS
-    distances against Monte-Carlo draws from `law`. Sampling epochs default
-    to ~eps^-2 events apart so that the KS samples are effectively
-    independent at every eps on the grid.
+    gamma is taken from `traj` (its epsilon is ignored: `eps_values` sets
+    the positions); None means the ray lambda = (1-eps) lambda*. Returns one
+    row per eps with per-marginal and total two-sample KS distances against
+    Monte-Carlo draws from `law`. Sampling epochs default to ~eps^-2 events
+    apart so that the KS samples are effectively independent at every eps
+    on the grid.
     """
     from .analytic import sample_limit
 
     rows = []
     ref = sample_limit(law, law_samples, seed=seed + 999)
     ref_total = ref.sum(axis=1)
+    gamma = default_trajectory(model, lam_star).gamma if traj is None else traj.gamma
     for i, eps in enumerate(eps_values):
-        pre = model.as_float().with_lambda((1.0 - eps) * float(lam_star))
+        pre = model_at_trajectory(model, TrajectorySpec(gamma, Fraction(eps)), lam_star)
         spacing = sample_every if sample_every is not None else max(100, int(8.0 / eps ** 2))
         horizon = events_per_eps if isinstance(events_per_eps, int) else events_per_eps[i]
         est = simulate(pre, discipline, horizon_events=horizon, seed=seed + i,

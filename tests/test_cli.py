@@ -197,7 +197,7 @@ def _n_model_with(section, index, key, value=None):
     return doc
 
 
-@pytest.mark.parametrize("doc", [
+@pytest.mark.parametrize("doc, argv", [(doc, ["analyze"]) for doc in (
     _n_model_with("servers", 0, "mu"),
     _n_model_with("servers", 0, "mu", "x"),
     _n_model_with("types", 0, "p", "1/0"),
@@ -207,13 +207,27 @@ def _n_model_with(section, index, key, value=None):
     {"servers": {"id": 1}, "types": [], "lambda": "1"},
     [N_MODEL_DOC],
     dict(N_MODEL_DOC, trajectory={"gamma": {"1,2": "1", "2": "1"}}),
-], ids=["missing-mu", "bad-mu", "p-zero-denominator", "type-without-servers",
-        "string-server-id", "string-type-server", "servers-not-a-list", "not-an-object",
-        "trajectory-without-epsilon"])
-def test_malformed_model_exits_2(doc, tmp_path, capsys):
+)] + [(N_MODEL_DOC, argv) for argv in (
+    ["simulate", "--sample-every", "0"],
+    ["simulate", "--warmup", "-10"],
+    ["pgf", "--z", "1/2,x"],
+    ["pgf", "--z", "1/0,1"],
+    ["pgf", "--z", "1e400,1", "--backend", "float"],
+    ["laplace", "--t", "1,inf"],
+    ["laplace", "--t-grid", "0:4"],
+    ["laplace", "--t-grid", "0:4:5/2"],
+    ["laplace", "--t-grid", "0:4:0"],
+    ["verify-limit", "--eps", "0.1,0"],
+)], ids=["missing-mu", "bad-mu", "p-zero-denominator", "type-without-servers",
+         "string-server-id", "string-type-server", "servers-not-a-list", "not-an-object",
+         "trajectory-without-epsilon", "sample-every-zero", "negative-warmup",
+         "z-not-a-number", "z-zero-denominator", "z-float-overflow", "t-not-finite",
+         "t-grid-two-fields", "t-grid-fractional-steps", "t-grid-zero-steps", "eps-zero"])
+def test_malformed_model_exits_2(doc, argv, tmp_path, capsys):
+    """A malformed model file or argument exits 2 with a one-line message."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    assert main(["analyze", "--model", str(path)]) == 2
+    assert main([*argv, "--model", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

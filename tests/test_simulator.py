@@ -1,12 +1,16 @@
+import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from redundancy_ht import SystemModel
+from redundancy_ht import SystemModel, generators
 from redundancy_ht.criticality import critical_rate_and_subsets_bruteforce, crp_components
 from redundancy_ht.errors import CapExceeded, DomainError
+from redundancy_ht.model import TrajectorySpec, model_at_trajectory
 from redundancy_ht.moments import moment_total
 from redundancy_ht.prelimit import config_distribution, expected_type_counts
 from redundancy_ht.simulator import (config_marginals_from_oracle, ctmc_oracle,
@@ -47,9 +51,43 @@ def test_literal_copies_agrees_with_aggregated(four_server):
         assert abs(a.time_avg[t] - b.time_avg[t]) < max(tol, 0.05)
 
 
-def test_debug_checks_run(n_model):
-    simulate(n_model, "coc", horizon_events=5_000, seed=7, debug_checks=True)
-    simulate(n_model, "cos", horizon_events=5_000, seed=8, debug_checks=True)
+def test_debug_checks_run(n_model, four_server):
+    for model in (n_model, four_server):
+        simulate(model, "coc", horizon_events=5_000, seed=7, debug_checks=True)
+        simulate(model, "coc", horizon_events=5_000, seed=7, debug_checks=True,
+                 literal_copies=True)
+        simulate(model, "cos", horizon_events=5_000, seed=8, debug_checks=True)
+
+
+def test_literal_copies_follow_the_same_path():
+    # for a fixed seed the per-copy queues and the aggregated central queue
+    # make the same draws, so their sample paths coincide
+    rng = random.Random(2024)
+    for _ in range(30):
+        model = generators.random_stable_model(rng, max_servers=5, max_types=6)
+        seed = rng.randrange(1000)
+        a = simulate(model, "coc", horizon_events=2_000, seed=seed, sample_every=7)
+        b = simulate(model, "coc", horizon_events=2_000, seed=seed, sample_every=7,
+                     literal_copies=True)
+        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a.time_avg, b.time_avg)
+        assert np.array_equal(a.half_width, b.half_width)
+
+
+def test_no_table_over_all_type_subsets():
+    # 18 types on 5 servers: a table over all 2^18 type masks would need
+    # well over 100 MB before the first event
+    subsets = [s for k in range(1, 6) for s in itertools.combinations(range(1, 6), k)]
+    model = SystemModel(mu=(F(1),) * 5, lam=F(1, 2),
+                        job_types=tuple(frozenset(s) for s in subsets[-18:]),
+                        p=(F(1, 18),) * 18)
+    tracemalloc.start()
+    try:
+        simulate(model, "coc", horizon_events=1_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
 
 
 def test_cos_waiting_matches_moment(n_model):
@@ -128,6 +166,25 @@ def test_scaled_law_check_runs(n_model):
     assert len(rows) == 2
     assert rows[0].scaled_samples.shape[1] == 2
     assert rows[1].ks_total < rows[0].ks_total
+
+
+def test_scaled_law_check_follows_the_trajectory(n_model):
+    # gamma = (3/2, 1/2) gives limit means 1/2 and 5/2, where the plain
+    # lambda = (1-eps) lambda* ray would converge to 1/2 and 3/2
+    from redundancy_ht.analytic import limit_law
+
+    traj = TrajectorySpec(gamma=(F(3, 2), F(1, 2)), epsilon=F(1, 50))
+    law = limit_law(crp_components(n_model), traj)
+    assert [sum(row[t] for row in law.coeffs) for t in range(2)] == [F(1, 2), F(5, 2)]
+    rows = scaled_law_check(n_model, F(1), law, "coc", eps_values=[0.1, 0.05],
+                            events_per_eps=[200_000, 400_000], seed=5, law_samples=1_000,
+                            traj=traj)
+    for row, eps in zip(rows, (F(1, 10), F(1, 20))):
+        pre = model_at_trajectory(n_model, TrajectorySpec(traj.gamma, eps), F(1))
+        exact = [float(x * eps) for x in expected_type_counts(pre)]
+        assert abs(row.mean_scaled[0] - exact[0]) < 0.08
+        assert abs(row.mean_scaled[1] - exact[1]) < 0.6
+    assert abs(rows[-1].mean_scaled[1] - 2.5) < 0.6
 
 
 def test_cos_scaled_waiting_vector_approaches_same_law(n_model):
