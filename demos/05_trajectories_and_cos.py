@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 from redundancy_ht import (SystemModel, TrajectorySpec,
                            critical_rate_and_subsets_bruteforce, crp_components,
-                           effective_rates, fixed_direction, limit_law,
+                           default_trajectory, effective_rates, limit_law,
                            limiting_laplace, limiting_laplace_cos_general)
 
 model = SystemModel(mu=(F(1), F(1)), lam=F(8, 10),
@@ -39,4 +39,4 @@ print("exact agreement on 16 rational points:", agree)
 
 print("\nwith the default direction the transform of the total is Erlang:")
 t1 = [F(1), F(1)]
-print("  (1+t)^-K at t=1:", limiting_laplace(dag, t1, fixed_direction(model, F(1))))
+print("  (1+t)^-K at t=1:", limiting_laplace(dag, t1, default_trajectory(model, F(1))))

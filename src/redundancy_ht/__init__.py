@@ -12,7 +12,7 @@ from .criticality import (ComponentDag, CriticalityReport, CrpClass, CrpComponen
                           critical_subsets_via_construction, report_from_construction)
 from .analytic import (LimitLaw, MixtureLaw, OrderedTypeVector, beta_hat,
                        beta_hat_sigma_k, beta_weight, enumerate_k_critical,
-                       fixed_direction, h_term, laplace_of_limit_law,
+                       h_term, laplace_of_limit_law,
                        laplace_of_mixture, limit_law, limiting_laplace,
                        limiting_laplace_cos_general, mixture_law,
                        nested_sum_identity, omega_weight, ordered_vector, p_star,

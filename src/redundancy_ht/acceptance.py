@@ -14,7 +14,7 @@ import time
 from fractions import Fraction as F
 
 from . import analytic, criticality, generators, moments, prelimit, simulator
-from .model import SystemModel
+from .model import SystemModel, default_trajectory
 
 
 # --- reference systems ------------------------------------------------------
@@ -249,7 +249,7 @@ def criterion_coc_cos_coincidence():
     """c.o.c. product form equals the c.o.s. limiting transform on t-grids."""
     model = n_model_scenario_iii()
     report, dag = _context(model)
-    traj = analytic.fixed_direction(model, report.lambda_star)
+    traj = default_trajectory(model, report.lambda_star)
     grid = [F(i, 2) for i in range(5)]
     worst = 0.0
     for t in itertools.product(grid, repeat=2):
@@ -262,7 +262,7 @@ def criterion_coc_cos_coincidence():
                                                      max_k=2, cover_all_servers=True)
         if rep.depth_K == 2:
             break
-    tr = analytic.fixed_direction(m, rep.lambda_star)
+    tr = default_trajectory(m, rep.lambda_star)
     for _ in range(25):
         t = [rng.uniform(0.0, 4.0) for _ in m.type_indices]
         a = float(analytic.limiting_laplace(dg, t, tr))

@@ -2,7 +2,13 @@
 
 Pre-limit: the joint PGF of per-type job counts is a normalized sum of
 products over ordered vectors of distinct job types (cancel-on-completion),
-or additionally over ordered idle-server vectors (cancel-on-start).
+or additionally over ordered idle-server vectors (cancel-on-start). Each
+factor of a product depends only on a prefix set and its newest element,
+so one recursion over the subsets of types (_prefix_series), weighted by
+one over the subsets of servers (_idle_sums), computes these sums as power
+series in s; the PGFs, the pre-limit moments and the per-type means are
+coefficients of it. Ordered vectors are listed only where a result is
+given per vector (configurations, K-critical vectors).
 
 Limit: as the arrival-rate vector approaches the stability boundary along
 a trajectory lambda_S(eps) = N*lambda* p_S - eps*gamma_S, the scaled queue
@@ -23,10 +29,10 @@ import numpy as np
 
 from .criticality import ComponentDag, CriticalityReport, require_stable
 from .errors import CapExceeded, ConsistencyError, DomainError, PoleError
-from .model import Scalar, SystemModel, TrajectorySpec, cache_by_backend
+from .model import Scalar, SystemModel, TrajectorySpec, cache_by_backend, default_trajectory
 
-ENUM_CAP = 8  # full ordered-vector enumeration refuses beyond this many types
-COS_SERVER_CAP = 8  # idle-server vector enumeration refuses beyond this many servers
+ENUM_CAP = 8  # listing ordered type vectors refuses beyond this many types
+SUBSET_CAP = 14  # the subset-lattice recursions refuse beyond this many types or servers
 
 
 # ---------------------------------------------------------------------------
@@ -77,25 +83,23 @@ def ordered_vector(model: SystemModel, entries, critical_subsets) -> OrderedType
                              prefix_p=tuple(prefix_p), prefix_mu=tuple(prefix_mu))
 
 
-def iter_ordered_type_tuples(model: SystemModel, allowed=None, cap: int = ENUM_CAP):
+def iter_ordered_type_tuples(model: SystemModel):
     """All ordered vectors of distinct job types (the empty one included)."""
-    allowed = list(model.type_indices) if allowed is None else list(allowed)
-    if len(allowed) > cap:
+    if model.n_types > ENUM_CAP:
         raise CapExceeded(
-            f"{len(allowed)} job types exceeds the ordered-vector enumeration cap {cap}")
+            f"{model.n_types} job types exceeds the ordered-vector enumeration cap {ENUM_CAP}")
     yield ()
-    for m in range(1, len(allowed) + 1):
-        yield from itertools.permutations(allowed, m)
+    for m in range(1, model.n_types + 1):
+        yield from itertools.permutations(model.type_indices, m)
 
 
-def enumerate_k_critical(model: SystemModel, report: CriticalityReport, k: int,
-                         cap: int = ENUM_CAP) -> list:
+def enumerate_k_critical(model: SystemModel, report: CriticalityReport, k: int) -> list:
     """All ordered vectors of distinct types whose prefixes hit exactly k critical subsets."""
     if not 0 <= k <= report.depth_K:
         raise DomainError(f"k={k} outside 0..K={report.depth_K}")
     crit = report.critical_subsets
     out = []
-    for entries in iter_ordered_type_tuples(model, cap=cap):
+    for entries in iter_ordered_type_tuples(model):
         vec = ordered_vector(model, entries, crit)
         if vec.k == k:
             out.append(vec)
@@ -103,7 +107,7 @@ def enumerate_k_critical(model: SystemModel, report: CriticalityReport, k: int,
 
 
 # ---------------------------------------------------------------------------
-# Pre-limit PGFs
+# Pre-limit PGFs: the prefix-set engine
 # ---------------------------------------------------------------------------
 
 def h_term(model: SystemModel, entries, z) -> Scalar:
@@ -127,92 +131,115 @@ def h_term(model: SystemModel, entries, z) -> Scalar:
     return val
 
 
-def _sum_h_terms(model: SystemModel, z, allowed) -> Scalar:
-    """sum of h_term over all ordered vectors of distinct types from `allowed` (incl. empty)."""
-    n, lam = model.n_servers, model.lam
-    mu_cache = {}
-
-    def mu_of(servers):
-        if servers not in mu_cache:
-            mu_cache[servers] = sum(model.mu[s - 1] for s in servers)
-        return mu_cache[servers]
-
-    total = [1]  # the empty vector contributes 1
-
-    def rec(servers, pz, prod, remaining):
-        for idx, t in enumerate(remaining):
-            servers2 = servers | model.job_types[t]
-            mu_pref = mu_of(servers2)
-            pz2 = pz + model.p[t] * z[t]
-            denom = 1 - n * lam * pz2 / mu_pref
-            if denom == 0:
-                raise PoleError(f"PGF pole at prefix ending in type index {t}")
-            prod2 = prod * (n * lam * model.p[t] * z[t] / mu_pref) / denom
-            total[0] += prod2
-            rec(servers2, pz2, prod2, remaining[:idx] + remaining[idx + 1:])
-
-    rec(frozenset(), 0, 1, tuple(allowed))
-    return total[0]
+def _bits(mask: int) -> list:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def pgf_coc(model: SystemModel, z, cap: int = ENUM_CAP) -> Scalar:
-    """Joint PGF of per-type job counts under cancel-on-completion: f(z)/f(1)."""
-    require_stable(model)
-    if model.n_types > cap:
-        raise CapExceeded(f"{model.n_types} job types exceeds the PGF cap {cap}")
-    one = [1] * model.n_types
-    return _sum_h_terms(model, z, model.type_indices) / _sum_h_terms(model, one, model.type_indices)
+def _server_mask(servers) -> int:
+    """Server set as a bitmask: bit s-1 stands for server s."""
+    return sum(1 << (s - 1) for s in servers)
 
 
-def iter_idle_server_tuples(model: SystemModel, allowed=None):
-    servers = list(range(1, model.n_servers + 1)) if allowed is None else sorted(allowed)
-    yield ()
-    for length in range(1, len(servers) + 1):
-        yield from itertools.permutations(servers, length)
+def _idle_sums(model: SystemModel) -> list:
+    """kappa(U) = sum over idle-server sets I within U of K(I), for every server mask U.
 
-
-def idle_vector_weight(model: SystemModel, u) -> Scalar:
-    """prod_l mu_{u_l} / lambda_C(u_1..u_l): rate ratio for an ordered idle-server vector."""
-    val = 1
-    n, lam = model.n_servers, model.lam
-    for l in range(1, len(u) + 1):
-        head = set(u[:l])
-        compat = sum(model.p[t] for t in model.type_indices
-                     if model.job_types[t] & head)
+    K(I) sums prod_l mu_{u_l} / (N lam compat(u_1..u_l)) over the orderings
+    u of I, compat being the arrival fraction of the types compatible with
+    a server in the prefix (the FCFS-ALIS product form). By set:
+    K({}) = 1 and K(I) = sum_{u in I} mu_u K(I - {u}) / (N lam compat(I)).
+    """
+    n = model.n_servers
+    if n > SUBSET_CAP:
+        raise CapExceeded(f"{n} servers exceeds the subset-lattice cap {SUBSET_CAP}")
+    nlam = n * model.lam
+    type_masks = [_server_mask(s) for s in model.job_types]
+    kappa = [1] * (1 << n)
+    for idle in range(1, 1 << n):
+        compat = sum(p for p, m in zip(model.p, type_masks) if m & idle)
         if compat == 0:
-            raise DomainError(f"servers {sorted(head)} have no compatible job type")
-        val = val * model.mu[u[l - 1] - 1] / (n * lam * compat)
-    return val
+            raise DomainError(
+                f"servers {[u + 1 for u in _bits(idle)]} have no compatible job type")
+        kappa[idle] = sum(model.mu[u] * kappa[idle ^ 1 << u] for u in _bits(idle)) \
+            / (nlam * compat)
+    for u in range(n):  # subset sums: kappa(U) = sum_{I within U} K(I)
+        for idle in range(1 << n):
+            if idle >> u & 1:
+                kappa[idle] = kappa[idle] + kappa[idle ^ 1 << u]
+    return kappa
 
 
-def pgf_cos(model: SystemModel, z, cap: int = ENUM_CAP) -> Scalar:
-    """Joint PGF of per-type *waiting* job counts under cancel-on-start: g(z)/g(1)."""
-    require_stable(model)
-    if model.n_types > cap:
-        raise CapExceeded(f"{model.n_types} job types exceeds the PGF cap {cap}")
-    if model.n_servers > COS_SERVER_CAP:
+def _free_idle_sum(model: SystemModel, kappa: list, types) -> Scalar:
+    """kappa of the servers compatible with no type in `types`."""
+    return kappa[((1 << model.n_servers) - 1) ^ _server_mask(model.servers_of(types))]
+
+
+def _prefix_series(model: SystemModel, z, kappa: list = None) -> list:
+    """sum over the sets A of job types of F(A) * kappa(free(A)), a power series in s.
+
+    z[t] holds the coefficients of z_t as a series in s, and the result has
+    as many. F is the normalising-constant recursion of order-independent
+    queues, F({}) = 1 and
+    F(A) = (N lam / mu(A)) / (1 - N lam pz(A) / mu(A)) * sum_{t in A} p_t z_t F(A - {t}),
+    so that F(A) sums h_term over the orderings of A. free(A) are the
+    servers compatible with no type in A; kappa comes from _idle_sums
+    (c.o.s.), and None stands for kappa = 1 (c.o.c.).
+    """
+    if model.n_types > SUBSET_CAP:
         raise CapExceeded(
-            f"{model.n_servers} servers exceeds the idle-vector enumeration cap {COS_SERVER_CAP}")
-    one = [1] * model.n_types
-    return _g_value(model, z) / _g_value(model, one)
-
-
-def _g_value(model: SystemModel, z) -> Scalar:
-    # Group ordered idle vectors by their set: the inner type sum only
-    # depends on which servers are idle.
-    weight_by_set = {}
-    for u in iter_idle_server_tuples(model):
-        key = frozenset(u)
-        weight_by_set[key] = weight_by_set.get(key, 0) + idle_vector_weight(model, u)
-    inner_cache = {}
-    total = 0
-    for idle_set, w in weight_by_set.items():
-        allowed = tuple(t for t in model.type_indices
-                        if not (model.job_types[t] & idle_set))
-        if allowed not in inner_cache:
-            inner_cache[allowed] = _sum_h_terms(model, z, allowed)
-        total += w * inner_cache[allowed]
+            f"{model.n_types} job types exceeds the subset-lattice cap {SUBSET_CAP}")
+    nlam = model.n_servers * model.lam
+    degrees = range(len(z[0]))
+    pz = [[model.p[t] * c for c in z[t]] for t in model.type_indices]
+    type_masks = [_server_mask(s) for s in model.job_types]
+    full = (1 << model.n_servers) - 1
+    size = 1 << model.n_types
+    f = [[1] + [0] * (len(degrees) - 1)] + [None] * (size - 1)
+    pz_sum = [[0] * len(degrees)] + [None] * (size - 1)
+    servers = [0] * size
+    rates = {}  # N lam / mu by server mask, which many type sets share
+    total = f[0] if kappa is None else [c * kappa[full] for c in f[0]]
+    for a in range(1, size):
+        low = a & -a
+        srv = servers[a] = servers[a ^ low] | type_masks[low.bit_length() - 1]
+        pz_sum[a] = [x + y for x, y in zip(pz_sum[a ^ low], pz[low.bit_length() - 1])]
+        if srv not in rates:
+            rates[srv] = nlam / sum(model.mu[u] for u in _bits(srv))
+        rate = rates[srv]
+        stay = 1 - rate * pz_sum[a][0]
+        if stay == 0:
+            raise PoleError(f"PGF pole at the set of type indices {_bits(a)}")
+        # F (1 - rate pz(A)) = rate sum_t p_t z_t F(A - {t}), solved degree by degree
+        fa = []
+        for k in degrees:
+            arrivals = sum(pz[t][i] * f[a ^ 1 << t][k - i] for t in _bits(a) for i in range(k + 1))
+            fa.append(rate * (arrivals + sum(pz_sum[a][i] * fa[k - i] for i in range(1, k + 1)))
+                      / stay)
+        f[a] = fa
+        weight = 1 if kappa is None else kappa[full ^ srv]
+        total = [x + weight * y for x, y in zip(total, fa)]
     return total
+
+
+def _pgf(model: SystemModel, z, kappa) -> Scalar:
+    one = [[1]] * model.n_types
+    return _prefix_series(model, [[x] for x in z], kappa)[0] / _prefix_series(model, one, kappa)[0]
+
+
+def pgf_coc(model: SystemModel, z) -> Scalar:
+    """Joint PGF of per-type job counts under cancel-on-completion: f(z)/f(1),
+    with f(z) the sum of h_term over all ordered vectors of distinct types."""
+    require_stable(model)
+    return _pgf(model, z, None)
+
+
+def pgf_cos(model: SystemModel, z) -> Scalar:
+    """Joint PGF of per-type *waiting* job counts under cancel-on-start: g(z)/g(1).
+
+    g(z) sums h_term(T, z) times the ordered-idle-server weights of the
+    servers compatible with no type in T.
+    """
+    require_stable(model)
+    return _pgf(model, z, _idle_sums(model))
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +283,12 @@ def p_star(model: SystemModel, report: CriticalityReport, vec: OrderedTypeVector
     return beta_weight(model, vec, lam_star) / norm
 
 
-def fixed_direction(model: SystemModel, lam_star: Scalar) -> TrajectorySpec:
-    """gamma = N*lambda* p (plain lambda scaling), positioned at the limit point."""
-    n = model.n_servers
-    return TrajectorySpec(gamma=tuple(n * lam_star * ps for ps in model.p), epsilon=0)
+def _direction(model: SystemModel, lam_star: Scalar, traj: TrajectorySpec) -> TrajectorySpec:
+    """traj, or else the default trajectory's gamma = N*lambda* p; taken at the
+    limit point, since only gamma is read, so that lambda > lambda* is no error."""
+    if traj is not None:
+        return traj
+    return default_trajectory(model.with_lambda(lam_star), lam_star)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +332,7 @@ def limit_law(dag: ComponentDag, traj: TrajectorySpec = None) -> LimitLaw:
     """
     model = dag.model
     n = model.n_servers
-    if traj is None:
-        traj = fixed_direction(model, dag.lambda_star)
+    traj = _direction(model, dag.lambda_star, traj)
     rows = []
     for k in range(dag.K):
         gv = dag.gamma_subtree(k, traj)
@@ -411,8 +439,7 @@ def sigma_weight_formula(dag: ComponentDag, sigma, traj: TrajectorySpec = None) 
     Valid on laminar DAGs; sigma_aggregate's direct sums hold in general.
     """
     model = dag.model
-    if traj is None:
-        traj = fixed_direction(model, dag.lambda_star)
+    traj = _direction(model, dag.lambda_star, traj)
     val = 1
     acc = set()
     for i in sigma:
@@ -483,25 +510,18 @@ def limiting_laplace_cos_general(model: SystemModel, report: CriticalityReport,
     Sums alpha(u)*omega(T) over K-critical vectors T and ordered vectors u of
     idle servers not compatible with any type in T, normalized by the same
     double sum; each (T, u) term carries the critical-prefix factors
-    (1 + sum_{j<=i} t_{T_j} N*lambda* p_{T_j} / gamma(T,i))^-1.
+    (1 + sum_{j<=i} t_{T_j} N*lambda* p_{T_j} / gamma(T,i))^-1. The sums over
+    u are the idle-server sums of _idle_sums at lambda*.
     """
-    if model.n_servers > COS_SERVER_CAP:
-        raise CapExceeded(
-            f"{model.n_servers} servers exceeds the idle-vector enumeration cap {COS_SERVER_CAP}")
-    if traj is None:
-        traj = fixed_direction(model, report.lambda_star)
     lam_star = report.lambda_star
-    at_critical = model.with_lambda(lam_star)
+    traj = _direction(model, lam_star, traj)
+    kappa = _idle_sums(model.with_lambda(lam_star))
     n = model.n_servers
     num = 0
     norm = 0
     for vec in _nk_vectors(model, report):
         w = omega_weight(model, vec, lam_star, traj)
-        used = model.servers_of(vec.entries)
-        free = [srv for srv in range(1, n + 1) if srv not in used]
-        k_weight = 0
-        for u in iter_idle_server_tuples(model, allowed=free):
-            k_weight = k_weight + idle_vector_weight(at_critical, u)
+        k_weight = _free_idle_sum(model, kappa, vec.entries)
         factor = 1
         for i in vec.cr_indices:
             g = vec.prefix_gamma(traj, i)

@@ -1,9 +1,10 @@
 """Command-line entry point: analyze | pgf | laplace | limit-law | moments |
 sample | simulate | verify-limit | verify.
 
-Exit codes: 0 success, 2 validation error (bad model file or arguments),
-3 refusal due to an enumeration/size cap. Exact-backend outputs serialize
-all numbers as rational strings; the float backend emits plain floats.
+Exit codes: 0 success, 2 validation error (bad model file or arguments, or
+a PGF point at a pole), 3 refusal due to an enumeration/size cap.
+Exact-backend outputs serialize all numbers as rational strings; the float
+backend emits plain floats.
 The environment variable RHT_SEED supplies a default seed.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, acceptance, analytic, criticality, moments, prelimit, simulator
-from .errors import CapExceeded, DomainError, ModelError
+from .errors import CapExceeded, DomainError, ModelError, PoleError
 from .model import MODEL_FORMAT_VERSION, load_model, parse_scalar
 
 
@@ -338,7 +339,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except (ModelError, DomainError) as exc:
+    except (ModelError, DomainError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,12 @@
 """Closed-form moments of the queue lengths and their heavy-traffic limits.
 
-Two equivalent pre-limit routes are implemented for the n-th moment of the
-total number of jobs: a composition-sum formula over ordered type vectors,
-and an Eulerian-number formula built from the moments of the geometric
-segment totals. Their per-segment factors are equal by an exact polynomial
-identity, tested in moments_identity.
+The n-th pre-limit moment of the total number of jobs is n! times the
+coefficient of s^n in the PGF at z_S = e^s for every type, read from the
+prefix-set series of analytic._prefix_series (moment_total). The
+Eulerian-number formula over ordered type vectors, built from the moments
+of the geometric segment totals, computes the same value by enumeration
+(moment_total_alt); its per-segment factors equal the composition-sum
+factors by an exact polynomial identity, tested in moments_identity.
 """
 from __future__ import annotations
 
@@ -13,11 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .analytic import ordered_vector
+from .analytic import _prefix_series, ordered_vector
 from .criticality import ComponentDag, CriticalityReport
 from .errors import DomainError
 from .model import Scalar, SystemModel
-from .prelimit import config_distribution
+from .prelimit import _kappa, config_distribution
 
 MOMENT_ORDER_CAP = 12
 
@@ -34,8 +36,9 @@ class MomentRequest:
     def __post_init__(self):
         if not 1 <= self.n <= MOMENT_ORDER_CAP:
             raise DomainError(f"moment order must be in 1..{MOMENT_ORDER_CAP}")
-        if self.target != "total" and not self.target.startswith("type:"):
-            raise DomainError("target must be 'total' or 'type:<index>'")
+        kind, _, index = self.target.partition(":")
+        if self.target != "total" and (kind != "type" or not index.isdecimal()):
+            raise DomainError(f"target must be 'total' or 'type:<index>', got {self.target!r}")
 
 
 def moment(model: SystemModel, req: MomentRequest,
@@ -155,37 +158,14 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _gamma_weight(model: SystemModel, entries, n: int) -> Scalar:
-    """Composition-sum weight of one ordered vector in the n-th total moment."""
-    vec = ordered_vector(model, entries, frozenset())
-    m = len(entries)
-    nn, lam = model.n_servers, model.lam
-    bs = [nn * lam * vec.prefix_p[j] / vec.prefix_mu[j] for j in range(m)]
-    total = 0
-    for ks in _compositions(n, m + 1):
-        k0, rest = ks[0], ks[1:]
-        term = _frac_or_float(m ** k0, math.factorial(k0), bs)
-        for j, kj in enumerate(rest):
-            term = term * geometric_moment_factor(kj, bs[j])
-        total = total + term
-    return total
-
-
 def moment_total(model: SystemModel, n: int, discipline: str = "coc") -> Scalar:
-    """E[Q^n] (c.o.c.) or E[Qtilde^n] (c.o.s.): n! sum_T gamma(T) P(T).
-
-    The empty vector is excluded from the sum (its weight vanishes for n >= 1)
-    but remains in the configuration-probability normalizer.
-    """
+    """E[Q^n] (c.o.c.) or E[Qtilde^n] (c.o.s.): n! [s^n] of the PGF at z_S = e^s."""
     if not 1 <= n <= MOMENT_ORDER_CAP:
         raise DomainError(f"moment order must be in 1..{MOMENT_ORDER_CAP}")
-    entries_list, probs = config_distribution(model, discipline)
-    total = 0
-    for entries, prob in zip(entries_list, probs):
-        if not entries:
-            continue
-        total = total + _gamma_weight(model, entries, n) * prob
-    return math.factorial(n) * total
+    kappa = _kappa(model, discipline)
+    exp_s = [Fraction(1, math.factorial(k)) for k in range(n + 1)]
+    series = _prefix_series(model, [exp_s] * model.n_types, kappa)
+    return math.factorial(n) * series[n] / series[0]
 
 
 def moment_total_alt(model: SystemModel, n: int) -> Scalar:

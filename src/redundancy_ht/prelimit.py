@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (h_term, idle_vector_weight, iter_idle_server_tuples,
+from .analytic import (_free_idle_sum, _idle_sums, _prefix_series, h_term,
                        iter_ordered_type_tuples, ordered_vector)
 from .criticality import CriticalityReport, require_stable
 from .errors import DomainError
@@ -28,34 +28,34 @@ def _check_discipline(discipline: str):
         raise DomainError(f"unknown discipline {discipline!r}; expected one of {DISCIPLINES}")
 
 
+def _kappa(model: SystemModel, discipline: str):
+    """The idle-server sums the discipline weighs with (None for c.o.c.),
+    once the discipline is known and the model stable."""
+    _check_discipline(discipline)
+    require_stable(model)
+    return _idle_sums(model) if discipline == "cos" else None
+
+
 @cache_by_backend
 def config_distribution(model: SystemModel, discipline: str = "coc") -> tuple:
     """Stationary distribution over ordered first-occurrence vectors.
 
     Returns (entries_tuples, probabilities) aligned by index; the empty
     vector is included. c.o.c. weights are h(T, 1); c.o.s. weights carry the
-    extra ordered-idle-server factor k(T).
+    extra ordered-idle-server factor k(T), the idle-server sum over the
+    servers compatible with no type in T.
     """
-    _check_discipline(discipline)
-    require_stable(model)
+    kappa = _kappa(model, discipline)
     ones = [1] * model.n_types
     entries_list, weights = [], []
     for entries in iter_ordered_type_tuples(model):
         w = h_term(model, entries, ones)
-        if discipline == "cos":
-            w = w * _idle_factor(model, entries)
+        if kappa is not None:
+            w = w * _free_idle_sum(model, kappa, entries)
         entries_list.append(entries)
         weights.append(w)
     total = sum(weights)
     return tuple(entries_list), tuple(w / total for w in weights)
-
-
-def _idle_factor(model: SystemModel, entries) -> Scalar:
-    """k(T): sum of ordered-idle-server weights over servers incompatible with T."""
-    used = model.servers_of(entries)
-    free = [s for s in range(1, model.n_servers + 1) if s not in used]
-    return sum(idle_vector_weight(model, u)
-               for u in iter_idle_server_tuples(model, allowed=free))
 
 
 def config_prob(model: SystemModel, entries, discipline: str = "coc") -> Scalar:
@@ -205,21 +205,16 @@ def limit_segment_laws(model: SystemModel, report: CriticalityReport, entries):
 def expected_type_counts(model: SystemModel, discipline: str = "coc") -> tuple:
     """Exact per-type stationary means: E[Q_S] (c.o.c.) or E[Qtilde_S] (c.o.s.).
 
-    Conditional on T, type S contributes 1{S in T} plus a geometric mean
-    p/(1-p) for every segment from its first occurrence onward.
+    E[Q_S] is the derivative of the PGF in z_S at z = 1: the coefficient of
+    s in the prefix-set series at z_S = 1 + s and every other z at 1,
+    divided by the constant coefficient.
     """
-    entries_list, probs = config_distribution(model, discipline)
-    means = [0] * model.n_types
-    for entries, prob in zip(entries_list, probs):
-        if not entries:
-            continue
-        law = segment_law(model, entries)
-        for i, t in enumerate(entries, start=1):
-            acc = 1
-            for j in range(i, len(entries) + 1):
-                a = law.type_params[j - 1][i - 1]
-                acc = acc + a / (1 - a)
-            means[t] = means[t] + prob * acc
+    kappa = _kappa(model, discipline)
+    means = []
+    for t in model.type_indices:
+        series = _prefix_series(model, [[1, 1] if u == t else [1, 0]
+                                        for u in model.type_indices], kappa)
+        means.append(series[1] / series[0])
     return tuple(means)
 
 

@@ -5,9 +5,9 @@ from fractions import Fraction as F
 import pytest
 import scipy.stats
 
-from redundancy_ht import SystemModel, TrajectorySpec, generators
+from redundancy_ht import SystemModel, TrajectorySpec, default_trajectory, generators
 from redundancy_ht.analytic import (LimitLaw, beta_hat, beta_hat_sigma_k,
-                                    enumerate_k_critical, fixed_direction, h_term,
+                                    enumerate_k_critical, h_term,
                                     laplace_of_mixture, limit_law, limiting_laplace,
                                     limiting_laplace_cos_general, mixture_law,
                                     nested_sum_identity, ordered_vector, p_star, pgf_coc,
@@ -293,6 +293,18 @@ def test_limit_law_strong_crp_single_row():
     assert law.coeffs == ((F(3, 4), F(1, 4)),)
 
 
+def test_default_direction_beyond_lambda_star(n_model):
+    # only gamma = N*lambda* p is read, so a model file with lambda > lambda*
+    # gets the same limit objects as a stable one
+    report, dag = _ctx(n_model)
+    over = n_model.with_lambda(F(3, 2))
+    _, dag_over = _ctx(over)
+    assert limit_law(dag_over) == limit_law(dag)
+    t = [F(1), F(2)]
+    assert limiting_laplace_cos_general(over, report, dag_over, None, t) == \
+        limiting_laplace_cos_general(n_model, report, dag, None, t)
+
+
 def test_row_sums_one_fixed_direction(four_server, n_model):
     for model in (four_server, n_model):
         _, dag = _ctx(model)
@@ -332,7 +344,7 @@ def test_sample_mixture_vs_sigma_aggregation(four_server):
 
 def test_cos_general_t_zero(n_model):
     report, dag = _ctx(n_model)
-    traj = fixed_direction(n_model, report.lambda_star)
+    traj = default_trajectory(n_model, report.lambda_star)
     assert limiting_laplace_cos_general(n_model, report, dag, traj, [F(0), F(0)]) == 1
 
 
@@ -340,7 +352,7 @@ def test_cos_general_equals_coc_all_servers_busy(four_server):
     # every server is compatible with some type in every K-critical vector,
     # so the idle-vector sets are trivial and the c.o.s. form reduces to c.o.c.
     report, dag = _ctx(four_server)
-    traj = fixed_direction(four_server, report.lambda_star)
+    traj = default_trajectory(four_server, report.lambda_star)
     mix = mixture_law(four_server, report, traj)
     for t in ([F(1), F(0), F(0), F(0)], [F(1, 2)] * 4, [F(2), F(1), F(0), F(3)]):
         assert limiting_laplace_cos_general(four_server, report, dag, traj, t) == \
@@ -349,7 +361,7 @@ def test_cos_general_equals_coc_all_servers_busy(four_server):
 
 def test_cos_general_matches_product_n_model(n_model):
     report, dag = _ctx(n_model)
-    traj = fixed_direction(n_model, report.lambda_star)
+    traj = default_trajectory(n_model, report.lambda_star)
     grid = [F(i, 2) for i in range(5)]
     for t in itertools.product(grid, repeat=2):
         a = limiting_laplace(dag, t, traj)
@@ -362,7 +374,7 @@ def test_cos_general_weak_crp_with_idle_servers():
     model = SystemModel(mu=(F(1), F(1)), lam=F(1, 2),
                         job_types=(frozenset({1, 2}), frozenset({2})), p=(F(1, 4), F(3, 4)))
     report, dag = _ctx(model)
-    traj = fixed_direction(model, report.lambda_star)
+    traj = default_trajectory(model, report.lambda_star)
     for t in ([F(0), F(1)], [F(1), F(2)], [F(3), F(1, 2)]):
         a = limiting_laplace(dag, t, traj)
         b = limiting_laplace_cos_general(model, report, dag, traj, t)
@@ -399,7 +411,7 @@ def test_cos_general_equals_mixture_off_laminar(diamond):
     # the two disciplines coincide at the mixture level even when the
     # product form does not apply
     report, dag = _ctx(diamond)
-    traj = fixed_direction(diamond, report.lambda_star)
+    traj = default_trajectory(diamond, report.lambda_star)
     mix = mixture_law(diamond, report, traj)
     for t in ([F(1), F(0), F(0)], [F(1), F(2), F(3)], [F(1, 2), F(0), F(1)]):
         assert limiting_laplace_cos_general(diamond, report, dag, traj, t) == \
@@ -412,7 +424,7 @@ def test_cos_general_equals_mixture_random_models(rng):
                                                cover_all_servers=True)
         report = critical_rate_and_subsets_bruteforce(model)
         dag = crp_components(model, report.lambda_star)
-        traj = fixed_direction(model, report.lambda_star)
+        traj = default_trajectory(model, report.lambda_star)
         mix = mixture_law(model, report, traj)
         for _ in range(3):
             t = [rng.uniform(0.0, 3.0) for _ in model.type_indices]

@@ -2,9 +2,12 @@ import itertools
 import json
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
+from redundancy_ht import analytic
 from redundancy_ht.cli import main
 
 N_MODEL_DOC = {
@@ -131,18 +134,49 @@ def test_exit_code_validation_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_exit_code_cap_refusal(tmp_path, capsys):
-    import itertools
+def _subsets_doc(n_servers, n_types):
+    """n_types distinct types on n_servers unit servers, uniform p, lambda far below lambda*."""
+    subsets = [list(s) for k in range(1, n_servers + 1)
+               for s in itertools.combinations(range(1, n_servers + 1), k)]
+    return {"servers": [{"id": i, "mu": "1"} for i in range(1, n_servers + 1)],
+            "types": [{"servers": s, "p": f"1/{n_types}"} for s in subsets[:n_types]],
+            "lambda": f"1/{2 * n_types}"}
 
-    subs = [list(s) for k in (1, 2) for s in itertools.combinations([1, 2, 3, 4], k)][:9]
-    doc = {"servers": [{"id": i, "mu": "1"} for i in (1, 2, 3, 4)],
-           "types": [{"servers": s, "p": "1/9"} for s in subs],
-           "lambda": "1/9"}
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(doc))
-    z = ",".join(["1"] * 9)
-    assert main(["pgf", "--model", str(path), "--z", z]) == 3
-    capsys.readouterr()
+
+def test_exit_code_cap_refusal(tmp_path, capsys):
+    """One type or server more than the subset-lattice cap exits 3, at once."""
+    cap = analytic.SUBSET_CAP
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(_subsets_doc(5, cap + 1)))
+    z = ",".join(["1/2"] * (cap + 1))
+    wide_servers = tmp_path / "wide-servers.json"
+    wide_servers.write_text(json.dumps({
+        "servers": [{"id": i, "mu": "1"} for i in range(1, cap + 2)],
+        "types": [{"servers": [1], "p": "1/2"},
+                  {"servers": list(range(1, cap + 2)), "p": "1/2"}],
+        "lambda": "1/100"}))
+    for path, argv in ((wide, ["pgf", "--z", z]),
+                       (wide, ["pgf", "--z", z, "--discipline", "cos"]),
+                       (wide, ["moments", "--n", "2"]),
+                       (wide_servers, ["pgf", "--z", "1/2,1/2", "--discipline", "cos"]),
+                       (wide_servers, ["moments", "--n", "1", "--discipline", "cos"])):
+        start = time.perf_counter()
+        assert main([*argv, "--model", str(path)]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith("refused: ")
+
+
+def test_pgf_beyond_ordered_vector_cap(tmp_path, capsys):
+    # twelve types: more than ENUM_CAP ordered vectors could list
+    path = tmp_path / "twelve.json"
+    path.write_text(json.dumps(_subsets_doc(4, 12)))
+    for disc in ("coc", "cos"):
+        code, out = _run(["pgf", "--model", str(path), "--z", ",".join(["1"] * 12),
+                          "--discipline", disc], capsys)
+        assert code == 0 and json.loads(out)["value"] == "1"
+        code, out = _run(["pgf", "--model", str(path), "--z", ",".join(["1/2"] * 12),
+                          "--discipline", disc], capsys)
+        assert code == 0 and 0 < Fraction(json.loads(out)["value"]) < 1
 
 
 def test_version_runs():
@@ -174,8 +208,6 @@ def test_verify_only_subset(capsys):
 
 
 def test_laplace_grid_is_erlang_transform(n_model_file, tmp_path, capsys):
-    from fractions import Fraction
-
     code = main(["laplace", "--model", n_model_file, "--t-grid", "0:4:5",
                  "--out-dir", str(tmp_path)])
     capsys.readouterr()
@@ -218,11 +250,14 @@ def _n_model_with(section, index, key, value=None):
     ["laplace", "--t-grid", "0:4:5/2"],
     ["laplace", "--t-grid", "0:4:0"],
     ["verify-limit", "--eps", "0.1,0"],
+    ["pgf", "--z", "5/2,1"],
+    ["moments", "--n", "1", "--limit", "--target", "type:x"],
 )], ids=["missing-mu", "bad-mu", "p-zero-denominator", "type-without-servers",
          "string-server-id", "string-type-server", "servers-not-a-list", "not-an-object",
          "trajectory-without-epsilon", "sample-every-zero", "negative-warmup",
          "z-not-a-number", "z-zero-denominator", "z-float-overflow", "t-not-finite",
-         "t-grid-two-fields", "t-grid-fractional-steps", "t-grid-zero-steps", "eps-zero"])
+         "t-grid-two-fields", "t-grid-fractional-steps", "t-grid-zero-steps", "eps-zero",
+         "z-at-a-pole", "target-not-an-integer"])
 def test_malformed_model_exits_2(doc, argv, tmp_path, capsys):
     """A malformed model file or argument exits 2 with a one-line message."""
     path = tmp_path / "bad.json"
@@ -262,8 +297,6 @@ DIAMOND_DOC = {
                          ids=["diamond", "n-model"])
 def test_verify_limit_uses_the_mixture_off_laminar(doc, law_type, tmp_path, monkeypatch,
                                                    capsys):
-    from fractions import Fraction
-
     from redundancy_ht import simulator
 
     seen = []

@@ -1,0 +1,153 @@
+"""The prefix-set engine against the literal sums over ordered vectors.
+
+The oracles below enumerate ordered type vectors and ordered idle-server
+vectors as the formulas are written; pgf_coc, pgf_cos, moment_total,
+expected_type_counts and the c.o.s. configuration distribution must agree
+with them exactly on random rational models.
+"""
+import itertools
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from redundancy_ht import SystemModel, generators
+from redundancy_ht.analytic import (h_term, iter_ordered_type_tuples, ordered_vector, pgf_coc,
+                                    pgf_cos)
+from redundancy_ht.errors import DomainError
+from redundancy_ht.moments import _compositions, geometric_moment_factor, moment_total
+from redundancy_ht.prelimit import config_distribution, expected_type_counts, segment_law
+
+
+def idle_vector_weight(model, u):
+    """prod_l mu_{u_l} / (N lam compat(u_1..u_l)) for an ordered idle-server vector u."""
+    val = 1
+    n, lam = model.n_servers, model.lam
+    for l in range(1, len(u) + 1):
+        head = set(u[:l])
+        compat = sum(model.p[t] for t in model.type_indices if model.job_types[t] & head)
+        if compat == 0:
+            raise DomainError(f"servers {sorted(head)} have no compatible job type")
+        val = val * model.mu[u[l - 1] - 1] / (n * lam * compat)
+    return val
+
+
+def idle_factor(model, entries):
+    """idle_vector_weight summed over the ordered vectors of the servers that no type of T uses."""
+    used = model.servers_of(entries)
+    free = [s for s in range(1, model.n_servers + 1) if s not in used]
+    return sum(idle_vector_weight(model, u)
+               for m in range(len(free) + 1) for u in itertools.permutations(free, m))
+
+
+def config_weights(model, discipline, z=None):
+    """Unnormalised weight of every ordered type vector: h(T, z), times k(T) under c.o.s."""
+    z = [1] * model.n_types if z is None else z
+    out = {}
+    for entries in iter_ordered_type_tuples(model):
+        w = h_term(model, entries, z)
+        out[entries] = w * idle_factor(model, entries) if discipline == "cos" else w
+    return out
+
+
+def pgf_oracle(model, z, discipline):
+    return sum(config_weights(model, discipline, z).values()) / \
+        sum(config_weights(model, discipline).values())
+
+
+def config_oracle(model, discipline):
+    weights = config_weights(model, discipline)
+    total = sum(weights.values())
+    return {entries: w / total for entries, w in weights.items()}
+
+
+def moment_oracle(model, n, discipline):
+    """n! sum_T gamma(T) P(T) with the composition-sum weight gamma(T) of each vector."""
+    total = 0
+    for entries, prob in config_oracle(model, discipline).items():
+        vec = ordered_vector(model, entries, frozenset())
+        m = len(entries)
+        bs = [model.n_servers * model.lam * vec.prefix_p[j] / vec.prefix_mu[j] for j in range(m)]
+        weight = 0
+        for ks in _compositions(n, m + 1):
+            term = F(m ** ks[0], math.factorial(ks[0]))
+            for j, kj in enumerate(ks[1:]):
+                term = term * geometric_moment_factor(kj, bs[j])
+            weight = weight + term
+        total = total + weight * prob
+    return math.factorial(n) * total
+
+
+def means_oracle(model, discipline):
+    """Given T, type T_i holds 1 job plus a geometric mean a/(1-a) per segment j >= i."""
+    means = [0] * model.n_types
+    for entries, prob in config_oracle(model, discipline).items():
+        if not entries:
+            continue
+        law = segment_law(model, entries)
+        for i, t in enumerate(entries, start=1):
+            acc = 1
+            for j in range(i, len(entries) + 1):
+                a = law.type_params[j - 1][i - 1]
+                acc = acc + a / (1 - a)
+            means[t] = means[t] + prob * acc
+    return tuple(means)
+
+
+def _models(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng, generators.random_stable_model(rng, max_servers=4, max_types=4,
+                                                  cover_all_servers=True)
+
+
+def test_pgfs_match_ordered_sums():
+    for rng, model in _models(401, 25):
+        for _ in range(2):
+            z = [F(rng.randint(0, 9), 9) for _ in model.type_indices]
+            assert pgf_coc(model, z) == pgf_oracle(model, z, "coc")
+            assert pgf_cos(model, z) == pgf_oracle(model, z, "cos")
+
+
+def test_moments_match_composition_sums():
+    for _, model in _models(402, 12):
+        for discipline in ("coc", "cos"):
+            for n in range(1, 5):
+                assert moment_total(model, n, discipline) == moment_oracle(model, n, discipline)
+
+
+def test_means_match_segment_sums():
+    for _, model in _models(403, 20):
+        for discipline in ("coc", "cos"):
+            assert expected_type_counts(model, discipline) == means_oracle(model, discipline)
+
+
+def test_cos_configurations_match_idle_vector_sums():
+    for _, model in _models(404, 20):
+        entries, probs = config_distribution(model, "cos")
+        assert dict(zip(entries, probs)) == config_oracle(model, "cos")
+
+
+def test_float_backend_within_1e12():
+    for rng, model in _models(405, 20):
+        fm = model.as_float()
+        z = [F(rng.randint(0, 9), 9) for _ in model.type_indices]
+        pairs = [(pgf_coc(model, z), pgf_coc(fm, [float(x) for x in z])),
+                 (pgf_cos(model, z), pgf_cos(fm, [float(x) for x in z]))]
+        for discipline in ("coc", "cos"):
+            pairs += [(moment_total(model, n, discipline), moment_total(fm, n, discipline))
+                      for n in (1, 2, 3)]
+            pairs += zip(expected_type_counts(model, discipline),
+                         expected_type_counts(fm, discipline))
+        for exact, approx in pairs:
+            assert type(approx) is float
+            assert abs(approx - float(exact)) <= 1e-12 * abs(float(exact))
+
+
+def test_server_without_types_has_no_idle_weight():
+    # server 2 serves no type: its idle time has no arrival rate to divide by
+    model = SystemModel(mu=(F(1), F(1)), lam=F(1, 4), job_types=(frozenset({1}),), p=(F(1),))
+    assert pgf_coc(model, [F(1, 2)]) == F(2, 3)  # M/M/1 at rho = 1/2
+    with pytest.raises(DomainError, match=r"servers \[2\]"):
+        pgf_cos(model, [F(1, 2)])
