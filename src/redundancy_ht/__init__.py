@@ -17,9 +17,8 @@ from .analytic import (LimitLaw, MixtureLaw, OrderedTypeVector, beta_hat,
                        limiting_laplace_cos_general, mixture_law,
                        nested_sum_identity, omega_weight, ordered_vector, p_star,
                        pgf_coc, pgf_cos, sample_limit, sigma_aggregate,
-                       sigma_weight_formula)
-from .prelimit import (SegmentLaw, RepresentationMatrices, conditional_limit_coeffs,
-                       config_distribution, config_prob, limit_segment_laws,
+                       sigma_mixture, sigma_weight_formula)
+from .prelimit import (SegmentLaw, RepresentationMatrices, config_distribution, config_prob,
                        representation_matrices, sample_prelimit, segment_law)
 from .moments import (MomentRequest, eulerian, limit_moment_total, limit_moment_type,
                       limit_response_time, linear_exponential_moment, moment,

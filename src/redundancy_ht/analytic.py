@@ -4,21 +4,27 @@ Pre-limit: the joint PGF of per-type job counts is a normalized sum of
 products over ordered vectors of distinct job types (cancel-on-completion),
 or additionally over ordered idle-server vectors (cancel-on-start). Each
 factor of a product depends only on a prefix set and its newest element,
-so one recursion over the subsets of types (_prefix_series), weighted by
+so one recursion over the subsets of types (_prefix_table), weighted by
 one over the subsets of servers (_idle_sums), computes these sums as power
-series in s; the PGFs, the pre-limit moments and the per-type means are
-coefficients of it. Ordered vectors are listed only where a result is
-given per vector (configurations, K-critical vectors).
+series in s; the PGFs, the pre-limit moments, the per-type means and the
+exact sampler read it.
 
 Limit: as the arrival-rate vector approaches the stability boundary along
 a trajectory lambda_S(eps) = N*lambda* p_S - eps*gamma_S, the scaled queue
 vector converges to a mixture over the K-critical ordered vectors of linear
-combinations of K independent unit-mean exponentials. When the component
-DAG's rooted subtrees are laminar, the mixture collapses to the product
-form with one exponential per component, coefficient N*lambda* p_S /
-gamma(V_k) on the subtree V_k. The mixture is what the PGF converges to in
-all cases; the product form is a simplification valid in the laminar case
-(see ComponentDag.subtrees_laminar).
+combinations of K independent unit-mean exponentials. Vectors sharing a
+topological order sigma of the component DAG share their coefficients, and
+sigma_mixture sums their weights with the same recursion, between
+consecutive critical prefixes. When the DAG's rooted subtrees are laminar,
+the mixture collapses to the product form with one exponential per
+component, coefficient N*lambda* p_S / gamma(V_k) on the subtree V_k. The
+mixture is what the PGF converges to in all cases; the product form is a
+simplification valid in the laminar case (see ComponentDag.subtrees_laminar).
+
+The functions that list ordered vectors (iter_ordered_type_tuples,
+enumerate_k_critical, h_term, mixture_law, p_star, sigma_aggregate) give
+the same results term by term, as the paper writes them; they serve as
+oracles and in the acceptance battery, and no command calls them.
 """
 from __future__ import annotations
 
@@ -29,7 +35,7 @@ import numpy as np
 
 from .criticality import ComponentDag, CriticalityReport, require_stable
 from .errors import CapExceeded, ConsistencyError, DomainError, PoleError
-from .model import Scalar, SystemModel, TrajectorySpec, cache_by_backend, default_trajectory
+from .model import Scalar, SystemModel, TrajectorySpec, default_trajectory
 
 ENUM_CAP = 8  # listing ordered type vectors refuses beyond this many types
 SUBSET_CAP = 14  # the subset-lattice recursions refuse beyond this many types or servers
@@ -173,50 +179,77 @@ def _free_idle_sum(model: SystemModel, kappa: list, types) -> Scalar:
     return kappa[((1 << model.n_servers) - 1) ^ _server_mask(model.servers_of(types))]
 
 
-def _prefix_series(model: SystemModel, z, kappa: list = None) -> list:
-    """sum over the sets A of job types of F(A) * kappa(free(A)), a power series in s.
+def _prefix_table(model: SystemModel, z, base: int = 0, top: int = None,
+                  open_top: bool = False) -> dict:
+    """F_base(A) for every set A of job types with base <= A <= top, as power series in s.
 
-    z[t] holds the coefficients of z_t as a series in s, and the result has
-    as many. F is the normalising-constant recursion of order-independent
-    queues, F({}) = 1 and
-    F(A) = (N lam / mu(A)) / (1 - N lam pz(A) / mu(A)) * sum_{t in A} p_t z_t F(A - {t}),
-    so that F(A) sums h_term over the orderings of A. free(A) are the
-    servers compatible with no type in A; kappa comes from _idle_sums
-    (c.o.s.), and None stands for kappa = 1 (c.o.c.).
+    Type sets are bitmasks over type indices (top defaults to all types),
+    and the table is keyed by them in increasing order. z[t] holds the
+    coefficients of z_t as a series in s, and every entry has as many. F
+    is the normalising-constant recursion of order-independent queues,
+    F_base(base) = 1 and
+    F_base(A) = (N lam / mu(A)) / (1 - N lam pz(A) / mu(A)) * sum_{t in A - base} p_t z_t F_base(A - {t}),
+    so that F_0(A) sums h_term over the orderings of A. With open_top the
+    entry at top leaves out its stay factor 1 / (1 - N lam pz(top) / mu(top)),
+    which diverges where top is critical at lambda.
     """
     if model.n_types > SUBSET_CAP:
         raise CapExceeded(
             f"{model.n_types} job types exceeds the subset-lattice cap {SUBSET_CAP}")
+    top = (1 << model.n_types) - 1 if top is None else top
     nlam = model.n_servers * model.lam
     degrees = range(len(z[0]))
     pz = [[model.p[t] * c for c in z[t]] for t in model.type_indices]
     type_masks = [_server_mask(s) for s in model.job_types]
-    full = (1 << model.n_servers) - 1
-    size = 1 << model.n_types
-    f = [[1] + [0] * (len(degrees) - 1)] + [None] * (size - 1)
-    pz_sum = [[0] * len(degrees)] + [None] * (size - 1)
-    servers = [0] * size
+    f = {base: [1] + [0] * (len(degrees) - 1)}
+    pz_sum = {base: [sum(pz[t][k] for t in _bits(base)) for k in degrees]}
+    servers = {base: _server_mask(model.servers_of(_bits(base)))}
     rates = {}  # N lam / mu by server mask, which many type sets share
-    total = f[0] if kappa is None else [c * kappa[full] for c in f[0]]
-    for a in range(1, size):
-        low = a & -a
+    free, sub = top & ~base, 0
+    while sub != free:
+        sub = (sub - free) & free  # the next subset of free, in increasing order
+        a = base | sub
+        low = sub & -sub
         srv = servers[a] = servers[a ^ low] | type_masks[low.bit_length() - 1]
         pz_sum[a] = [x + y for x, y in zip(pz_sum[a ^ low], pz[low.bit_length() - 1])]
         if srv not in rates:
             rates[srv] = nlam / sum(model.mu[u] for u in _bits(srv))
         rate = rates[srv]
+        arrivals = [sum(pz[t][i] * f[a ^ 1 << t][k - i] for t in _bits(sub) for i in range(k + 1))
+                    for k in degrees]
+        if open_top and a == top:
+            f[a] = [rate * x for x in arrivals]
+            continue
         stay = 1 - rate * pz_sum[a][0]
         if stay == 0:
             raise PoleError(f"PGF pole at the set of type indices {_bits(a)}")
         # F (1 - rate pz(A)) = rate sum_t p_t z_t F(A - {t}), solved degree by degree
         fa = []
         for k in degrees:
-            arrivals = sum(pz[t][i] * f[a ^ 1 << t][k - i] for t in _bits(a) for i in range(k + 1))
-            fa.append(rate * (arrivals + sum(pz_sum[a][i] * fa[k - i] for i in range(1, k + 1)))
+            fa.append(rate * (arrivals[k] + sum(pz_sum[a][i] * fa[k - i] for i in range(1, k + 1)))
                       / stay)
         f[a] = fa
-        weight = 1 if kappa is None else kappa[full ^ srv]
-        total = [x + weight * y for x, y in zip(total, fa)]
+    return f
+
+
+def _set_weights(model: SystemModel, table: dict, kappa: list = None) -> list:
+    """F(A) * kappa(free(A)) for every set A of the table, in its order: the
+    servers free(A) are compatible with no type in A, and kappa = None
+    (c.o.c.) stands for kappa = 1."""
+    if kappa is None:
+        return list(table.values())
+    return [[_free_idle_sum(model, kappa, _bits(a)) * c for c in fa] for a, fa in table.items()]
+
+
+def _prefix_series(model: SystemModel, z, kappa: list = None) -> list:
+    """sum over the sets A of job types of F(A) * kappa(free(A)), a power series in s.
+
+    F is _prefix_table's; kappa comes from _idle_sums (c.o.s.), and None
+    stands for kappa = 1 (c.o.c.).
+    """
+    total = [0] * len(z[0])
+    for fa in _set_weights(model, _prefix_table(model, z), kappa):
+        total = [x + y for x, y in zip(total, fa)]
     return total
 
 
@@ -269,17 +302,13 @@ def omega_weight(model: SystemModel, vec: OrderedTypeVector, lam_star: Scalar,
     return val
 
 
-@cache_by_backend
-def _nk_vectors(model: SystemModel, report: CriticalityReport) -> tuple:
-    return tuple(enumerate_k_critical(model, report, report.depth_K))
-
-
 def p_star(model: SystemModel, report: CriticalityReport, vec: OrderedTypeVector) -> Scalar:
     """Limiting probability of a K-critical ordered vector: beta(T)/beta(N_K)."""
     if vec.k != report.depth_K:
         raise DomainError(f"vector is {vec.k}-critical, not K={report.depth_K}-critical")
     lam_star = report.lambda_star
-    norm = sum(beta_weight(model, v, lam_star) for v in _nk_vectors(model, report))
+    norm = sum(beta_weight(model, v, lam_star)
+               for v in enumerate_k_critical(model, report, report.depth_K))
     return beta_weight(model, vec, lam_star) / norm
 
 
@@ -350,7 +379,7 @@ def mixture_law(model: SystemModel, report: CriticalityReport,
     placed by position i_k."""
     lam_star = report.lambda_star
     n = model.n_servers
-    vecs = _nk_vectors(model, report)
+    vecs = enumerate_k_critical(model, report, report.depth_K)
     if traj is None:
         weights = [beta_weight(model, v, lam_star) for v in vecs]
         gamma_pref = lambda v, j: n * lam_star * v.prefix_p[j - 1]
@@ -411,6 +440,55 @@ def sigma_aggregate(mixture: MixtureLaw, dag: ComponentDag) -> MixtureLaw:
             groups[sigma] = (w, coeffs)
     atoms = tuple((w, coeffs, sigma) for sigma, (w, coeffs) in sorted(groups.items()))
     return MixtureLaw(atoms=atoms)
+
+
+def sigma_mixture(dag: ComponentDag, traj: TrajectorySpec = None) -> MixtureLaw:
+    """The limit law as one atom per topological order sigma, from type sets alone.
+
+    The K-critical vectors of sigma pass through the critical prefixes
+    A_k = C_sigma(1) u ... u C_sigma(k) and then list non-critical types
+    only. Their beta weights sum to the product over k of
+    F_{A_(k-1)}(A_k) at lambda* with the divergent stay factor at A_k left
+    out (_prefix_table with open_top), times a sum over the non-critical
+    tail. A_K holds every critical type whatever sigma is, so that tail sum,
+    and under c.o.s. its idle-server weight, is the same for every sigma and
+    cancels: the law is one for both disciplines. On a trajectory each
+    weight gains the omega factor prod_k mu(A_k) / gamma(A_k). The result
+    equals sigma_aggregate(mixture_law(...)) without listing a vector.
+    """
+    model = dag.model
+    at_limit = model.with_lambda(dag.lambda_star)
+    nlam = model.n_servers * dag.lambda_star
+    ones = [[1]] * model.n_types
+
+    def segment(lo, hi):
+        """The weight of the step from A_(k-1) = lo to A_k = hi, and row k."""
+        weight = _prefix_table(at_limit, ones, lo, hi, open_top=True)[hi][0]
+        types = _bits(hi)
+        if traj is None:
+            g = nlam * model.p_of(types)
+        else:
+            g = traj.gamma_of(types)
+            weight = weight * model.mu_of(types) / g
+        return weight, tuple(nlam * model.p[t] / g if hi >> t & 1 else 0
+                             for t in model.type_indices)
+
+    comp_masks = [sum(1 << t for t in comp.types) for comp in dag.components]
+    segments = {}  # (A_(k-1), A_k) -> segment(A_(k-1), A_k); orders share them
+    atoms = []
+    for sigma in dag.topo_orders:
+        weight, rows, lo = 1, [], 0
+        for i in sigma:
+            hi = lo | comp_masks[i]
+            if (lo, hi) not in segments:
+                segments[lo, hi] = segment(lo, hi)
+            w, row = segments[lo, hi]
+            weight = weight * w
+            rows.append(row)
+            lo = hi
+        atoms.append((weight, tuple(rows), sigma))
+    norm = sum(w for (w, _, _) in atoms)
+    return MixtureLaw(atoms=tuple((w / norm, rows, sigma) for (w, rows, sigma) in atoms))
 
 
 def beta_hat(dag: ComponentDag, sigma) -> Scalar:
@@ -507,29 +585,14 @@ def limiting_laplace_cos_general(model: SystemModel, report: CriticalityReport,
                                  dag: ComponentDag, traj: TrajectorySpec, t) -> Scalar:
     """Limiting Laplace transform of the scaled waiting-job vector under c.o.s.
 
-    Sums alpha(u)*omega(T) over K-critical vectors T and ordered vectors u of
-    idle servers not compatible with any type in T, normalized by the same
-    double sum; each (T, u) term carries the critical-prefix factors
-    (1 + sum_{j<=i} t_{T_j} N*lambda* p_{T_j} / gamma(T,i))^-1. The sums over
-    u are the idle-server sums of _idle_sums at lambda*.
+    The sum over K-critical vectors T of omega(T) times the idle-server sum
+    of the servers compatible with no type in T, each term carrying the
+    critical-prefix factors (1 + sum_{j<=i} t_{T_j} N*lambda* p_{T_j} / gamma(T,i))^-1,
+    normalized by the same sum. Grouped by topological order the idle-server
+    sums cancel (see sigma_mixture), so this is the c.o.c. mixture's
+    transform; model and report are not read.
     """
-    lam_star = report.lambda_star
-    traj = _direction(model, lam_star, traj)
-    kappa = _idle_sums(model.with_lambda(lam_star))
-    n = model.n_servers
-    num = 0
-    norm = 0
-    for vec in _nk_vectors(model, report):
-        w = omega_weight(model, vec, lam_star, traj)
-        k_weight = _free_idle_sum(model, kappa, vec.entries)
-        factor = 1
-        for i in vec.cr_indices:
-            g = vec.prefix_gamma(traj, i)
-            tsum = sum(t[tt] * n * lam_star * model.p[tt] for tt in vec.entries[:i])
-            factor = factor / (1 + tsum / g)
-        num = num + k_weight * w * factor
-        norm = norm + k_weight * w
-    return num / norm
+    return laplace_of_mixture(sigma_mixture(dag, traj), t)
 
 
 # ---------------------------------------------------------------------------

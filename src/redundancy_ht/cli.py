@@ -4,8 +4,9 @@ sample | simulate | verify-limit | verify.
 Exit codes: 0 success, 2 validation error (bad model file or arguments, or
 a PGF point at a pole), 3 refusal due to an enumeration/size cap.
 Exact-backend outputs serialize all numbers as rational strings; the float
-backend emits plain floats.
-The environment variable RHT_SEED supplies a default seed.
+backend (`--backend float`, read by pgf and laplace) emits plain floats.
+The environment variable RHT_SEED supplies the default `--seed` of sample,
+simulate and verify-limit.
 """
 from __future__ import annotations
 
@@ -121,7 +122,7 @@ def cmd_laplace(args):
     exact = args.backend == "exact"
     if args.t is not None:
         t = _parse_vector(args.t, model.n_types, exact)
-        mix = analytic.mixture_law(model, report, traj)
+        mix = analytic.sigma_mixture(dag, traj)
         payload = {
             "t": [_num(x) for x in t],
             "product_form": _num(analytic.limiting_laplace(dag, t, traj)),
@@ -133,8 +134,8 @@ def cmd_laplace(args):
                 model, report, dag, traj, t))
         _write_json(args, "laplace", payload)
         return 0
-    lo, hi, steps = _parse_vector(args.t_grid, 3, True, sep=":")
-    if steps.denominator != 1 or steps < 1:
+    lo, hi, steps = _parse_vector(args.t_grid, 3, exact, sep=":")
+    if steps != int(steps) or steps < 1:
         raise ModelError(f"--t-grid: steps must be an integer >= 1, got {steps}")
     steps = int(steps)
     rows = []
@@ -149,9 +150,9 @@ def cmd_laplace(args):
 
 def cmd_limit_law(args):
     model, traj = _load(args)
-    report, dag = _analysis(model)
+    dag = criticality.crp_components(model)
     law = analytic.limit_law(dag, traj)
-    mix = analytic.sigma_aggregate(analytic.mixture_law(model, report, traj), dag)
+    mix = analytic.sigma_mixture(dag, traj)
     payload = {
         "K": law.K,
         "type_labels": model.labels(),
@@ -172,7 +173,7 @@ def cmd_moments(args):
     report = dag = None
     if req.limit:
         report, dag = _analysis(model)
-    val = moments.moment(model, req, report, dag)
+    val = moments.moment(model, req, report, dag, traj)
     _write_json(args, "moments", {
         "n": req.n, "target": req.target, "discipline": req.discipline,
         "limit": req.limit, "value": _num(val)})
@@ -218,7 +219,7 @@ def cmd_verify_limit(args):
     if dag.subtrees_laminar:
         law = analytic.limit_law(dag, traj)
     else:
-        law = analytic.sigma_aggregate(analytic.mixture_law(model, report, traj), dag)
+        law = analytic.sigma_mixture(dag, traj)
     eps_values = [parse_scalar(e) for e in args.eps.split(",")]
     if any(e <= 0 for e in eps_values):
         raise ModelError(f"--eps: every epsilon must be positive, got {args.eps!r}")
@@ -264,10 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     seed_default = int(os.environ.get("RHT_SEED", "0"))
 
-    def common(p, model_required=True):
-        p.add_argument("--model", required=model_required, help="model JSON file")
+    def common(p):
+        p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--out-dir", default=None, help="write artifacts here instead of stdout")
+
+    def seeded(p):
         p.add_argument("--seed", type=int, default=seed_default)
+
+    def backend(p):
         p.add_argument("--backend", choices=("exact", "float"), default="exact")
 
     p = sub.add_parser("analyze", help="criticality report, components, DAG")
@@ -276,12 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pgf", help="evaluate the exact pre-limit PGF at a point")
     common(p)
+    backend(p)
     p.add_argument("--z", required=True, help="comma-separated z per type")
     p.add_argument("--discipline", choices=("coc", "cos"), default="coc")
     p.set_defaults(fn=cmd_pgf)
 
     p = sub.add_parser("laplace", help="limiting Laplace transform (product and mixture forms)")
     common(p)
+    backend(p)
     p.add_argument("--t", default=None, help="comma-separated t per type")
     p.add_argument("--t-grid", default="0:4:17", help="lo:hi:steps for a diagonal grid CSV")
     p.add_argument("--cos", action="store_true", help="also evaluate the c.o.s. general form")
@@ -303,12 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="exact stationary samples of the queue vector")
     common(p)
+    seeded(p)
     p.add_argument("--discipline", choices=("coc", "cos"), default="coc")
     p.add_argument("--n", type=int, default=1000)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("simulate", help="event-driven simulation")
     common(p)
+    seeded(p)
     p.add_argument("--discipline", choices=("coc", "cos"), default="coc")
     p.add_argument("--events", type=int, default=100_000)
     p.add_argument("--warmup", type=int, default=None)
@@ -317,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-limit", help="simulation vs limit law over an epsilon grid")
     common(p)
+    seeded(p)
     p.add_argument("--discipline", choices=("coc", "cos"), default="coc")
     p.add_argument("--eps", default="0.1,0.05,0.02")
     p.add_argument("--events", type=int, default=200_000)
@@ -324,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_limit)
 
     p = sub.add_parser("verify", help="run the acceptance battery")
-    common(p, model_required=False)
     p.add_argument("--suite", choices=("acceptance",), default="acceptance")
     p.add_argument("--only", default=None, help="comma-separated criterion names")
     p.set_defaults(fn=cmd_verify)

@@ -28,7 +28,7 @@ from .errors import CapExceeded, ConsistencyError, DomainError, ModelError
 from .model import Scalar, SystemModel
 
 BRUTEFORCE_CAP = 20  # refuse 2^|S| scans beyond this many job types
-TOPO_CAP = 12  # refuse materializing Sigma_K beyond this many components
+ORDER_CAP = 10_000  # refuse listing more topological orders of the component DAG
 
 
 class CrpClass(Enum):
@@ -508,9 +508,11 @@ def _assemble_dag(model: SystemModel, lam_star, comps) -> ComponentDag:
 
 
 def _all_topo_orders(k: int, edges) -> tuple:
-    """All component permutations sigma with pos(j) < pos(i) for every edge (i, j)."""
-    if k > TOPO_CAP:
-        raise CapExceeded(f"K={k} exceeds the Sigma_K materialization cap {TOPO_CAP}")
+    """All component permutations sigma with pos(j) < pos(i) for every edge (i, j).
+
+    Every partial order extends to a full one, so the listing refuses after
+    at most ORDER_CAP orders; K independent components have K! of them.
+    """
     # sigma must place the targets (overflow receivers) before the sources,
     # i.e. it is a topological order of the edge-reversed DAG.
     succ = {i: set() for i in range(k)}  # i -> components that must come before i
@@ -520,6 +522,9 @@ def _all_topo_orders(k: int, edges) -> tuple:
 
     def backtrack(placed, remaining):
         if not remaining:
+            if len(out) == ORDER_CAP:
+                raise CapExceeded(
+                    f"K={k} components have more than {ORDER_CAP} topological orders")
             out.append(tuple(placed))
             return
         for i in sorted(remaining):

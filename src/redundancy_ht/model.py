@@ -10,7 +10,6 @@ All operations here are generic over the two.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -162,25 +161,6 @@ class SystemModel:
             job_types=self.job_types,
             p=tuple(float(ps) for ps in self.p),
         )
-
-
-def cache_by_backend(fn):
-    """functools.lru_cache for a function of a SystemModel, keyed also on its backend.
-
-    An exact model compares and hashes equal to its as_float(), so a plain
-    lru_cache would return one backend's results for the other.
-    """
-    @functools.lru_cache(maxsize=None)
-    def cached(exact, *args, **kwargs):
-        return fn(*args, **kwargs)
-
-    @functools.wraps(fn)
-    def wrapper(model, *args, **kwargs):
-        return cached(model.exact, model, *args, **kwargs)
-
-    wrapper.cache_info = cached.cache_info
-    wrapper.cache_clear = cached.cache_clear
-    return wrapper
 
 
 def aggregate(model: SystemModel, type_set: Iterable[int]):

@@ -7,6 +7,10 @@ Eulerian-number formula over ordered type vectors, built from the moments
 of the geometric segment totals, computes the same value by enumeration
 (moment_total_alt); its per-segment factors equal the composition-sum
 factors by an exact polynomial identity, tested in moments_identity.
+
+Limit moments are moments of the sigma mixture of analytic.sigma_mixture
+along the trajectory; on the default trajectory every row of it sums to 1
+and the total has the closed form (n+K-1)!/(K-1)!.
 """
 from __future__ import annotations
 
@@ -15,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .analytic import _prefix_series, ordered_vector
+from .analytic import _prefix_series, ordered_vector, sigma_mixture
 from .criticality import ComponentDag, CriticalityReport
 from .errors import DomainError
-from .model import Scalar, SystemModel
+from .model import Scalar, SystemModel, TrajectorySpec
 from .prelimit import _kappa, config_distribution
 
 MOMENT_ORDER_CAP = 12
@@ -41,21 +45,25 @@ class MomentRequest:
             raise DomainError(f"target must be 'total' or 'type:<index>', got {self.target!r}")
 
 
-def moment(model: SystemModel, req: MomentRequest,
-           report: CriticalityReport = None, dag: ComponentDag = None) -> Scalar:
+def moment(model: SystemModel, req: MomentRequest, report: CriticalityReport = None,
+           dag: ComponentDag = None, traj: TrajectorySpec = None) -> Scalar:
     """Dispatch a MomentRequest to the matching closed form.
 
     Pre-limit per-type moments are not exposed (only the total has a closed
-    form for both disciplines); ask for the limit instead.
+    form for both disciplines); ask for the limit instead. Limits follow
+    the trajectory traj, the default one when None.
     """
     if req.target == "total":
-        if req.limit:
+        if not req.limit:
+            return moment_total(model, req.n, req.discipline)
+        if traj is None:
             return limit_moment_total(_need(report, "report"), req.n)
-        return moment_total(model, req.n, req.discipline)
+        return _mixture_moment(_need(dag, "dag"), traj, req.n, sum)
     idx = int(req.target.split(":", 1)[1])
     if not req.limit:
         raise DomainError("per-type moments are exposed in the limit only")
-    return limit_moment_type(model, _need(report, "report"), _need(dag, "dag"), idx, req.n)
+    return limit_moment_type(model, _need(report, "report"), _need(dag, "dag"), idx, req.n,
+                             traj)
 
 
 def _need(obj, name):
@@ -225,27 +233,28 @@ def linear_exponential_moment(coeffs, n: int) -> Scalar:
     return math.factorial(n) * total
 
 
+def _mixture_moment(dag: ComponentDag, traj: TrajectorySpec, n: int, coefficient) -> Scalar:
+    """E[X^n] for X = sum_k coefficient(row_k) U_k under the sigma mixture on traj."""
+    total = 0
+    for (w, coeffs, _) in sigma_mixture(dag, traj).atoms:
+        total = total + w * linear_exponential_moment([coefficient(row) for row in coeffs], n)
+    return total
+
+
 def limit_moment_type(model: SystemModel, report: CriticalityReport, dag: ComponentDag,
-                      type_index: int, n: int) -> Scalar:
+                      type_index: int, n: int, traj: TrajectorySpec = None) -> Scalar:
     """Limit of E[((1 - lam/lam*) Q_S)^n] for one job type (c.o.c. and c.o.s. alike).
 
-    Sums over topological orders sigma with their aggregated limiting weights;
-    within a sigma, type S draws coefficient p_S / p(prefix) from every
-    component at or after the one containing S (the composition sum is
-    restricted accordingly), and non-critical types get 0.
+    Sums over topological orders sigma with their limiting weights on the
+    trajectory traj (the default one when None); within a sigma, type S
+    draws coefficient N*lambda* p_S / gamma(prefix) from every component at
+    or after the one containing S, and non-critical types get 0.
     """
-    from .analytic import mixture_law, sigma_aggregate
-
     if type_index not in set(model.type_indices):
         raise DomainError(f"unknown type index {type_index}")
     if type_index in dag.non_critical_types:
         return 0
-    mix = sigma_aggregate(mixture_law(model, report), dag)
-    total = 0
-    for (w, coeffs, _) in mix.atoms:
-        a = [row[type_index] for row in coeffs]
-        total = total + w * linear_exponential_moment(a, n)
-    return total
+    return _mixture_moment(dag, traj, n, lambda row: row[type_index])
 
 
 def limit_response_time(report: CriticalityReport, model: SystemModel) -> Scalar:

@@ -7,6 +7,11 @@ between consecutive first occurrences form independent geometric segments
 (support {0, 1, ...}, P(X = n) = (1-p) p^n), each split multinomially over
 the types seen so far. Scaling by the distance to criticality, segments at
 critical prefixes become unit exponentials and all others vanish.
+
+The configuration T itself is drawn by peeling: its set from the
+prefix-set table of analytic._prefix_table, then its types from last to
+first. config_distribution lists every ordered vector and is kept as the
+oracle of those probabilities.
 """
 from __future__ import annotations
 
@@ -14,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (_free_idle_sum, _idle_sums, _prefix_series, h_term,
-                       iter_ordered_type_tuples, ordered_vector)
+from .analytic import (_bits, _free_idle_sum, _idle_sums, _prefix_series, _prefix_table,
+                       _set_weights, h_term, iter_ordered_type_tuples, ordered_vector)
 from .criticality import CriticalityReport, require_stable
 from .errors import DomainError
-from .model import Scalar, SystemModel, cache_by_backend
+from .model import Scalar, SystemModel
 
 DISCIPLINES = ("coc", "cos")
 
@@ -36,14 +41,14 @@ def _kappa(model: SystemModel, discipline: str):
     return _idle_sums(model) if discipline == "cos" else None
 
 
-@cache_by_backend
 def config_distribution(model: SystemModel, discipline: str = "coc") -> tuple:
     """Stationary distribution over ordered first-occurrence vectors.
 
     Returns (entries_tuples, probabilities) aligned by index; the empty
     vector is included. c.o.c. weights are h(T, 1); c.o.s. weights carry the
     extra ordered-idle-server factor k(T), the idle-server sum over the
-    servers compatible with no type in T.
+    servers compatible with no type in T. This lists every ordered vector
+    and serves as the oracle of sample_prelimit's peeling probabilities.
     """
     kappa = _kappa(model, discipline)
     ones = [1] * model.n_types
@@ -105,28 +110,66 @@ def segment_law(model: SystemModel, entries) -> SegmentLaw:
                       type_params=tuple(typ), split_fractions=tuple(split))
 
 
+def _peeling_weights(model: SystemModel, discipline: str):
+    """The exact sampler's weights: F(A) for every set A of job types, keyed
+    by bitmask, and the weight F(B) * kappa(free(B)) of each B as the final
+    set of the first-occurrence vector, in the same order."""
+    kappa = _kappa(model, discipline)
+    table = _prefix_table(model, [[1]] * model.n_types)
+    final = [w for (w,) in _set_weights(model, table, kappa)]
+    return {a: fa for a, (fa,) in table.items()}, final
+
+
+def _last_type_weights(model: SystemModel, f: dict, a: int):
+    """The types of the set a and their weights p_t F(a - {t}) of coming last."""
+    types = _bits(a)
+    return types, [model.p[t] * f[a ^ 1 << t] for t in types]
+
+
+def _draw_counts(rng, n, weights):
+    """Split n draws multinomially, in proportion to the exact weights."""
+    fw = np.asarray([float(w) for w in weights])
+    return rng.multinomial(n, fw / fw.sum())
+
+
 def sample_prelimit(model: SystemModel, discipline: str, n: int, seed,
                     return_configs: bool = False):
     """Draw n exact samples of the per-type queue-length vector.
 
     For c.o.c. this is the vector of all jobs per type; for c.o.s. the vector
-    of waiting jobs per type. Sampling draws the configuration T from its
-    exact distribution, independent geometric segment totals, and multinomial
-    splits; the per-type counts are 1{S in T} plus the split sums.
+    of waiting jobs per type. The configuration T is drawn from its exact
+    distribution without listing the ordered vectors: first its set B with
+    probability proportional to F(B) * kappa(free(B)), then the last type t
+    of the remaining set A with probability proportional to p_t F(A - {t}),
+    down to the empty set, splitting the sample counts multinomially. Then
+    come independent geometric segment totals and multinomial splits; the
+    per-type counts are 1{S in T} plus the split sums. With return_configs
+    the drawn vectors (by length, then lexicographically) and each sample's
+    index into them are returned as well.
     """
     if n < 1:
         raise DomainError("need n >= 1 samples")
     rng = np.random.default_rng(seed)
-    entries_list, probs = config_distribution(model, discipline)
-    fprobs = np.asarray([float(p) for p in probs])
-    fprobs = fprobs / fprobs.sum()
-    counts = rng.multinomial(n, fprobs)
+    f, final = _peeling_weights(model, discipline)
+    groups = {(a, ()): m for a, m in zip(f, _draw_counts(rng, n, final)) if m}
+    drawn = {}
+    while groups:
+        peeled = {}
+        for (a, tail), m in groups.items():
+            if a == 0:
+                drawn[tail] = m
+                continue
+            types, weights = _last_type_weights(model, f, a)
+            for t, k in zip(types, _draw_counts(rng, m, weights)):
+                if k:
+                    peeled[a ^ 1 << t, (t,) + tail] = k
+        groups = peeled
+    entries_list = sorted(drawn, key=lambda e: (len(e), e))
     out = np.zeros((n, model.n_types), dtype=np.int64)
     config_idx = np.zeros(n, dtype=np.int64)
     row = 0
-    for idx, (entries, m) in enumerate(zip(entries_list, counts)):
-        if m == 0:
-            continue
+    for idx, entries in enumerate(entries_list):
+        m = drawn[entries]
         block = slice(row, row + m)
         config_idx[block] = idx
         for t in entries:
@@ -135,7 +178,7 @@ def sample_prelimit(model: SystemModel, discipline: str, n: int, seed,
             law = segment_law(model, entries)
             for j, b in enumerate(law.segment_params, start=1):
                 totals = rng.geometric(1.0 - float(b), size=m) - 1
-                fracs = np.asarray([float(f) for f in law.split_fractions[j - 1]])
+                fracs = np.asarray([float(x) for x in law.split_fractions[j - 1]])
                 splits = rng.multinomial(totals, fracs / fracs.sum())
                 for i, t in enumerate(entries[:j]):
                     out[block, t] += splits[:, i]
@@ -187,21 +230,6 @@ def representation_matrices(model: SystemModel, report: CriticalityReport,
                                   indicator=indicator)
 
 
-def limit_segment_laws(model: SystemModel, report: CriticalityReport, entries):
-    """Per-segment limit markers and the conditional limit coefficients P(T) W(T).
-
-    Returns (kinds, matrices) where kinds[j-1] is "exponential" when prefix j
-    is critical and "vanishing" otherwise, and matrices is the
-    RepresentationMatrices bundle; conditionally on T the scaled queue vector
-    converges to P(T) W(T) U(k).
-    """
-    entries = tuple(entries)
-    vec = ordered_vector(model, entries, report.critical_subsets)
-    kinds = tuple("exponential" if j in vec.cr_indices else "vanishing"
-                  for j in range(1, len(entries) + 1))
-    return kinds, representation_matrices(model, report, entries)
-
-
 def expected_type_counts(model: SystemModel, discipline: str = "coc") -> tuple:
     """Exact per-type stationary means: E[Q_S] (c.o.c.) or E[Qtilde_S] (c.o.s.).
 
@@ -216,16 +244,3 @@ def expected_type_counts(model: SystemModel, discipline: str = "coc") -> tuple:
                                         for u in model.type_indices], kappa)
         means.append(series[1] / series[0])
     return tuple(means)
-
-
-def conditional_limit_coeffs(model: SystemModel, report: CriticalityReport, entries):
-    """P(T) W(T) as an exact |S| x k matrix of Scalars (rows in type order)."""
-    mats = representation_matrices(model, report, entries)
-    s = model.n_types
-    k = len(mats.W[0]) if mats.W else 0
-    out = [[0] * k for _ in range(s)]
-    for trow in range(s):
-        jcol = int(np.argmax(mats.P[trow]))
-        for l in range(k):
-            out[trow][l] = mats.W[jcol][l]
-    return tuple(tuple(r) for r in out)

@@ -316,3 +316,130 @@ def test_verify_limit_uses_the_mixture_off_laminar(doc, law_type, tmp_path, monk
         means = [sum(w * sum(row[t] for row in coeffs) for w, coeffs, _ in law.atoms)
                  for t in range(3)]
         assert means == [Fraction(7, 12), Fraction(7, 12), Fraction(11, 6)]
+
+
+def test_moments_limit_follows_the_trajectory(tmp_path, capsys):
+    # limit-law gives the rows (0, 2) and (1/2, 1/2) on this trajectory
+    doc = dict(N_MODEL_DOC, trajectory={"gamma": {"1,2": "3/2", "2": "1/2"}, "epsilon": "0"})
+    path = tmp_path / "traj.json"
+    path.write_text(json.dumps(doc))
+    code, out = _run(["limit-law", "--model", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["coefficients"] == [["0", "2"], ["1/2", "1/2"]]
+    for target, n, want in (("type:1", "1", "5/2"), ("type:0", "2", "1/2"),
+                            ("total", "1", "3"), ("total", "2", "14")):
+        code, out = _run(["moments", "--model", str(path), "--n", n, "--limit",
+                          "--target", target], capsys)
+        assert code == 0 and json.loads(out)["value"] == want, target
+
+
+def test_exit_code_order_cap(tmp_path, capsys):
+    """Eleven equally loaded independent queues have 11! topological orders:
+    every command that builds the component DAG refuses at once."""
+    k = 11
+    path = tmp_path / "partition.json"
+    path.write_text(json.dumps({
+        "servers": [{"id": i, "mu": "1"} for i in range(1, k + 1)],
+        "types": [{"servers": [i], "p": f"1/{k}"} for i in range(1, k + 1)],
+        "lambda": "1/2"}))
+    for argv in (["analyze"], ["limit-law"], ["moments", "--n", "1", "--limit"]):
+        start = time.perf_counter()
+        assert main([*argv, "--model", str(path)]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith("refused: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--n", "1", "--backend", "float"],
+    ["analyze", "--seed", "1"],
+    ["limit-law", "--backend", "exact"],
+    ["pgf", "--z", "1/2,1/2", "--seed", "1"],
+    ["verify"],
+], ids=["moments-backend", "analyze-seed", "limit-law-backend", "pgf-seed", "verify-model"])
+def test_flags_only_where_read(argv, n_model_file, capsys):
+    """A command rejects a flag it would not read (argparse exits 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--model", n_model_file])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_laplace_grid_float_backend(n_model_file, tmp_path, capsys):
+    assert main(["laplace", "--model", n_model_file, "--t-grid", "0:4:5", "--backend", "float",
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for line in (tmp_path / "laplace_grid.csv").read_text().splitlines()[1:]:
+        t, val = line.split(",")
+        assert "/" not in t + val
+        assert abs(float(val) - (1 + float(t)) ** -2) < 1e-15
+
+
+def _model_and_report(path):
+    from redundancy_ht import load_model
+    from redundancy_ht.criticality import crp_components, report_from_construction
+
+    model, _ = load_model(str(path))
+    return model, report_from_construction(model, crp_components(model))
+
+
+@pytest.mark.parametrize("doc", [EX42_DOC, DIAMOND_DOC], ids=["four-server", "diamond"])
+def test_no_command_lists_ordered_vectors(doc, tmp_path, monkeypatch, capsys):
+    """Every command but verify runs with the ordered-vector listing disabled."""
+    from redundancy_ht import prelimit
+
+    def refuse(model):
+        raise AssertionError("an ordered type vector was listed")
+
+    monkeypatch.setattr(analytic, "iter_ordered_type_tuples", refuse)
+    monkeypatch.setattr(prelimit, "iter_ordered_type_tuples", refuse)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    n = len(doc["types"])
+    ones, halves = ",".join(["1"] * n), ",".join(["1/2"] * n)
+    with pytest.raises(AssertionError):
+        analytic.mixture_law(*_model_and_report(path))
+    for argv in (["analyze"], ["pgf", "--z", halves], ["pgf", "--z", halves, "--discipline", "cos"],
+                 ["laplace", "--t", ones, "--cos"], ["laplace", "--t-grid", "0:4:3"],
+                 ["limit-law"], ["moments", "--n", "2"], ["moments", "--n", "1", "--discipline", "cos"],
+                 ["moments", "--n", "2", "--limit"],
+                 ["moments", "--n", "2", "--limit", "--target", "type:0"],
+                 ["sample", "--n", "200"], ["sample", "--n", "200", "--discipline", "cos"],
+                 ["simulate", "--events", "2000"],
+                 ["verify-limit", "--eps", "0.2,0.1", "--events", "2000"]):
+        assert main([*argv, "--model", str(path), "--out-dir", str(tmp_path)]) == 0, argv
+    capsys.readouterr()
+
+
+def test_commands_beyond_ordered_vector_cap(tmp_path, capsys):
+    """Twelve types in two independent subsystems, both critical (K = 2): the
+    commands that read the limit law or draw configurations run exactly."""
+    pair = [[1], [2], [1, 2]]
+    quad = [s for k in (2, 3, 4) for s in itertools.combinations((3, 4, 5, 6), k)][:9]
+    doc = {"servers": [{"id": i, "mu": "1"} for i in range(1, 7)],
+           "types": [{"servers": s, "p": "1/9"} for s in pair]
+           + [{"servers": list(s), "p": "2/27"} for s in quad],
+           "lambda": "1/2"}
+    path = tmp_path / "twelve.json"
+    path.write_text(json.dumps(doc))
+    code, out = _run(["analyze", "--model", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out[:out.rindex("}") + 1])["depth_K"] == 2
+    code, out = _run(["limit-law", "--model", str(path)], capsys)
+    assert code == 0
+    law = json.loads(out)
+    # sigma weights p(other component) / p(both): 2/3 for the pair first
+    assert sorted(a["weight"] for a in law["sigma_mixture"]) == ["1/3", "2/3"]
+    code, out = _run(["laplace", "--model", str(path), "--t", ",".join(["1"] * 12), "--cos"],
+                     capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["product_form"] == payload["mixture_form"] == payload["cos_general"] == "1/4"
+    code, out = _run(["moments", "--model", str(path), "--n", "2", "--limit",
+                      "--target", "type:0"], capsys)
+    assert code == 0 and json.loads(out)["value"] == "2/9"  # 2 (p_S / p(C))^2, p_S/p(C) = 1/3
+    for disc in ("coc", "cos"):
+        assert main(["sample", "--model", str(path), "--n", "300", "--discipline", disc,
+                     "--out-dir", str(tmp_path)]) == 0
+        rows = (tmp_path / "samples.csv").read_text().splitlines()
+        assert len(rows) == 301
+    capsys.readouterr()

@@ -2,8 +2,9 @@
 
 The oracles below enumerate ordered type vectors and ordered idle-server
 vectors as the formulas are written; pgf_coc, pgf_cos, moment_total,
-expected_type_counts and the c.o.s. configuration distribution must agree
-with them exactly on random rational models.
+expected_type_counts, the c.o.s. configuration distribution, the sampler's
+peeling probabilities, sigma_mixture and the c.o.s. limiting Laplace
+transform must agree with them exactly on random rational models.
 """
 import itertools
 import math
@@ -12,12 +13,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from redundancy_ht import SystemModel, generators
-from redundancy_ht.analytic import (h_term, iter_ordered_type_tuples, ordered_vector, pgf_coc,
-                                    pgf_cos)
+from redundancy_ht import SystemModel, TrajectorySpec, default_trajectory, generators
+from redundancy_ht.analytic import (enumerate_k_critical, h_term, iter_ordered_type_tuples,
+                                    limiting_laplace_cos_general, mixture_law, omega_weight,
+                                    ordered_vector, pgf_coc, pgf_cos, sigma_aggregate,
+                                    sigma_mixture)
+from redundancy_ht.criticality import critical_rate_and_subsets_bruteforce, crp_components
 from redundancy_ht.errors import DomainError
 from redundancy_ht.moments import _compositions, geometric_moment_factor, moment_total
-from redundancy_ht.prelimit import config_distribution, expected_type_counts, segment_law
+from redundancy_ht.prelimit import (_last_type_weights, _peeling_weights, config_distribution,
+                                    expected_type_counts, segment_law)
 
 
 def idle_vector_weight(model, u):
@@ -151,3 +156,71 @@ def test_server_without_types_has_no_idle_weight():
     assert pgf_coc(model, [F(1, 2)]) == F(2, 3)  # M/M/1 at rho = 1/2
     with pytest.raises(DomainError, match=r"servers \[2\]"):
         pgf_cos(model, [F(1, 2)])
+
+
+# --- the sampler's peeling and the sigma mixture ---------------------------------
+
+def laplace_cos_oracle(model, report, traj, t):
+    """The c.o.s. limiting transform as a sum over the K-critical vectors T:
+    omega(T) times the ordered idle-server sums at lambda* of the servers no
+    type of T uses, with the critical-prefix factors of T, normalised."""
+    lam_star = report.lambda_star
+    at_limit = model.with_lambda(lam_star)
+    nlam = model.n_servers * lam_star
+    num = norm = 0
+    for vec in enumerate_k_critical(model, report, report.depth_K):
+        w = omega_weight(model, vec, lam_star, traj) * idle_factor(at_limit, vec.entries)
+        factor = 1
+        for i in vec.cr_indices:
+            tsum = sum(t[s] * nlam * model.p[s] for s in vec.entries[:i])
+            factor = factor / (1 + tsum / vec.prefix_gamma(traj, i))
+        num = num + w * factor
+        norm = norm + w
+    return num / norm
+
+
+def _with_trajectories(rng, models):
+    """Each model with its report and DAG, on the default and on a random trajectory."""
+    for model in models:
+        report = critical_rate_and_subsets_bruteforce(model)
+        dag = crp_components(model, report.lambda_star)
+        gamma = tuple(F(rng.randint(1, 9), rng.randint(1, 4)) for _ in model.type_indices)
+        for traj in (None, TrajectorySpec(gamma=gamma, epsilon=F(0))):
+            yield model, report, dag, traj
+
+
+def test_peeling_probabilities_match_configurations():
+    for _, model in _models(406, 20):
+        for discipline in ("coc", "cos"):
+            f, final = _peeling_weights(model, discipline)
+            set_prob = {a: w / sum(final) for a, w in zip(f, final)}
+            for entries, prob in zip(*config_distribution(model, discipline)):
+                a = sum(1 << t for t in entries)
+                peeled = set_prob[a]
+                for t in reversed(entries):
+                    types, weights = _last_type_weights(model, f, a)
+                    peeled = peeled * weights[types.index(t)] / sum(weights)
+                    a ^= 1 << t
+                assert peeled == prob
+
+
+def test_sigma_mixture_matches_aggregated_vectors(diamond):
+    models = [diamond] + [m for _, m in _models(407, 30)]
+    laminar = set()
+    for model, report, dag, traj in _with_trajectories(random.Random(4070), models):
+        laminar.add(dag.subtrees_laminar)
+        assert sigma_mixture(dag, traj) == \
+            sigma_aggregate(mixture_law(model, report, traj), dag)
+    assert laminar == {True, False}
+
+
+def test_cos_laplace_matches_idle_sums(diamond):
+    rng = random.Random(4080)
+    models = [diamond] + [m for _, m in _models(408, 20)]
+    for model, report, dag, traj in _with_trajectories(rng, models):
+        oracle_traj = traj or default_trajectory(model.with_lambda(report.lambda_star),
+                                                 report.lambda_star)
+        for _ in range(2):
+            t = [F(rng.randint(0, 6), rng.randint(1, 3)) for _ in model.type_indices]
+            assert limiting_laplace_cos_general(model, report, dag, traj, t) == \
+                laplace_cos_oracle(model, report, oracle_traj, t)

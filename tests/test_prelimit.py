@@ -6,11 +6,10 @@ import pytest
 import scipy.stats
 
 from redundancy_ht import SystemModel
-from redundancy_ht.analytic import enumerate_k_critical, p_star
+from redundancy_ht.analytic import enumerate_k_critical, mixture_law, ordered_vector, p_star
 from redundancy_ht.criticality import critical_rate_and_subsets_bruteforce
 from redundancy_ht.errors import DomainError
-from redundancy_ht.prelimit import (conditional_limit_coeffs, config_distribution,
-                                    config_prob, expected_type_counts, limit_segment_laws,
+from redundancy_ht.prelimit import (config_distribution, config_prob, expected_type_counts,
                                     representation_matrices, sample_prelimit, segment_law)
 
 T_EXAMPLE = (0, 2, 3, 1)  # [{1}, {3}, {3,4}, {1,2,3}] in the four-server system
@@ -80,27 +79,23 @@ def test_segment_marginal_consistency(four_server):
 
 def test_representation_matrices(four_server):
     report = critical_rate_and_subsets_bruteforce(four_server)
+    crit = report.critical_subsets
     mats = representation_matrices(four_server, report, T_EXAMPLE)
     p = mats.P
     assert (p.sum(axis=0) == 1).all() and (p.sum(axis=1) == 1).all()
-    coeffs = conditional_limit_coeffs(four_server, report, T_EXAMPLE)
-    assert coeffs == (
+    # P W in type order: the conditional limit coefficients given T
+    pw = tuple(mats.W[int(np.argmax(row))] for row in p)
+    assert pw == (
         (F(1), F(1, 3), F(1, 4)),
         (0, 0, F(1, 4)),
         (0, F(2, 9), F(1, 6)),
         (0, F(4, 9), F(1, 3)))
-
-
-def test_limit_segment_laws_kinds(four_server):
-    report = critical_rate_and_subsets_bruteforce(four_server)
-    kinds, _ = limit_segment_laws(four_server, report, T_EXAMPLE)
-    assert kinds == ("exponential", "vanishing", "exponential", "exponential")
-
-
-def test_limit_segment_laws_zero_critical(four_server):
-    report = critical_rate_and_subsets_bruteforce(four_server)
-    kinds, mats = limit_segment_laws(four_server, report, (1,))  # k = 0 vector
-    assert kinds == ("vanishing",)
+    atoms = {label: coeffs for (_, coeffs, label) in mixture_law(four_server, report).atoms}
+    assert pw == tuple(zip(*atoms[T_EXAMPLE]))
+    # segments 1, 3 and 4 end at critical prefixes (exponential), segment 2 vanishes
+    assert ordered_vector(four_server, T_EXAMPLE, crit).cr_indices == (1, 3, 4)
+    assert ordered_vector(four_server, (1,), crit).cr_indices == ()  # a 0-critical vector
+    mats = representation_matrices(four_server, report, (1,))
     assert all(all(x == 0 for x in row) for row in mats.W)
 
 
@@ -135,8 +130,9 @@ def test_sampler_config_frequencies_chi2(n_model):
     n = 200_000
     x, config_idx, entries_list = sample_prelimit(n_model, "coc", n, seed=13,
                                                   return_configs=True)
-    _, probs = config_distribution(n_model)
-    observed = np.bincount(config_idx, minlength=len(probs)).astype(float)
+    all_entries, probs = config_distribution(n_model)
+    drawn = dict(zip(entries_list, np.bincount(config_idx, minlength=len(entries_list))))
+    observed = np.asarray([drawn.get(e, 0) for e in all_entries], dtype=float)
     expected = np.asarray([float(p) for p in probs]) * n
     keep = expected >= 5
     chi2 = ((observed[keep] - expected[keep]) ** 2 / expected[keep]).sum()
@@ -154,9 +150,8 @@ def test_sampler_empty_configuration_probability(n_model):
     _, config_idx, entries_list = sample_prelimit(n_model, "coc", n, seed=14,
                                                   return_configs=True)
     empty_idx = entries_list.index(())
-    _, probs = config_distribution(n_model)
     freq = (config_idx == empty_idx).mean()
-    target = float(probs[empty_idx])
+    target = float(config_prob(n_model, ()))
     assert abs(freq - target) < 3 * math.sqrt(target * (1 - target) / n)
 
 
@@ -203,23 +198,5 @@ def test_unstable_model_rejected():
     bad = SystemModel(mu=(F(1),), lam=F(2), job_types=(frozenset({1}),), p=(F(1),))
     with pytest.raises(DomainError):
         config_distribution(bad)
-
-
-def test_caches_keep_backends_apart():
-    # an exact model equals and hashes like its as_float(); neither cache may
-    # hand one backend's results to the other
-    from redundancy_ht.analytic import _nk_vectors
-
-    model = SystemModel(mu=(F(1), F(1)), lam=F(1, 2),
-                        job_types=(frozenset({1, 2}), frozenset({2})), p=(F(1, 2), F(1, 2)))
-    fm = model.as_float()
-    assert fm == model
-    report = critical_rate_and_subsets_bruteforce(model)
-    for first, second, kind in ((model, fm, float), (fm, model, F)):
-        config_distribution.cache_clear()
-        _nk_vectors.cache_clear()
-        config_distribution(first)
-        _nk_vectors(first, report)
-        assert all(type(p) is kind for p in config_distribution(second)[1])
-        assert all(type(x) is kind for vec in _nk_vectors(second, report)
-                   for x in vec.prefix_p)
+    with pytest.raises(DomainError):
+        sample_prelimit(bad, "coc", 10, seed=0)
