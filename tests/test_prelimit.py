@@ -79,7 +79,6 @@ def test_segment_marginal_consistency(four_server):
 
 def test_representation_matrices(four_server):
     report = critical_rate_and_subsets_bruteforce(four_server)
-    crit = report.critical_subsets
     mats = representation_matrices(four_server, report, T_EXAMPLE)
     p = mats.P
     assert (p.sum(axis=0) == 1).all() and (p.sum(axis=1) == 1).all()
@@ -92,9 +91,25 @@ def test_representation_matrices(four_server):
         (0, F(4, 9), F(1, 3)))
     atoms = {label: coeffs for (_, coeffs, label) in mixture_law(four_server, report).atoms}
     assert pw == tuple(zip(*atoms[T_EXAMPLE]))
-    # segments 1, 3 and 4 end at critical prefixes (exponential), segment 2 vanishes
-    assert ordered_vector(four_server, T_EXAMPLE, crit).cr_indices == (1, 3, 4)
-    assert ordered_vector(four_server, (1,), crit).cr_indices == ()  # a 0-critical vector
+
+
+def _segment_kinds(model, report, ordered):
+    """Limit law of each segment: exponential when it ends at a critical prefix."""
+    cr = ordered_vector(model, ordered, report.critical_subsets).cr_indices
+    return tuple("exponential" if i in cr else "vanishing"
+                 for i in range(1, len(ordered) + 1))
+
+
+def test_limit_segment_laws_kinds(four_server):
+    report = critical_rate_and_subsets_bruteforce(four_server)
+    kinds = _segment_kinds(four_server, report, T_EXAMPLE)
+    assert kinds == ("exponential", "vanishing", "exponential", "exponential")
+
+
+def test_limit_segment_laws_zero_critical(four_server):
+    report = critical_rate_and_subsets_bruteforce(four_server)
+    kinds = _segment_kinds(four_server, report, (1,))  # k = 0 vector
+    assert kinds == ("vanishing",)
     mats = representation_matrices(four_server, report, (1,))
     assert all(all(x == 0 for x in row) for row in mats.W)
 
