@@ -12,7 +12,7 @@ from fractions import Fraction as F
 from redundancy_ht import (SystemModel, TrajectorySpec,
                            critical_rate_and_subsets_bruteforce, crp_components,
                            default_trajectory, effective_rates, limit_law,
-                           limiting_laplace, limiting_laplace_cos_general)
+                           limiting_laplace, limiting_transform)
 
 model = SystemModel(mu=(F(1), F(1)), lam=F(8, 10),
                     job_types=(frozenset({1, 2}), frozenset({2})), p=(F(1, 2), F(1, 2)))
@@ -33,7 +33,7 @@ traj = TrajectorySpec(gamma=(F(13, 10), F(7, 10)), epsilon=F(1, 100))
 grid = [F(i, 2) for i in range(4)]
 agree = all(
     limiting_laplace(dag, t, traj)
-    == limiting_laplace_cos_general(model, report, dag, traj, t)
+    == limiting_transform(dag, t, traj)[0]
     for t in itertools.product(grid, repeat=2))
 print("exact agreement on 16 rational points:", agree)
 

@@ -14,7 +14,7 @@ from .analytic import (LimitLaw, MixtureLaw, OrderedTypeVector, beta_hat,
                        beta_hat_sigma_k, beta_weight, enumerate_k_critical,
                        h_term, laplace_of_limit_law,
                        laplace_of_mixture, limit_law, limiting_laplace,
-                       limiting_laplace_cos_general, mixture_law,
+                       limiting_transform, mixture_law,
                        nested_sum_identity, omega_weight, ordered_vector, p_star,
                        pgf_coc, pgf_cos, sample_limit, sigma_aggregate,
                        sigma_mixture, sigma_weight_formula)

@@ -14,10 +14,10 @@ a trajectory lambda_S(eps) = N*lambda* p_S - eps*gamma_S, the scaled queue
 vector converges to a mixture over the K-critical ordered vectors of linear
 combinations of K independent unit-mean exponentials. Vectors sharing a
 topological order sigma of the component DAG share their coefficients, and
-sigma_mixture sums their weights with the same recursion, between
-consecutive critical prefixes. When the DAG's rooted subtrees are laminar,
-the mixture collapses to the product form with one exponential per
-component, coefficient N*lambda* p_S / gamma(V_k) on the subtree V_k. The
+their weights take the same recursion between sigma's critical prefixes, the
+DAG's down-sets, over which limiting_transform sums. When the rooted subtrees
+are laminar, the mixture collapses to the product form with one exponential
+per component, coefficient N*lambda* p_S / gamma(V_k) on the subtree V_k. The
 mixture is what the PGF converges to in all cases; the product form is a
 simplification valid in the laminar case (see ComponentDag.subtrees_laminar).
 
@@ -30,15 +30,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .criticality import ComponentDag, CriticalityReport, require_stable
+from .criticality import SUBSET_CAP, ComponentDag, CriticalityReport, require_stable
 from .errors import CapExceeded, ConsistencyError, DomainError, PoleError
 from .model import Scalar, SystemModel, TrajectorySpec, default_trajectory
 
 ENUM_CAP = 8  # listing ordered type vectors refuses beyond this many types
-SUBSET_CAP = 14  # the subset-lattice recursions refuse beyond this many types or servers
 
 
 # ---------------------------------------------------------------------------
@@ -442,53 +442,81 @@ def sigma_aggregate(mixture: MixtureLaw, dag: ComponentDag) -> MixtureLaw:
     return MixtureLaw(atoms=atoms)
 
 
+@lru_cache(maxsize=64)
+def _lattice(dag: ComponentDag, traj: TrajectorySpec, key: str) -> tuple:
+    """(nodes, total): nodes maps each nonempty down-set d, by size, with type
+    set A, to row(A) (N*lambda* p_S / gamma(A) on A) and the weight of each
+    step from a down-set d - {i}: F_(A - C_i)(A) at lambda* without the
+    divergent stay factor at A (open_top), times mu(A) / gamma(A) (1 by
+    default). total sums the weight products over sigma. key = repr(traj)
+    keeps exact and float trajectories apart in the cache."""
+    model = dag.model
+    at_limit = model.with_lambda(dag.lambda_star)
+    nlam = model.n_servers * dag.lambda_star
+    traj = _direction(model, dag.lambda_star, traj)
+    ones = [[1]] * model.n_types
+    comp_masks = [sum(1 << t for t in comp.types) for comp in dag.components]
+    ideals, nodes, paths = set(dag.down_sets), {}, {0: 1}
+    for d in dag.down_sets[1:]:
+        hi = sum(m for i, m in enumerate(comp_masks) if d >> i & 1)
+        g = traj.gamma_of(_bits(hi))
+        steps = {d ^ 1 << i: _prefix_table(at_limit, ones, hi ^ m, hi, open_top=True)[hi][0]
+                 * model.mu_of(_bits(hi)) / g
+                 for i, m in enumerate(comp_masks) if d >> i & 1 and d ^ 1 << i in ideals}
+        nodes[d] = (tuple(nlam * model.p[t] / g if hi >> t & 1 else 0
+                          for t in model.type_indices), steps)
+        paths[d] = sum(paths[lo] * w for lo, w in steps.items())
+    return nodes, paths[d]
+
+
 def sigma_mixture(dag: ComponentDag, traj: TrajectorySpec = None) -> MixtureLaw:
     """The limit law as one atom per topological order sigma, from type sets alone.
 
     The K-critical vectors of sigma pass through the critical prefixes
     A_k = C_sigma(1) u ... u C_sigma(k) and then list non-critical types
-    only. Their beta weights sum to the product over k of
-    F_{A_(k-1)}(A_k) at lambda* with the divergent stay factor at A_k left
-    out (_prefix_table with open_top), times a sum over the non-critical
-    tail. A_K holds every critical type whatever sigma is, so that tail sum,
-    and under c.o.s. its idle-server weight, is the same for every sigma and
-    cancels: the law is one for both disciplines. On a trajectory each
-    weight gains the omega factor prod_k mu(A_k) / gamma(A_k). The result
-    equals sigma_aggregate(mixture_law(...)) without listing a vector.
+    only. Their beta weights sum to the product over k of the step weights
+    of _lattice, times a sum over the non-critical tail. A_K holds every
+    critical type whatever sigma is, so that tail sum, and under c.o.s. its
+    idle-server weight, is the same for every sigma and cancels: the law is
+    one for both disciplines. On a trajectory each weight gains the omega
+    factor prod_k mu(A_k) / gamma(A_k). The result equals
+    sigma_aggregate(mixture_law(...)) without listing a vector.
     """
-    model = dag.model
-    at_limit = model.with_lambda(dag.lambda_star)
-    nlam = model.n_servers * dag.lambda_star
-    ones = [[1]] * model.n_types
-
-    def segment(lo, hi):
-        """The weight of the step from A_(k-1) = lo to A_k = hi, and row k."""
-        weight = _prefix_table(at_limit, ones, lo, hi, open_top=True)[hi][0]
-        types = _bits(hi)
-        if traj is None:
-            g = nlam * model.p_of(types)
-        else:
-            g = traj.gamma_of(types)
-            weight = weight * model.mu_of(types) / g
-        return weight, tuple(nlam * model.p[t] / g if hi >> t & 1 else 0
-                             for t in model.type_indices)
-
-    comp_masks = [sum(1 << t for t in comp.types) for comp in dag.components]
-    segments = {}  # (A_(k-1), A_k) -> segment(A_(k-1), A_k); orders share them
+    orders = dag.topo_orders  # listed first: the ORDER_CAP refusal then costs no lattice
+    nodes, _ = _lattice(dag, traj, repr(traj))
     atoms = []
-    for sigma in dag.topo_orders:
+    for sigma in orders:
         weight, rows, lo = 1, [], 0
         for i in sigma:
-            hi = lo | comp_masks[i]
-            if (lo, hi) not in segments:
-                segments[lo, hi] = segment(lo, hi)
-            w, row = segments[lo, hi]
-            weight = weight * w
+            row, steps = nodes[lo | 1 << i]
+            weight = weight * steps[lo]
             rows.append(row)
-            lo = hi
+            lo |= 1 << i
         atoms.append((weight, tuple(rows), sigma))
     norm = sum(w for (w, _, _) in atoms)
     return MixtureLaw(atoms=tuple((w / norm, rows, sigma) for (w, rows, sigma) in atoms))
+
+
+def limiting_transform(dag: ComponentDag, t, traj: TrajectorySpec = None, c=None,
+                       n: int = 0) -> list:
+    """E[exp(s c.Y - t.Y)] up to s^n, for Y the limit law on traj (c = 0 by default).
+
+    Entry 0 is the Laplace transform at t; at t = 0, n! times entry n is
+    E[(c.Y)^n]. Given sigma, row k gives a factor 1 / (1 + row_k.t - (row_k.c) s)
+    that depends on A_k alone, so the sum over sigma runs forward over the
+    down-sets (_lattice): G(A) = A's factor times sum_lo G(lo) w(lo, A).
+    """
+    nodes, total = _lattice(dag, traj, repr(traj))
+    c = [0] * len(t) if c is None else c
+    g = {0: [1] + [0] * n}
+    for d, (row, steps) in nodes.items():
+        b = _laplace_denominator(row, t)
+        a = sum(x * y for x, y in zip(c, row))
+        into = [sum(g[lo][j] * w for lo, w in steps.items()) for j in range(n + 1)]
+        g[d] = [into[0] / b]
+        for x in into[1:]:  # times 1 / (b - a s), degree by degree
+            g[d].append((x + a * g[d][-1]) / b)
+    return [x / total for x in g[d]]
 
 
 def beta_hat(dag: ComponentDag, sigma) -> Scalar:
@@ -563,10 +591,18 @@ def limiting_laplace(dag: ComponentDag, t, traj: TrajectorySpec = None) -> Scala
     return laplace_of_limit_law(law, t)
 
 
+def _laplace_denominator(row, t) -> Scalar:
+    """1 + sum_S t_S a_S for a row a; the transform diverges where it is <= 0."""
+    d = 1 + sum(ts * a for ts, a in zip(t, row))
+    if d <= 0:
+        raise DomainError(f"the Laplace transform diverges at t: a row has 1 + t.row = {d} <= 0")
+    return d
+
+
 def laplace_of_limit_law(law: LimitLaw, t) -> Scalar:
     val = 1
     for row in law.coeffs:
-        val = val / (1 + sum(ts * a for ts, a in zip(t, row)))
+        val = val / _laplace_denominator(row, t)
     return val
 
 
@@ -579,20 +615,6 @@ def laplace_of_mixture(mixture: MixtureLaw, t) -> Scalar:
             term = term / (1 + sum(ts * a for ts, a in zip(t, row)))
         total = total + term
     return total
-
-
-def limiting_laplace_cos_general(model: SystemModel, report: CriticalityReport,
-                                 dag: ComponentDag, traj: TrajectorySpec, t) -> Scalar:
-    """Limiting Laplace transform of the scaled waiting-job vector under c.o.s.
-
-    The sum over K-critical vectors T of omega(T) times the idle-server sum
-    of the servers compatible with no type in T, each term carrying the
-    critical-prefix factors (1 + sum_{j<=i} t_{T_j} N*lambda* p_{T_j} / gamma(T,i))^-1,
-    normalized by the same sum. Grouped by topological order the idle-server
-    sums cancel (see sigma_mixture), so this is the c.o.c. mixture's
-    transform; model and report are not read.
-    """
-    return laplace_of_mixture(sigma_mixture(dag, traj), t)
 
 
 # ---------------------------------------------------------------------------

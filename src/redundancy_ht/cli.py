@@ -24,6 +24,8 @@ from . import __version__, acceptance, analytic, criticality, moments, prelimit,
 from .errors import CapExceeded, DomainError, ModelError, PoleError
 from .model import MODEL_FORMAT_VERSION, load_model, parse_scalar
 
+GRID_CAP = 10_000  # laplace --t-grid refuses more steps
+
 
 def _num(x):
     if isinstance(x, Fraction):
@@ -118,31 +120,31 @@ def cmd_pgf(args):
 
 def cmd_laplace(args):
     model, traj = _load(args)
-    report, dag = _analysis(model)
+    dag = criticality.crp_components(model)
     exact = args.backend == "exact"
     if args.t is not None:
         t = _parse_vector(args.t, model.n_types, exact)
-        mix = analytic.sigma_mixture(dag, traj)
+        mix = _num(analytic.limiting_transform(dag, t, traj)[0])
         payload = {
             "t": [_num(x) for x in t],
             "product_form": _num(analytic.limiting_laplace(dag, t, traj)),
-            "mixture_form": _num(analytic.laplace_of_mixture(mix, t)),
+            "mixture_form": mix,
             "subtrees_laminar": dag.subtrees_laminar,
         }
-        if args.cos:
-            payload["cos_general"] = _num(analytic.limiting_laplace_cos_general(
-                model, report, dag, traj, t))
+        if args.cos:  # the c.o.s. limit law is the mixture (see analytic.sigma_mixture)
+            payload["cos_general"] = mix
         _write_json(args, "laplace", payload)
         return 0
     lo, hi, steps = _parse_vector(args.t_grid, 3, exact, sep=":")
     if steps != int(steps) or steps < 1:
         raise ModelError(f"--t-grid: steps must be an integer >= 1, got {steps}")
+    if steps > GRID_CAP:
+        raise CapExceeded(f"--t-grid: more than {GRID_CAP} steps")
     steps = int(steps)
     rows = []
     for i in range(steps):
         tval = lo + (hi - lo) * i / max(steps - 1, 1)
-        t = [tval] * model.n_types
-        val = analytic.limiting_laplace(dag, t, traj)
+        val = analytic.limiting_transform(dag, [tval] * model.n_types, traj)[0]
         rows.append([_num(tval), _num(val)])
     _write_csv(args, "laplace_grid", ["t", "laplace"], rows)
     return 0
@@ -334,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_limit)
 
     p = sub.add_parser("verify", help="run the acceptance battery")
-    p.add_argument("--suite", choices=("acceptance",), default="acceptance")
     p.add_argument("--only", default=None, help="comma-separated criterion names")
     p.set_defaults(fn=cmd_verify)
     return parser

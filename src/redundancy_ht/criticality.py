@@ -2,9 +2,9 @@
 
 The max-flow route is the production path for every criticality question:
 `critical_rate` finds lambda* by Dinkelbach iteration on max-flow min-cuts,
-`require_stable` decides lambda < lambda* from it, and `crp_components` +
-`report_from_construction` enumerate the CRP components from the residual
-matching at lambda = lambda* and take unions along topological prefixes.
+`require_stable` decides lambda < lambda* from it, and `crp_components` finds
+the CRP components from the residual matching at lambda = lambda*, whose
+down-sets give the critical subsets; topological orders are listed on demand.
 
 The scans of all 2^|S|-1 nonempty type subsets (`check_stability`,
 `critical_rate_and_subsets_bruteforce`) are the literal definitions, kept as
@@ -23,12 +23,14 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CapExceeded, ConsistencyError, DomainError, ModelError
 from .model import Scalar, SystemModel
 
 BRUTEFORCE_CAP = 20  # refuse 2^|S| scans beyond this many job types
 ORDER_CAP = 10_000  # refuse listing more topological orders of the component DAG
+SUBSET_CAP = 14  # refuse lattices of more than 2^SUBSET_CAP type, server or down-sets
 
 
 class CrpClass(Enum):
@@ -60,7 +62,7 @@ class CrpComponent:
 
 @dataclass(frozen=True)
 class ComponentDag:
-    """CRP components with overflow edges, topological orders and rooted subtrees.
+    """CRP components with overflow edges, precedence masks and rooted subtrees.
 
     Components are canonically ordered ascending by (subtree size, min type
     index), which is itself a valid reverse-topological order: every edge
@@ -71,7 +73,7 @@ class ComponentDag:
     lambda_star: Scalar
     components: tuple  # tuple of CrpComponent
     edges: frozenset  # (i, j): some type in C_i is compatible with a server in Z_j
-    topo_orders: tuple  # all sigma in Sigma_K, each a tuple of component indices
+    before: tuple  # per component i: bitmask of the j with (i, j) in edges, which sigma puts first
     subtree_nodes: tuple  # per component: frozenset of component indices in its rooted subtree
     subtree_types: tuple  # per component: V_k as frozenset of type indices
 
@@ -95,6 +97,34 @@ class ComponentDag:
 
     def gamma_subtree(self, k: int, traj) -> Scalar:
         return traj.gamma_of(self.subtree_types[k])
+
+    @cached_property
+    def down_sets(self) -> tuple:
+        """Every down-set (holding before[i] for each of its i), the sets of
+        components some sigma places first, as bitmasks by size then value;
+        breadth-first, refusing beyond 2^SUBSET_CAP sets."""
+        level, out = [0], [0]
+        while level:
+            level = sorted({d | 1 << i for d in level for i in range(self.K)
+                            if not d >> i & 1 and self.before[i] & ~d == 0})
+            out += level
+            if len(out) > 1 << SUBSET_CAP:
+                raise CapExceeded(f"K={self.K} components have more than 2^{SUBSET_CAP} down-sets")
+        return tuple(out)
+
+    @cached_property
+    def topo_orders(self) -> tuple:
+        """Every sigma in Sigma_K (a maximal chain of the down-set lattice) in
+        lexicographic order; refuses beyond ORDER_CAP (K independent
+        components have K! orders)."""
+        ideals, chains = set(self.down_sets), [((), 0)]
+        for _ in range(self.K):  # a chain's prefixes: each extends to at least one order
+            chains = [(sigma + (i,), d | 1 << i) for sigma, d in chains
+                      for i in range(self.K) if not d >> i & 1 and d | 1 << i in ideals]
+            if len(chains) > ORDER_CAP:
+                raise CapExceeded(
+                    f"K={self.K} components have more than {ORDER_CAP} topological orders")
+        return tuple(sigma for sigma, _ in chains)
 
     @property
     def subtrees_laminar(self) -> bool:
@@ -321,7 +351,7 @@ def require_stable(model: SystemModel):
 
 
 def crp_components(model: SystemModel, lam_star: Scalar = None, audit: bool = False) -> ComponentDag:
-    """CRP components, DAG, topological orders and rooted subtrees at lambda = lambda*.
+    """CRP components, their DAG and rooted subtrees at lambda = lambda*.
 
     The residual matching consists of the type-server edges carrying positive
     flow in a maximum flow of the criticality network; components are its
@@ -501,53 +531,16 @@ def _assemble_dag(model: SystemModel, lam_star, comps) -> ComponentDag:
         lambda_star=lam_star,
         components=comps2,
         edges=edges2,
-        topo_orders=_all_topo_orders(k, edges2),
+        before=tuple(sum(1 << j for (a, j) in edges2 if a == i) for i in range(k)),
         subtree_nodes=reach2,
         subtree_types=vtypes,
     )
 
 
-def _all_topo_orders(k: int, edges) -> tuple:
-    """All component permutations sigma with pos(j) < pos(i) for every edge (i, j).
-
-    Every partial order extends to a full one, so the listing refuses after
-    at most ORDER_CAP orders; K independent components have K! of them.
-    """
-    # sigma must place the targets (overflow receivers) before the sources,
-    # i.e. it is a topological order of the edge-reversed DAG.
-    succ = {i: set() for i in range(k)}  # i -> components that must come before i
-    for (i, j) in edges:
-        succ[i].add(j)
-    out = []
-
-    def backtrack(placed, remaining):
-        if not remaining:
-            if len(out) == ORDER_CAP:
-                raise CapExceeded(
-                    f"K={k} components have more than {ORDER_CAP} topological orders")
-            out.append(tuple(placed))
-            return
-        for i in sorted(remaining):
-            if succ[i] <= set(placed):
-                placed.append(i)
-                remaining.remove(i)
-                backtrack(placed, remaining)
-                remaining.add(i)
-                placed.pop()
-
-    backtrack([], set(range(k)))
-    return tuple(out)
-
-
 def critical_subsets_via_construction(dag: ComponentDag) -> frozenset:
-    """All unions of topological prefixes of components, deduplicated."""
-    out = set()
-    for sigma in dag.topo_orders:
-        acc = set()
-        for i in sigma:
-            acc |= dag.components[i].types
-            out.add(frozenset(acc))
-    return frozenset(out)
+    """The type sets of the nonempty down-sets: all unions of topological prefixes."""
+    return frozenset(frozenset(t for i, comp in enumerate(dag.components) if d >> i & 1
+                               for t in comp.types) for d in dag.down_sets[1:])
 
 
 def report_from_construction(model: SystemModel, dag: ComponentDag) -> CriticalityReport:

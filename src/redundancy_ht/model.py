@@ -144,10 +144,6 @@ class SystemModel:
         """Aggregate speed of all servers compatible with at least one type in the set."""
         return sum(self.mu[n - 1] for n in self.servers_of(type_set))
 
-    def arrival_rate(self, t: int) -> Scalar:
-        """lambda_S = N * lambda * p_S for type index t."""
-        return self.n_servers * self.lam * self.p[t]
-
     def labels(self) -> list:
         return [type_label(s) for s in self.job_types]
 
@@ -155,12 +151,15 @@ class SystemModel:
         return replace(self, lam=lam)
 
     def as_float(self) -> "SystemModel":
-        return SystemModel(
-            mu=tuple(float(m) for m in self.mu),
-            lam=float(self.lam),
-            job_types=self.job_types,
-            p=tuple(float(ps) for ps in self.p),
-        )
+        try:
+            return SystemModel(
+                mu=tuple(float(m) for m in self.mu),
+                lam=float(self.lam),
+                job_types=self.job_types,
+                p=tuple(float(ps) for ps in self.p),
+            )
+        except OverflowError:
+            raise ModelError("a model number is out of float range") from None
 
 
 def aggregate(model: SystemModel, type_set: Iterable[int]):

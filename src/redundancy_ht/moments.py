@@ -8,9 +8,9 @@ of the geometric segment totals, computes the same value by enumeration
 (moment_total_alt); its per-segment factors equal the composition-sum
 factors by an exact polynomial identity, tested in moments_identity.
 
-Limit moments are moments of the sigma mixture of analytic.sigma_mixture
-along the trajectory; on the default trajectory every row of it sums to 1
-and the total has the closed form (n+K-1)!/(K-1)!.
+Limit moments are moments of the limit law along the trajectory, from
+analytic.limiting_transform; on the default trajectory every row of it sums
+to 1 and the total has the closed form (n+K-1)!/(K-1)!.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .analytic import _prefix_series, ordered_vector, sigma_mixture
+from .analytic import _prefix_series, limiting_transform, ordered_vector
 from .criticality import ComponentDag, CriticalityReport
 from .errors import DomainError
 from .model import Scalar, SystemModel, TrajectorySpec
@@ -58,7 +58,7 @@ def moment(model: SystemModel, req: MomentRequest, report: CriticalityReport = N
             return moment_total(model, req.n, req.discipline)
         if traj is None:
             return limit_moment_total(_need(report, "report"), req.n)
-        return _mixture_moment(_need(dag, "dag"), traj, req.n, sum)
+        return _mixture_moment(_need(dag, "dag"), traj, req.n, [1] * model.n_types)
     idx = int(req.target.split(":", 1)[1])
     if not req.limit:
         raise DomainError("per-type moments are exposed in the limit only")
@@ -233,12 +233,9 @@ def linear_exponential_moment(coeffs, n: int) -> Scalar:
     return math.factorial(n) * total
 
 
-def _mixture_moment(dag: ComponentDag, traj: TrajectorySpec, n: int, coefficient) -> Scalar:
-    """E[X^n] for X = sum_k coefficient(row_k) U_k under the sigma mixture on traj."""
-    total = 0
-    for (w, coeffs, _) in sigma_mixture(dag, traj).atoms:
-        total = total + w * linear_exponential_moment([coefficient(row) for row in coeffs], n)
-    return total
+def _mixture_moment(dag: ComponentDag, traj: TrajectorySpec, n: int, c) -> Scalar:
+    """E[(c.Y)^n] for Y the limit law on traj: n! [s^n] E[exp(s c.Y)]."""
+    return math.factorial(n) * limiting_transform(dag, [0] * len(c), traj, c, n)[n]
 
 
 def limit_moment_type(model: SystemModel, report: CriticalityReport, dag: ComponentDag,
@@ -254,7 +251,7 @@ def limit_moment_type(model: SystemModel, report: CriticalityReport, dag: Compon
         raise DomainError(f"unknown type index {type_index}")
     if type_index in dag.non_critical_types:
         return 0
-    return _mixture_moment(dag, traj, n, lambda row: row[type_index])
+    return _mixture_moment(dag, traj, n, [int(t == type_index) for t in model.type_indices])
 
 
 def limit_response_time(report: CriticalityReport, model: SystemModel) -> Scalar:

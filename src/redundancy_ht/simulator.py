@@ -391,6 +391,8 @@ def scaled_law_check(model: SystemModel, lam_star, law, discipline, eps_values,
         horizon = events_per_eps if isinstance(events_per_eps, int) else events_per_eps[i]
         est = simulate(pre, discipline, horizon_events=horizon, seed=seed + i,
                        sample_every=spacing)
+        if not len(est.samples):
+            raise DomainError(f"{horizon} events give no sample {spacing} events apart at eps={eps}")
         scaled = est.samples * eps
         ks_types = tuple(ks_two_sample(scaled[:, t], ref[:, t])[0]
                          for t in range(model.n_types))

@@ -1,7 +1,7 @@
 """Acceptance gate: every shipped guarantee, one pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines, or
-`rht verify --suite acceptance` for the same battery via the CLI.
+`rht verify` for the same battery via the CLI.
 """
 import time
 

@@ -9,7 +9,7 @@ from redundancy_ht import SystemModel, TrajectorySpec, default_trajectory, gener
 from redundancy_ht.analytic import (LimitLaw, beta_hat, beta_hat_sigma_k,
                                     enumerate_k_critical, h_term,
                                     laplace_of_mixture, limit_law, limiting_laplace,
-                                    limiting_laplace_cos_general, mixture_law,
+                                    limiting_transform, mixture_law,
                                     nested_sum_identity, ordered_vector, p_star, pgf_coc,
                                     pgf_cos, sample_limit, sigma_aggregate,
                                     sigma_weight_formula)
@@ -296,13 +296,12 @@ def test_limit_law_strong_crp_single_row():
 def test_default_direction_beyond_lambda_star(n_model):
     # only gamma = N*lambda* p is read, so a model file with lambda > lambda*
     # gets the same limit objects as a stable one
-    report, dag = _ctx(n_model)
+    _, dag = _ctx(n_model)
     over = n_model.with_lambda(F(3, 2))
     _, dag_over = _ctx(over)
     assert limit_law(dag_over) == limit_law(dag)
     t = [F(1), F(2)]
-    assert limiting_laplace_cos_general(over, report, dag_over, None, t) == \
-        limiting_laplace_cos_general(n_model, report, dag, None, t)
+    assert limiting_transform(dag_over, t) == limiting_transform(dag, t)
 
 
 def test_row_sums_one_fixed_direction(four_server, n_model):
@@ -345,7 +344,7 @@ def test_sample_mixture_vs_sigma_aggregation(four_server):
 def test_cos_general_t_zero(n_model):
     report, dag = _ctx(n_model)
     traj = default_trajectory(n_model, report.lambda_star)
-    assert limiting_laplace_cos_general(n_model, report, dag, traj, [F(0), F(0)]) == 1
+    assert limiting_transform(dag, [F(0), F(0)], traj)[0] == 1
 
 
 def test_cos_general_equals_coc_all_servers_busy(four_server):
@@ -355,8 +354,7 @@ def test_cos_general_equals_coc_all_servers_busy(four_server):
     traj = default_trajectory(four_server, report.lambda_star)
     mix = mixture_law(four_server, report, traj)
     for t in ([F(1), F(0), F(0), F(0)], [F(1, 2)] * 4, [F(2), F(1), F(0), F(3)]):
-        assert limiting_laplace_cos_general(four_server, report, dag, traj, t) == \
-            laplace_of_mixture(mix, t)
+        assert limiting_transform(dag, t, traj) == [laplace_of_mixture(mix, t)]
 
 
 def test_cos_general_matches_product_n_model(n_model):
@@ -365,7 +363,7 @@ def test_cos_general_matches_product_n_model(n_model):
     grid = [F(i, 2) for i in range(5)]
     for t in itertools.product(grid, repeat=2):
         a = limiting_laplace(dag, t, traj)
-        b = limiting_laplace_cos_general(n_model, report, dag, traj, t)
+        b = limiting_transform(dag, t, traj)[0]
         assert a == b
 
 
@@ -377,7 +375,7 @@ def test_cos_general_weak_crp_with_idle_servers():
     traj = default_trajectory(model, report.lambda_star)
     for t in ([F(0), F(1)], [F(1), F(2)], [F(3), F(1, 2)]):
         a = limiting_laplace(dag, t, traj)
-        b = limiting_laplace_cos_general(model, report, dag, traj, t)
+        b = limiting_transform(dag, t, traj)[0]
         assert a == b
 
 
@@ -414,8 +412,7 @@ def test_cos_general_equals_mixture_off_laminar(diamond):
     traj = default_trajectory(diamond, report.lambda_star)
     mix = mixture_law(diamond, report, traj)
     for t in ([F(1), F(0), F(0)], [F(1), F(2), F(3)], [F(1, 2), F(0), F(1)]):
-        assert limiting_laplace_cos_general(diamond, report, dag, traj, t) == \
-            laplace_of_mixture(mix, t)
+        assert limiting_transform(dag, t, traj) == [laplace_of_mixture(mix, t)]
 
 
 def test_cos_general_equals_mixture_random_models(rng):
@@ -428,7 +425,7 @@ def test_cos_general_equals_mixture_random_models(rng):
         mix = mixture_law(model, report, traj)
         for _ in range(3):
             t = [rng.uniform(0.0, 3.0) for _ in model.type_indices]
-            a = float(limiting_laplace_cos_general(model, report, dag, traj, t))
+            a = float(limiting_transform(dag, t, traj)[0])
             b = float(laplace_of_mixture(mix, t))
             assert abs(a - b) < 1e-10
 

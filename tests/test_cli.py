@@ -1,11 +1,16 @@
+import contextlib
+import io
 import itertools
 import json
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redundancy_ht import analytic
 from redundancy_ht.cli import main
@@ -144,7 +149,8 @@ def _subsets_doc(n_servers, n_types):
 
 
 def test_exit_code_cap_refusal(tmp_path, capsys):
-    """One type or server more than the subset-lattice cap exits 3, at once."""
+    """One type or server more than the subset-lattice cap, or a grid of more
+    steps than the grid cap, exits 3 at once."""
     cap = analytic.SUBSET_CAP
     wide = tmp_path / "wide.json"
     wide.write_text(json.dumps(_subsets_doc(5, cap + 1)))
@@ -159,7 +165,9 @@ def test_exit_code_cap_refusal(tmp_path, capsys):
                        (wide, ["pgf", "--z", z, "--discipline", "cos"]),
                        (wide, ["moments", "--n", "2"]),
                        (wide_servers, ["pgf", "--z", "1/2,1/2", "--discipline", "cos"]),
-                       (wide_servers, ["moments", "--n", "1", "--discipline", "cos"])):
+                       (wide_servers, ["moments", "--n", "1", "--discipline", "cos"]),
+                       (wide, ["laplace", "--t-grid", "0:4:1e400"]),
+                       (wide, ["laplace", "--t-grid", "0:4:10001"])):
         start = time.perf_counter()
         assert main([*argv, "--model", str(path)]) == 3
         assert time.perf_counter() - start < 1
@@ -249,15 +257,23 @@ def _n_model_with(section, index, key, value=None):
     ["laplace", "--t-grid", "0:4"],
     ["laplace", "--t-grid", "0:4:5/2"],
     ["laplace", "--t-grid", "0:4:0"],
+    ["laplace", "--t=-1,-1"],
+    ["laplace", "--t=-3,0"],
+    ["laplace", "--t=-3,0", "--backend", "float"],
+    ["laplace", "--t-grid=-2:0:3"],
     ["verify-limit", "--eps", "0.1,0"],
+    ["verify-limit", "--eps", "0.2", "--events", "50"],
     ["pgf", "--z", "5/2,1"],
     ["moments", "--n", "1", "--limit", "--target", "type:x"],
-)], ids=["missing-mu", "bad-mu", "p-zero-denominator", "type-without-servers",
+)] + [(_n_model_with("servers", 0, "mu", "1e400"), ["verify-limit", "--events", "2000"])],
+    ids=["missing-mu", "bad-mu", "p-zero-denominator", "type-without-servers",
          "string-server-id", "string-type-server", "servers-not-a-list", "not-an-object",
          "trajectory-without-epsilon", "sample-every-zero", "negative-warmup",
          "z-not-a-number", "z-zero-denominator", "z-float-overflow", "t-not-finite",
-         "t-grid-two-fields", "t-grid-fractional-steps", "t-grid-zero-steps", "eps-zero",
-         "z-at-a-pole", "target-not-an-integer"])
+         "t-grid-two-fields", "t-grid-fractional-steps", "t-grid-zero-steps",
+         "t-divergent-zero", "t-divergent-negative", "t-divergent-float", "t-grid-divergent",
+         "eps-zero", "no-sample-at-eps", "z-at-a-pole", "target-not-an-integer",
+         "mu-beyond-float-range"])
 def test_malformed_model_exits_2(doc, argv, tmp_path, capsys):
     """A malformed model file or argument exits 2 with a one-line message."""
     path = tmp_path / "bad.json"
@@ -333,20 +349,61 @@ def test_moments_limit_follows_the_trajectory(tmp_path, capsys):
         assert code == 0 and json.loads(out)["value"] == want, target
 
 
-def test_exit_code_order_cap(tmp_path, capsys):
-    """Eleven equally loaded independent queues have 11! topological orders:
-    every command that builds the component DAG refuses at once."""
-    k = 11
+def _independent_queues(tmp_path, k=11):
+    """k equally loaded independent queues: K = k components, k! orders, 2^k down-sets."""
     path = tmp_path / "partition.json"
     path.write_text(json.dumps({
         "servers": [{"id": i, "mu": "1"} for i in range(1, k + 1)],
         "types": [{"servers": [i], "p": f"1/{k}"} for i in range(1, k + 1)],
         "lambda": "1/2"}))
-    for argv in (["analyze"], ["limit-law"], ["moments", "--n", "1", "--limit"]):
+    return str(path)
+
+
+def test_exit_code_order_cap(tmp_path, capsys):
+    """Eleven equally loaded independent queues have 11! topological orders:
+    the commands that print orders refuse at once."""
+    path = _independent_queues(tmp_path)
+    for argv in (["analyze"], ["limit-law"]):
         start = time.perf_counter()
-        assert main([*argv, "--model", str(path)]) == 3
+        assert main([*argv, "--model", path]) == 3
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err.startswith("refused: ")
+
+
+def test_limit_sums_run_over_down_sets(tmp_path, capsys):
+    """On the same eleven queues the transform, the limit moments and
+    verify-limit sum over the 2^11 down-sets and never list an order."""
+    path = _independent_queues(tmp_path)
+    ones = ",".join(["1"] * 11)
+    for argv, key, want in ((["laplace", "--t", ones, "--cos"], "cos_general", "1/2048"),
+                            (["moments", "--limit", "--target", "type:0", "--n", "2"], "value",
+                             "2"),
+                            (["moments", "--limit", "--n", "1"], "value", "11")):
+        start = time.perf_counter()
+        code, out = _run([*argv, "--model", path], capsys)
+        assert code == 0 and json.loads(out)[key] == want, argv
+        assert time.perf_counter() - start < 10
+    start = time.perf_counter()
+    assert main(["verify-limit", "--model", path, "--eps", "0.2", "--events", "2000",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert time.perf_counter() - start < 10
+    capsys.readouterr()
+
+
+def test_laplace_grid_reads_the_mixture_off_laminar(tmp_path, capsys):
+    """On the diamond with gamma = (1, 2, 3) the product form gives 5/14 at
+    t = 1, but the limit law is the mixture."""
+    doc = dict(DIAMOND_DOC, trajectory={"gamma": {"1,3": "1", "2,3": "2", "3": "3"},
+                                        "epsilon": "0"})
+    path = tmp_path / "diamond.json"
+    path.write_text(json.dumps(doc))
+    assert main(["laplace", "--model", str(path), "--t-grid", "0:2:3",
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "laplace_grid.csv").read_text().splitlines()
+    assert rows == ["t,laplace", "0,1", "1,65/189", "2,17/108"]
+    code, out = _run(["laplace", "--model", str(path), "--t", "1,1,1"], capsys)
+    assert code == 0 and json.loads(out)["mixture_form"] == "65/189"
 
 
 @pytest.mark.parametrize("argv", [
@@ -443,3 +500,70 @@ def test_commands_beyond_ordered_vector_cap(tmp_path, capsys):
         rows = (tmp_path / "samples.csv").read_text().splitlines()
         assert len(rows) == 301
     capsys.readouterr()
+
+
+# --- strict inputs: any document or argument exits 0, 2 or 3 ------------------------
+
+_SCALARS = st.sampled_from(["1", "1/2", "2/3", "3", "0", "-1", "1/0", "x", "1e400", "2.5", 0.5,
+                            1, -1.0, 1e308, True])
+_ENTRIES = st.sampled_from(["0", "1", "1/2", "3", "-1", "-3", "-1/2", "1e400", "x", "2.5", ""])
+_GOOD_ENTRIES = st.sampled_from(["0", "1", "1/2", "3", "2.5"])
+
+
+@st.composite
+def _documents(draw):
+    """A model document, well formed except (sometimes) in one field."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    bad = draw(st.sampled_from([None, None, "mu", "p", "lambda", "gamma", "servers"]))
+
+    def value(field, good):
+        return draw(_SCALARS if field == bad else st.sampled_from(good))
+
+    servers = st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
+    doc = {"servers": [{"id": i, "mu": value("mu", ["1", "2", "1/2"])} for i in range(1, n + 1)],
+           "types": [{"servers": draw(st.lists(st.integers(0, n + 1), max_size=n)
+                                      if bad == "servers" else servers),
+                      "p": value("p", [f"1/{k}"])} for _ in range(k)],
+           "lambda": value("lambda", ["1/4", "1/2", "9/10", "2", 0.25])}
+    if draw(st.booleans()):
+        doc["trajectory"] = {"gamma": {",".join(map(str, sorted(t["servers"]))):
+                                       value("gamma", ["1", "2", "1/3"]) for t in doc["types"]},
+                             "epsilon": value("gamma", ["0", "1/10"])}
+    return doc
+
+
+@st.composite
+def _arguments(draw, doc):
+    k = len(doc["types"])
+    entries = draw(st.sampled_from([_GOOD_ENTRIES, _ENTRIES]))
+    vector = ",".join(draw(st.lists(entries, min_size=k, max_size=k)
+                           | st.lists(_ENTRIES, max_size=k + 1)))
+    grid = ":".join([draw(entries), draw(entries),
+                     draw(st.sampled_from(["1", "3", "5/2", "0", "-1", "1e400", "20000"]))])
+    eps = ",".join(draw(st.lists(st.sampled_from(["0.2", "0.5", "1", "2", "0", "-0.1", "1/3",
+                                                  "x", "1e-9"]), min_size=1, max_size=2)))
+    backend = ["--backend", draw(st.sampled_from(["exact", "float"]))]
+    return draw(st.sampled_from([
+        ["pgf", "--z=" + vector, "--discipline", draw(st.sampled_from(["coc", "cos"])), *backend],
+        ["laplace", "--t=" + vector, "--cos", *backend],
+        ["laplace", "--t-grid=" + grid, *backend],
+        ["verify-limit", "--eps=" + eps, "--events", "300"]]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzz_documents_and_arguments_never_crash(data):
+    """A model document or argument exits 0, 2 (malformed, divergent) or 3
+    (over a cap), never 1 with a traceback."""
+    doc = data.draw(_documents())
+    argv = data.draw(_arguments(doc))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/m.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main([*argv, "--model", path, "--out-dir", tmp])
+            except SystemExit as exc:  # argparse rejects a flag with exit 2
+                code = exc.code
+    assert code in (0, 2, 3), (doc, argv)

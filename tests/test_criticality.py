@@ -223,3 +223,18 @@ def test_diamond_not_laminar(diamond):
 def test_requires_exact_model(n_model):
     with pytest.raises(Exception):
         critical_rate_and_subsets_bruteforce(n_model.as_float())
+
+
+def test_topo_orders_match_permutation_filter(rng):
+    """The maximal chains of the down-set lattice are exactly the permutations
+    that put every overflow target first, in the same lexicographic order."""
+    dags = [generators.random_forest_dag(rng, max_k=6) for _ in range(30)]
+    dags += [crp_components(generators.random_stable_model(rng, max_servers=5, max_types=5))
+             for _ in range(30)]
+    for dag in dags:
+        want = tuple(sigma for sigma in itertools.permutations(range(dag.K))
+                     if all(sigma.index(j) < sigma.index(i) for (i, j) in dag.edges))
+        assert dag.topo_orders == want
+        assert len(dag.down_sets) == len({frozenset(sigma[:m]) for sigma in want
+                                          for m in range(dag.K + 1)})
+    assert max(dag.K for dag in dags) >= 4

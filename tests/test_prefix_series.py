@@ -4,7 +4,9 @@ The oracles below enumerate ordered type vectors and ordered idle-server
 vectors as the formulas are written; pgf_coc, pgf_cos, moment_total,
 expected_type_counts, the c.o.s. configuration distribution, the sampler's
 peeling probabilities, sigma_mixture and the c.o.s. limiting Laplace
-transform must agree with them exactly on random rational models.
+transform must agree with them exactly on random rational models. The path
+sums over the down-sets of the component DAG (limiting_transform, the limit
+moments) must agree exactly with the sums over sigma_mixture's listed orders.
 """
 import itertools
 import math
@@ -15,12 +17,13 @@ import pytest
 
 from redundancy_ht import SystemModel, TrajectorySpec, default_trajectory, generators
 from redundancy_ht.analytic import (enumerate_k_critical, h_term, iter_ordered_type_tuples,
-                                    limiting_laplace_cos_general, mixture_law, omega_weight,
-                                    ordered_vector, pgf_coc, pgf_cos, sigma_aggregate,
-                                    sigma_mixture)
+                                    laplace_of_mixture, limiting_transform, mixture_law,
+                                    omega_weight, ordered_vector, pgf_coc, pgf_cos,
+                                    sigma_aggregate, sigma_mixture)
 from redundancy_ht.criticality import critical_rate_and_subsets_bruteforce, crp_components
 from redundancy_ht.errors import DomainError
-from redundancy_ht.moments import _compositions, geometric_moment_factor, moment_total
+from redundancy_ht.moments import (MomentRequest, _compositions, geometric_moment_factor,
+                                   linear_exponential_moment, moment, moment_total)
 from redundancy_ht.prelimit import (_last_type_weights, _peeling_weights, config_distribution,
                                     expected_type_counts, segment_law)
 
@@ -222,5 +225,40 @@ def test_cos_laplace_matches_idle_sums(diamond):
                                                  report.lambda_star)
         for _ in range(2):
             t = [F(rng.randint(0, 6), rng.randint(1, 3)) for _ in model.type_indices]
-            assert limiting_laplace_cos_general(model, report, dag, traj, t) == \
-                laplace_cos_oracle(model, report, oracle_traj, t)
+            assert limiting_transform(dag, t, traj) == \
+                [laplace_cos_oracle(model, report, oracle_traj, t)]
+
+
+# --- the down-set lattice against the listed orders -------------------------------
+
+def test_lattice_transform_matches_sigma_listing(diamond):
+    rng = random.Random(4090)
+    models = [diamond] + [m for _, m in _models(409, 30)]
+    laminar = set()
+    for model, _, dag, traj in _with_trajectories(rng, models):
+        laminar.add(dag.subtrees_laminar)
+        mix = sigma_mixture(dag, traj)
+        for _ in range(3):
+            t = [F(rng.randint(0, 6), rng.randint(1, 3)) for _ in model.type_indices]
+            assert limiting_transform(dag, t, traj) == [laplace_of_mixture(mix, t)]
+    assert laminar == {True, False}
+
+
+def test_lattice_moments_match_sigma_listing(diamond):
+    rng = random.Random(4100)
+    models = [diamond] + [m for _, m in _models(410, 25)]
+    laminar = set()
+    for model, report, dag, traj in _with_trajectories(rng, models):
+        laminar.add(dag.subtrees_laminar)
+        atoms = sigma_mixture(dag, traj).atoms
+        targets = [("total", [1] * model.n_types)] + \
+            [(f"type:{s}", [int(t == s) for t in model.type_indices]) for s in model.type_indices]
+        for target, c in targets:
+            for n in (1, 2, 3):
+                want = sum(w * linear_exponential_moment([sum(a * b for a, b in zip(c, row))
+                                                          for row in rows], n)
+                           for w, rows, _ in atoms)
+                got = moment(model, MomentRequest(n=n, target=target, limit=True), report, dag,
+                             traj)
+                assert got == want, (target, n)
+    assert laminar == {True, False}
