@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -201,7 +202,8 @@ def cmd_simulate(args):
         "discipline": args.discipline,
         "events": est.events,
         "time_avg": [float(x) for x in est.time_avg],
-        "half_width": [float(x) for x in est.half_width],
+        # fewer than 2 batches leave the half-width undefined (inf), which JSON cannot hold
+        "half_width": [float(x) if math.isfinite(x) else None for x in est.half_width],
         "time_avg_total": est.time_avg_total,
         "type_labels": model.labels(),
     }
@@ -345,6 +347,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out_dir", None) and not Path(args.out_dir).is_dir():
+            raise ModelError(f"--out-dir: {args.out_dir!r} is not a directory")
         return args.fn(args)
     except CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -17,6 +17,12 @@ an invariant `check()`:
 
 Busy rates are looked up per state mask (`_BusyRates`, filled on first
 use), and counts go to one lazily integrated accumulator (`_Integrals`).
+
+The module imports no scipy, so neither does the command line: batch-means
+half-widths read Student's t quantiles from a table (`T975`), and
+`ks_two_sample` computes the two-sample KS statistic as `scipy.stats.ks_2samp`
+does, to the bit. Only the oracle `ctmc_oracle` imports `scipy.sparse`, when
+it is called.
 """
 from __future__ import annotations
 
@@ -31,9 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
-import scipy.stats
 
 from .criticality import require_stable
 from .errors import CapExceeded, DomainError
@@ -42,6 +45,13 @@ from .prelimit import _check_discipline
 
 STATE_CAP = 2_000_000
 MIN_BATCHES = 20
+# scipy.stats.t.ppf(0.975, d) for d = 1 .. MIN_BATCHES - 1, the degrees of
+# freedom that batch means can have; T975[d - 1] is d degrees of freedom.
+T975 = (12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+        2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+        2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+        2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+        2.1098155778333156, 2.1009220402410382, 2.0930240544083087)
 
 
 @dataclass
@@ -102,8 +112,7 @@ def simulate(model: SystemModel, discipline: str, horizon_events: int,
     bm = areas[:, :s] / durations[:, None]
     nb = bm.shape[0]
     if nb >= 2:
-        tcrit = scipy.stats.t.ppf(0.975, nb - 1)
-        half = tcrit * bm.std(axis=0, ddof=1) / math.sqrt(nb)
+        half = T975[nb - 2] * bm.std(axis=0, ddof=1) / math.sqrt(nb)
     else:
         half = np.full(s, np.inf)
     return SimEstimate(
@@ -348,12 +357,29 @@ class _FcfsAlis:
 # Convergence checking against a limit law
 # ---------------------------------------------------------------------------
 
+KS_EXACT_N = 10_000  # ks_2samp's exact mode, which rounds the statistic, up to this size
+
+
 def ks_two_sample(a, b):
     """Two-sample KS statistic plus the alpha=0.01 asymptotic critical value."""
-    stat = scipy.stats.ks_2samp(a, b).statistic
+    return _ks_sorted(np.sort(a), np.sort(b))
+
+
+def _ks_sorted(a, b):
+    """`ks_two_sample` of two sorted samples: the statistic bit for bit as
+    `scipy.stats.ks_2samp(a, b).statistic`, including its exact-mode rounding
+    to a multiple of 1/lcm(n, m)."""
     n, m = len(a), len(b)
+    if not n or not m:
+        raise DomainError("the KS statistic needs two nonempty samples")
+    both = np.concatenate([a, b])
+    gaps = np.searchsorted(a, both, side="right") / n - np.searchsorted(b, both, side="right") / m
+    stat = float(np.abs(gaps).max())
+    if max(n, m) <= KS_EXACT_N:
+        lcm = n // math.gcd(n, m) * m
+        stat = round(stat * lcm) / lcm
     crit = math.sqrt(-math.log(0.01 / 2) / 2) * math.sqrt((n + m) / (n * m))
-    return float(stat), crit
+    return stat, crit
 
 
 @dataclass
@@ -383,7 +409,8 @@ def scaled_law_check(model: SystemModel, lam_star, law, discipline, eps_values,
 
     rows = []
     ref = sample_limit(law, law_samples, seed=seed + 999)
-    ref_total = ref.sum(axis=1)
+    ref_total = np.sort(ref.sum(axis=1))
+    ref_cols = [np.sort(ref[:, t]) for t in range(model.n_types)]
     gamma = default_trajectory(model, lam_star).gamma if traj is None else traj.gamma
     for i, eps in enumerate(eps_values):
         pre = model_at_trajectory(model, TrajectorySpec(gamma, Fraction(eps)), lam_star)
@@ -394,9 +421,9 @@ def scaled_law_check(model: SystemModel, lam_star, law, discipline, eps_values,
         if not len(est.samples):
             raise DomainError(f"{horizon} events give no sample {spacing} events apart at eps={eps}")
         scaled = est.samples * eps
-        ks_types = tuple(ks_two_sample(scaled[:, t], ref[:, t])[0]
-                         for t in range(model.n_types))
-        ks_tot, crit = ks_two_sample(scaled.sum(axis=1), ref_total)
+        ks_types = tuple(_ks_sorted(np.sort(scaled[:, t]), col)[0]
+                         for t, col in enumerate(ref_cols))
+        ks_tot, crit = _ks_sorted(np.sort(scaled.sum(axis=1)), ref_total)
         rows.append(ScaledLawRow(eps=float(eps), ks_per_type=ks_types, ks_total=ks_tot,
                                  ks_total_critical=crit,
                                  mean_scaled=tuple(float(eps * x) for x in est.time_avg),
@@ -433,6 +460,9 @@ def ctmc_oracle(model: SystemModel, discipline: str = "coc", truncation_len: int
     dicts over type-label tuples. Only cancel-on-completion has a central-
     queue product form; requesting "cos" raises DomainError.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     _check_discipline(discipline)
     if discipline != "coc":
         raise DomainError("the central-queue product-form oracle exists for coc only")

@@ -130,6 +130,34 @@ def test_simulate_json_deterministic(n_model_file, tmp_path, capsys):
         (out_b / "simulate_samples.csv").read_bytes()
 
 
+def test_simulate_json_is_valid_with_one_batch(n_model_file, tmp_path, capsys):
+    # one event makes one batch: the half-width is undefined and written as null
+    assert main(["simulate", "--model", n_model_file, "--events", "1", "--warmup", "0",
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    summary = json.loads((tmp_path / "simulate.json").read_text(), parse_constant=reject)
+    assert summary["half_width"] == [None, None]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["pgf", "--z", "1/2,1/2"], ["laplace", "--t", "1,1"], ["limit-law"],
+    ["moments", "--n", "1"], ["sample", "--n", "5"], ["simulate", "--events", "100"],
+    ["verify-limit", "--events", "300", "--eps", "0.5"]],
+    ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing", "file"])
+def test_out_dir_not_a_directory_exits_2(argv, where, n_model_file, tmp_path, capsys):
+    """An --out-dir that is missing or is a file exits 2 with a one-line message."""
+    out = tmp_path / "missing" / "x" if where == "missing" else n_model_file
+    assert main([*argv, "--model", n_model_file, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --out-dir") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_exit_code_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -543,11 +571,23 @@ def _arguments(draw, doc):
     eps = ",".join(draw(st.lists(st.sampled_from(["0.2", "0.5", "1", "2", "0", "-0.1", "1/3",
                                                   "x", "1e-9"]), min_size=1, max_size=2)))
     backend = ["--backend", draw(st.sampled_from(["exact", "float"]))]
+    discipline = ["--discipline", draw(st.sampled_from(["coc", "cos"]))]
+
+    def count(*values):
+        return draw(st.sampled_from([*values, "0", "-1", "x"]))
+
+    target = draw(st.sampled_from(["total", "type:0", f"type:{k - 1}", f"type:{k}", "type:",
+                                   "type:x", "type:-1", "types:0", ""]))
+    limit = draw(st.sampled_from([[], ["--limit"], ["--prelimit"]]))
     return draw(st.sampled_from([
-        ["pgf", "--z=" + vector, "--discipline", draw(st.sampled_from(["coc", "cos"])), *backend],
+        ["pgf", "--z=" + vector, *discipline, *backend],
         ["laplace", "--t=" + vector, "--cos", *backend],
         ["laplace", "--t-grid=" + grid, *backend],
-        ["verify-limit", "--eps=" + eps, "--events", "300"]]))
+        ["verify-limit", "--eps=" + eps, "--events", "300", *discipline],
+        ["simulate", "--events", count("1", "2", "50", "300"), "--warmup", count("1", "100"),
+         "--sample-every", count("1", "7", "1000"), *discipline],
+        ["sample", "--n", count("1", "3", "40"), *discipline],
+        ["moments", "--n", count("1", "2", "13"), "--target=" + target, *limit, *discipline]]))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -557,13 +597,14 @@ def test_fuzz_documents_and_arguments_never_crash(data):
     (over a cap), never 1 with a traceback."""
     doc = data.draw(_documents())
     argv = data.draw(_arguments(doc))
+    out = data.draw(st.sampled_from(["", "", "", "/missing", "/m.json"]))
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/m.json"
         with open(path, "w") as fh:
             json.dump(doc, fh)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
-                code = main([*argv, "--model", path, "--out-dir", tmp])
+                code = main([*argv, "--model", path, "--out-dir", tmp + out])
             except SystemExit as exc:  # argparse rejects a flag with exit 2
                 code = exc.code
-    assert code in (0, 2, 3), (doc, argv)
+    assert code in (0, 2, 3), (doc, argv, out)

@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -13,8 +16,8 @@ from redundancy_ht.errors import CapExceeded, DomainError
 from redundancy_ht.model import TrajectorySpec, model_at_trajectory
 from redundancy_ht.moments import moment_total
 from redundancy_ht.prelimit import config_distribution, expected_type_counts
-from redundancy_ht.simulator import (config_marginals_from_oracle, ctmc_oracle,
-                                     ks_two_sample, scaled_law_check, simulate)
+from redundancy_ht.simulator import (MIN_BATCHES, T975, config_marginals_from_oracle,
+                                     ctmc_oracle, ks_two_sample, scaled_law_check, simulate)
 
 
 def test_mm1_time_average(mm1):
@@ -153,6 +156,58 @@ def test_ks_two_sample_critical_value():
     stat, crit = ks_two_sample(a, b)
     assert stat < crit
     assert abs(crit - 1.6276 * math.sqrt(2 / 2000)) < 1e-3
+
+
+def test_t_table_is_scipy_quantile():
+    import scipy.stats
+
+    assert len(T975) == MIN_BATCHES - 1
+    for dof, value in enumerate(T975, start=1):
+        assert value == float(scipy.stats.t.ppf(0.975, dof)), dof
+
+
+def _ks_pairs():
+    """Sample pairs for the KS differential test: continuous and tied (scaled
+    integer counts) values, n == m and n != m, sizes on both sides of the
+    10,000 where scipy stops rounding to a multiple of 1/lcm(n, m)."""
+    rng = np.random.default_rng(7)
+    sizes = [(1, 1), (1, 7), (5, 5), (37, 91), (300, 300), (480, 2000), (999, 1000),
+             (10_000, 10_000), (10_000, 9_999), (10_001, 10_000), (70, 100_000),
+             (4_000, 12_000)]
+    for n, m in sizes:
+        yield rng.exponential(1.0, n), rng.exponential(1.2, m)
+        eps = rng.choice([0.02, 0.1, 1 / 3])
+        yield rng.poisson(3.0, n) * eps, rng.geometric(0.3, m) * eps
+        yield rng.integers(0, 4, n), rng.integers(0, 4, m)
+    for _ in range(300):
+        n, m = rng.integers(1, 200, 2)
+        yield rng.normal(size=n).round(1), rng.normal(0.2, 1.0, m).round(1)
+
+
+@pytest.mark.filterwarnings("ignore:ks_2samp:RuntimeWarning")  # scipy's exact p-value can give up
+def test_ks_two_sample_is_scipy_statistic():
+    import scipy.stats
+
+    for a, b in _ks_pairs():
+        want = float(scipy.stats.ks_2samp(a, b).statistic)
+        assert ks_two_sample(a, b)[0] == want, (len(a), len(b))
+        assert ks_two_sample(list(a), list(b))[0] == want
+
+
+def test_ks_two_sample_needs_two_samples():
+    with pytest.raises(DomainError):
+        ks_two_sample([], [1.0])
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, redundancy_ht.cli; "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_scaled_law_check_runs(n_model):
