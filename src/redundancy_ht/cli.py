@@ -1,8 +1,9 @@
 """Command-line entry point: analyze | pgf | laplace | limit-law | moments |
 sample | simulate | verify-limit | verify.
 
-Exit codes: 0 success, 2 validation error (bad model file or arguments, or
-a PGF point at a pole), 3 refusal due to an enumeration/size cap.
+Exit codes: 0 success, 2 validation error (bad model file or arguments, a
+PGF point at a pole, or a value out of float range), 3 refusal due to an
+enumeration/size cap or a count cap (simulated events, held samples).
 Exact-backend outputs serialize all numbers as rational strings; the float
 backend (`--backend float`, read by pgf and laplace) emits plain floats.
 The environment variable RHT_SEED supplies the default `--seed` of sample,
@@ -26,6 +27,18 @@ from .errors import CapExceeded, DomainError, ModelError, PoleError
 from .model import MODEL_FORMAT_VERSION, load_model, parse_scalar
 
 GRID_CAP = 10_000  # laplace --t-grid refuses more steps
+# Counts from the command line are refused (exit 3) beyond these caps before
+# any work starts. EVENT_CAP bounds the events one command simulates, warm-up
+# included (simulate: --events plus --warmup; verify-limit: that per
+# epsilon): 10^8 events take about 4 minutes of one CPU at the slowest rate
+# the event loops reach on perfbench/models (0.42M events/s at 13-14 types)
+# and 2-3 minutes at 2-7 types (0.6-0.9M events/s). CELL_CAP bounds the
+# per-type counts one command holds, rows times types (sample: --n rows;
+# simulate and verify-limit: at most one sample per --sample-every, or per
+# simulator.KS_MIN_SPACING, events): peak memory grew by at most ~120 bytes
+# a cell (sample on M/M/1), so 5 * 10^6 cells stay under ~0.6 GB.
+EVENT_CAP = 100_000_000
+CELL_CAP = 5_000_000
 
 
 def _num(x):
@@ -72,6 +85,11 @@ def _write_csv(args, name, header, rows):
         w = csv.writer(sys.stdout)
         w.writerow(header)
         w.writerows(rows)
+
+
+def _refuse_above(what, count, cap):
+    if count > cap:
+        raise CapExceeded(f"{what} is {count}, over the cap of {cap}")
 
 
 def _load(args):
@@ -185,6 +203,7 @@ def cmd_moments(args):
 
 def cmd_sample(args):
     model, _ = _load(args)
+    _refuse_above("--n times the number of types", args.n * model.n_types, CELL_CAP)
     x = prelimit.sample_prelimit(model, args.discipline, args.n, args.seed)
     rows = [[i] + list(map(int, row)) for i, row in enumerate(x)]
     _write_csv(args, "samples", ["sample"] + model.labels(), rows)
@@ -193,6 +212,11 @@ def cmd_sample(args):
 
 def cmd_simulate(args):
     model, _ = _load(args)
+    warmup = args.events // 5 if args.warmup is None else args.warmup
+    _refuse_above("--events plus warm-up", args.events + warmup, EVENT_CAP)
+    if args.sample_every >= 1:
+        _refuse_above("samples (--events / --sample-every + 1) times the number of types",
+                      (args.events // args.sample_every + 1) * model.n_types, CELL_CAP)
     est = simulator.simulate(model, args.discipline, horizon_events=args.events,
                              warmup_events=args.warmup, seed=args.seed,
                              sample_every=args.sample_every)
@@ -228,6 +252,11 @@ def cmd_verify_limit(args):
     if any(e <= 0 for e in eps_values):
         raise ModelError(f"--eps: every epsilon must be positive, got {args.eps!r}")
     eps_values = [float(e) for e in eps_values]
+    _refuse_above("--events plus warm-up, times the number of epsilons",
+                  (args.events + args.events // 5) * len(eps_values), EVENT_CAP)
+    spacing = simulator.KS_MIN_SPACING
+    _refuse_above(f"samples (--events / {spacing} + 1 per epsilon) times the number of types",
+                  (args.events // spacing + 1) * len(eps_values) * model.n_types, CELL_CAP)
     rows = simulator.scaled_law_check(model, report.lambda_star, law, args.discipline,
                                       eps_values, args.events, seed=args.seed,
                                       keep_samples=args.scatter, traj=traj)
@@ -355,6 +384,9 @@ def main(argv=None) -> int:
         return 3
     except (ModelError, DomainError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # e.g. an exact 1e400 meeting a float model value
+        print(f"error: a value is out of float range ({exc})", file=sys.stderr)
         return 2
 
 

@@ -1,22 +1,27 @@
 """Event-driven simulation of the redundancy dynamics and a truncated-CTMC oracle.
 
-One event loop (`_run`) serves every discipline: it draws the time to the
-next transition at the total rate, then an arrival of a random type or a
-completion at a server chosen in proportion to its speed, and leaves what
-these do to a queue policy with `busy()`, `arrive(t)`, `finish(server)` and
-an invariant `check()`:
+Each discipline has one event loop, a kernel that keeps all of its per-event
+state in local variables:
 
-- `_CentralQueue`: cancel-on-completion on the aggregated central queue.
-  Each server works on the earliest compatible job, so a job departs at
-  the total speed of the servers whose earliest compatible job it is.
-- `_CopyQueues`: literal cancel-on-completion, one FCFS copy queue per
-  server; the reference for differential tests, on the same sample path.
-- `_FcfsAlis`: cancel-on-start. An arriving job goes to the longest-idle
-  compatible server, else it waits; a freed server takes the earliest
-  compatible waiting job.
+- `_run_coc`: cancel-on-completion on the aggregated central queue, one
+  FCFS queue of job ids per type. Each server works on the earliest
+  compatible job, so a job departs at the total speed of the servers whose
+  earliest compatible job it is.
+- `_run_cos`: cancel-on-start as FCFS-ALIS. An arriving job goes to the
+  longest-idle compatible server, else it waits; a freed server takes the
+  earliest compatible waiting job.
 
-Busy rates are looked up per state mask (`_BusyRates`, filled on first
-use), and counts go to one lazily integrated accumulator (`_Integrals`).
+Both draw, per event, the holding time at the total rate as
+`random.expovariate` computes it, then an arrival of a random type or a
+completion at a server chosen in proportion to its speed. Busy rates are
+looked up per state mask (`_BusyRates`, filled on first use). A count's time
+integral is brought up to date only when the count changes, and every
+count's at the end of a batch. The warm-up and the `MIN_BATCHES` batches
+run as separate loop segments (`_segments`), each restarting the clock and
+the integrals at 0; the warm-up's are dropped. The policy-object loop these
+kernels replaced, with its literal per-copy queues and invariant checks,
+lives on in the tests as their differential oracle: for a fixed seed the
+outputs agree exactly.
 
 The module imports no scipy, so neither does the command line: batch-means
 half-widths read Student's t quantiles from a table (`T975`), and
@@ -26,12 +31,12 @@ it is called.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
 import time
 import warnings
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,8 +76,7 @@ class SimEstimate:
 
 def simulate(model: SystemModel, discipline: str, horizon_events: int,
              warmup_events: int = None, seed: int = 0, sample_every: int = 100,
-             allow_unstable: bool = False, debug_checks: bool = False,
-             literal_copies: bool = False) -> SimEstimate:
+             allow_unstable: bool = False) -> SimEstimate:
     """Run one replication and estimate steady-state per-type queue lengths.
 
     horizon_events counts post-warmup events; warm-up defaults to 20% of the
@@ -88,8 +92,6 @@ def simulate(model: SystemModel, discipline: str, horizon_events: int,
         raise DomainError(f"need a nonnegative warm-up, got {warmup_events} events")
     if sample_every < 1:
         raise DomainError(f"need sample_every >= 1, got {sample_every}")
-    if literal_copies and discipline != "coc":
-        raise DomainError("literal-copies mode exists only for cancel-on-completion")
     try:
         require_stable(model)
     except DomainError as exc:
@@ -97,14 +99,17 @@ def simulate(model: SystemModel, discipline: str, horizon_events: int,
             raise DomainError(f"{exc}; pass allow_unstable=True") from None
         warnings.warn(f"{exc}; simulating anyway")
     fmodel = model.as_float()
-    if discipline == "cos":
-        policy = _FcfsAlis(fmodel)
-    else:
-        policy = _CopyQueues(fmodel) if literal_copies else _CentralQueue(fmodel)
+    kernel = _run_cos if discipline == "cos" else _run_coc
     start = time.perf_counter()
-    batches, samples = _run(policy, fmodel, horizon_events, warmup_events, seed,
-                            sample_every, debug_checks)
-    wall = time.perf_counter() - start
+    batches, samples = kernel(fmodel, _segments(horizon_events, warmup_events), seed,
+                              sample_every)
+    return _estimate(fmodel, discipline, batches, samples, horizon_events,
+                     time.perf_counter() - start)
+
+
+def _estimate(fmodel, discipline, batches, samples, events, wall):
+    """Time averages and batch-means half-widths from the per-batch
+    (areas, duration) pairs of a run."""
     s = fmodel.n_types
     areas = np.array([area for area, _ in batches])
     durations = np.array([duration for _, duration in batches])
@@ -120,84 +125,19 @@ def simulate(model: SystemModel, discipline: str, horizon_events: int,
         time_avg=time_avg[:s],
         half_width=half,
         samples=np.asarray(samples, dtype=np.int64).reshape(-1, s),
-        events=horizon_events,
+        events=events,
         wall_seconds=wall,
         time_avg_in_service=time_avg[s:] if discipline == "cos" else None,
     )
 
 
-def _run(policy, fmodel, horizon, warmup, seed, sample_every, debug_checks):
-    """The event loop: returns the policy's batch integrals and the sampled type counts."""
-    rng = random.Random(seed)
-    expo, unif = rng.expovariate, rng.random
-    s = fmodel.n_types
-    lam_total = fmodel.n_servers * fmodel.lam
-    cum = list(itertools.accumulate(fmodel.p))
-    cum[-1] = 1.0  # no rounding gap at the top
-    acc, busy_now, arrive, finish = policy.acc, policy.busy, policy.arrive, policy.finish
+def _segments(horizon, warmup):
+    """Event counts of the warm-up and then of each batch: MIN_BATCHES
+    batches of horizon // MIN_BATCHES events, the last taking the remainder,
+    or one event per batch when the horizon is shorter than that."""
     per_batch = max(1, horizon // MIN_BATCHES)
-    cuts = iter(range(per_batch, per_batch * MIN_BATCHES, per_batch))
-    next_cut = next(cuts)
-    samples = []
-    departures = 0
-    for event in range(-warmup, horizon):
-        if debug_checks:
-            policy.check()
-        busy_rate, busy = busy_now()
-        total_rate = lam_total + busy_rate
-        dt = expo(total_rate)
-        if event >= 0:
-            if event == next_cut:
-                acc.cut()
-                next_cut = next(cuts, None)
-            acc.now += dt
-        u = unif() * total_rate
-        if u < lam_total:
-            arrive(bisect.bisect_left(cum, u / lam_total))
-        else:
-            u -= lam_total
-            chosen = busy[-1][0]
-            for srv, m in busy:
-                if u < m:
-                    chosen = srv
-                    break
-                u -= m
-            finish(chosen)
-            departures += 1
-            if event >= 0 and departures % sample_every == 0:
-                samples.append(acc.count[:s])
-    acc.cut()
-    return acc.batches, samples
-
-
-class _Integrals:
-    """Time integrals of integer counts, one channel per count, cut into batches.
-
-    A channel's area is brought up to date only when its count changes, and
-    every channel's at a batch cut. The clock restarts at 0 after each cut
-    and stays at 0 during warm-up, so warm-up is not integrated.
-    """
-
-    def __init__(self, channels: int):
-        self.count = [0] * channels
-        self.batches = []  # (area per channel, duration) of each finished batch
-        self._restart()
-
-    def _restart(self):
-        self.now = 0.0
-        self.area = [0.0] * len(self.count)
-        self.since = [0.0] * len(self.count)
-
-    def change(self, channel: int, delta: int):
-        self.area[channel] += self.count[channel] * (self.now - self.since[channel])
-        self.since[channel] = self.now
-        self.count[channel] += delta
-
-    def cut(self):
-        now = self.now
-        self.batches.append(([a + c * (now - t) for a, c, t in
-                              zip(self.area, self.count, self.since)], now))
-        self._restart()
+    nb = min(horizon, MIN_BATCHES)
+    return [warmup] + [per_batch] * (nb - 1) + [horizon - per_batch * (nb - 1)]
 
 
 class _BusyRates(dict):
@@ -220,137 +160,160 @@ def _compat(fmodel):
             for srv in range(fmodel.n_servers)]
 
 
-def _earliest(queues, types):
-    """The type among `types` whose queue head is the earliest job, or None if all are empty."""
-    best, best_type = None, None
-    for t in types:
-        q = queues[t]
-        if q and (best is None or q[0] < best):
-            best, best_type = q[0], t
-    return best_type
+def _type_draw(fmodel):
+    """(N lambda, cumulative p): type t arrives when bisect_left(cum, u) == t."""
+    cum = list(itertools.accumulate(fmodel.p))
+    cum[-1] = 1.0  # no rounding gap at the top
+    return fmodel.n_servers * fmodel.lam, cum
 
 
-class _CentralQueue:
-    """Cancel-on-completion on one FCFS queue of job ids per type."""
+# In both kernels each segment restarts the clock and the areas, and every
+# segment after the first (the warm-up) ends in one batch. Warm-up samples
+# are dropped but the departure countdown runs on, so sampling epochs are
+# every sample_every-th departure counted from the first event.
 
-    def __init__(self, fmodel):
-        self.model = fmodel
-        self.acc = _Integrals(fmodel.n_types)
-        self.compat = _compat(fmodel)
-        self.rates = _BusyRates(fmodel.mu, [sum(1 << t for t in c) for c in self.compat])
-        self.queues = [deque() for _ in fmodel.type_indices]
-        self.present = 0  # bitmask of the types with a job in the system
-        self.next_id = 0
-
-    def busy(self):
-        return self.rates[self.present]
-
-    def arrive(self, t):
-        self.queues[t].append(self.next_id)
-        self.next_id += 1
-        self.acc.change(t, 1)
-        self.present |= 1 << t
-
-    def finish(self, srv):
-        t = _earliest(self.queues, self.compat[srv])
-        self.queues[t].popleft()
-        self.acc.change(t, -1)
-        if not self.queues[t]:
-            self.present &= ~(1 << t)
-
-    def check(self):
-        present = {t for t, c in enumerate(self.acc.count) if c}
-        want = float(self.model.mu_of(present)) if present else 0.0
-        assert abs(self.busy()[0] - want) < 1e-9, "busy rate is not the speed of the present types"
-
-
-class _CopyQueues:
-    """Cancel-on-completion with one FCFS copy queue per server; the copies
-    of a completed job are dropped when they reach the head of a queue."""
-
-    def __init__(self, fmodel):
-        self.model = fmodel
-        self.acc = _Integrals(fmodel.n_types)
-        self.rates = _BusyRates(fmodel.mu, [1 << srv for srv in range(fmodel.n_servers)])
-        self.server_q = [deque() for _ in range(fmodel.n_servers)]
-        self.alive = {}  # job id -> type index
-        self.next_id = 0
-
-    def _head(self, srv):
-        q = self.server_q[srv]
-        while q and q[0] not in self.alive:
+def _run_coc(fmodel, segments, seed, sample_every):
+    """Cancel-on-completion: returns the (areas, duration) of each batch and
+    the per-type counts at the sampling epochs."""
+    s = fmodel.n_types
+    rand, log = random.Random(seed).random, math.log
+    lam_total, cum = _type_draw(fmodel)
+    compat = _compat(fmodel)
+    rates = _BusyRates(fmodel.mu, [sum(1 << t for t in c) for c in compat])
+    queues = [deque() for _ in range(s)]
+    count = [0] * s
+    present = 0  # bitmask of the types with a job in the system
+    next_id = 0
+    countdown = sample_every
+    batches, samples = [], []
+    for segment, n_events in enumerate(segments):
+        now = 0.0
+        area = [0.0] * s
+        since = [0.0] * s
+        for _ in itertools.repeat(None, n_events):
+            busy_rate, busy = rates[present]
+            total_rate = lam_total + busy_rate
+            now += -log(1.0 - rand()) / total_rate
+            u = rand() * total_rate
+            if u < lam_total:
+                t = bisect_left(cum, u / lam_total)
+                queues[t].append(next_id)
+                next_id += 1
+                area[t] += count[t] * (now - since[t])
+                since[t] = now
+                count[t] += 1
+                present |= 1 << t
+                continue
+            u -= lam_total
+            chosen = busy[-1][0]
+            for srv, m in busy:
+                if u < m:
+                    chosen = srv
+                    break
+                u -= m
+            best = None
+            for c in compat[chosen]:
+                q = queues[c]
+                if q and (best is None or q[0] < best):
+                    best, t = q[0], c
+            q = queues[t]
             q.popleft()
-        return q[0] if q else None
-
-    def busy(self):
-        return self.rates[sum(1 << srv for srv in range(len(self.server_q))
-                              if self._head(srv) is not None)]
-
-    def arrive(self, t):
-        self.alive[self.next_id] = t
-        for srv in self.model.job_types[t]:
-            self.server_q[srv - 1].append(self.next_id)
-        self.next_id += 1
-        self.acc.change(t, 1)
-
-    def finish(self, srv):
-        self.acc.change(self.alive.pop(self._head(srv)), -1)
-
-    check = _CentralQueue.check
-
-
-class _FcfsAlis:
-    """Cancel-on-start as FCFS-ALIS; accumulator channels 0..S-1 count the
-    waiting jobs per type and S..2S-1 the jobs in service."""
-
-    def __init__(self, fmodel):
-        n = fmodel.n_servers
-        self.n_types = fmodel.n_types
-        self.acc = _Integrals(2 * fmodel.n_types)
-        self.compat = _compat(fmodel)
-        self.compat_mask = [sum(1 << t for t in c) for c in self.compat]
-        self.rates = _BusyRates(fmodel.mu, [1 << srv for srv in range(n)])
-        self.waiting = [deque() for _ in fmodel.type_indices]
-        self.serving = [None] * n  # type index in service per server
-        self.idle = list(range(n))  # longest idle first
-        self.busy_mask = 0
-        self.next_id = 0
-
-    def busy(self):
-        return self.rates[self.busy_mask]
-
-    def _start(self, srv, t):
-        self.serving[srv] = t
-        self.busy_mask |= 1 << srv
-        self.acc.change(self.n_types + t, 1)
-
-    def arrive(self, t):
-        for pos, srv in enumerate(self.idle):
-            if self.compat_mask[srv] >> t & 1:
-                del self.idle[pos]
-                self._start(srv, t)
-                break
+            area[t] += count[t] * (now - since[t])
+            since[t] = now
+            count[t] -= 1
+            if not q:
+                present &= ~(1 << t)
+            countdown -= 1
+            if not countdown:
+                countdown = sample_every
+                samples.append(count[:])
+        if not segment:
+            samples.clear()
         else:
-            self.waiting[t].append(self.next_id)
-            self.acc.change(t, 1)
-        self.next_id += 1
+            batches.append(([a + c * (now - t) for a, c, t in zip(area, count, since)], now))
+    return batches, samples
 
-    def finish(self, srv):
-        self.acc.change(self.n_types + self.serving[srv], -1)
-        t = _earliest(self.waiting, self.compat[srv])
-        if t is None:
-            self.serving[srv] = None
-            self.busy_mask &= ~(1 << srv)
-            self.idle.append(srv)
+
+def _run_cos(fmodel, segments, seed, sample_every):
+    """Cancel-on-start as FCFS-ALIS: returns what `_run_coc` does, with count
+    channels 0..S-1 for the waiting jobs per type and S..2S-1 for the jobs in
+    service; samples hold the waiting counts."""
+    s, n = fmodel.n_types, fmodel.n_servers
+    rand, log = random.Random(seed).random, math.log
+    lam_total, cum = _type_draw(fmodel)
+    compat = _compat(fmodel)
+    compat_mask = [sum(1 << t for t in c) for c in compat]
+    rates = _BusyRates(fmodel.mu, [1 << srv for srv in range(n)])
+    waiting = [deque() for _ in range(s)]
+    serving = [None] * n  # channel s + type in service, per server
+    idle = list(range(n))  # longest idle first
+    count = [0] * (2 * s)
+    busy_mask = 0
+    next_id = 0
+    countdown = sample_every
+    batches, samples = [], []
+    for segment, n_events in enumerate(segments):
+        now = 0.0
+        area = [0.0] * (2 * s)
+        since = [0.0] * (2 * s)
+        for _ in itertools.repeat(None, n_events):
+            busy_rate, busy = rates[busy_mask]
+            total_rate = lam_total + busy_rate
+            now += -log(1.0 - rand()) / total_rate
+            u = rand() * total_rate
+            if u < lam_total:
+                t = bisect_left(cum, u / lam_total)
+                for pos, srv in enumerate(idle):
+                    if compat_mask[srv] >> t & 1:
+                        del idle[pos]
+                        serving[srv] = t = s + t
+                        busy_mask |= 1 << srv
+                        break
+                else:
+                    waiting[t].append(next_id)
+                next_id += 1
+                area[t] += count[t] * (now - since[t])
+                since[t] = now
+                count[t] += 1
+                continue
+            u -= lam_total
+            chosen = busy[-1][0]
+            for srv, m in busy:
+                if u < m:
+                    chosen = srv
+                    break
+                u -= m
+            t = serving[chosen]
+            area[t] += count[t] * (now - since[t])
+            since[t] = now
+            count[t] -= 1
+            best = None
+            for c in compat[chosen]:
+                q = waiting[c]
+                if q and (best is None or q[0] < best):
+                    best, t = q[0], c
+            if best is None:
+                serving[chosen] = None
+                busy_mask &= ~(1 << chosen)
+                idle.append(chosen)
+            else:
+                waiting[t].popleft()
+                area[t] += count[t] * (now - since[t])
+                since[t] = now
+                count[t] -= 1
+                serving[chosen] = t = s + t
+                area[t] += count[t] * (now - since[t])
+                since[t] = now
+                count[t] += 1
+            countdown -= 1
+            if not countdown:
+                countdown = sample_every
+                samples.append(count[:s])
+        if not segment:
+            samples.clear()
         else:
-            self.waiting[t].popleft()
-            self.acc.change(t, -1)
-            self._start(srv, t)
-
-    def check(self):
-        for srv in self.idle:
-            assert not any(self.waiting[t] for t in self.compat[srv]), \
-                "idle server with compatible waiting job"
+            batches.append(([a + c * (now - t) for a, c, t in zip(area, count, since)], now))
+    return batches, samples
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +321,7 @@ class _FcfsAlis:
 # ---------------------------------------------------------------------------
 
 KS_EXACT_N = 10_000  # ks_2samp's exact mode, which rounds the statistic, up to this size
+KS_MIN_SPACING = 100  # scaled_law_check's default sampling epochs are at least this far apart
 
 
 def ks_two_sample(a, b):
@@ -414,8 +378,13 @@ def scaled_law_check(model: SystemModel, lam_star, law, discipline, eps_values,
     gamma = default_trajectory(model, lam_star).gamma if traj is None else traj.gamma
     for i, eps in enumerate(eps_values):
         pre = model_at_trajectory(model, TrajectorySpec(gamma, Fraction(eps)), lam_star)
-        spacing = sample_every if sample_every is not None else max(100, int(8.0 / eps ** 2))
         horizon = events_per_eps if isinstance(events_per_eps, int) else events_per_eps[i]
+        try:
+            spacing = sample_every if sample_every is not None else \
+                max(KS_MIN_SPACING, int(8.0 / eps ** 2))
+        except (ZeroDivisionError, OverflowError):  # eps^-2 beyond the float range
+            raise DomainError(f"{horizon} events give no sample ~eps^-2 events apart "
+                              f"at eps={eps}") from None
         est = simulate(pre, discipline, horizon_events=horizon, seed=seed + i,
                        sample_every=spacing)
         if not len(est.samples):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redundancy_ht import analytic
+from redundancy_ht import analytic, cli, prelimit, simulator
 from redundancy_ht.cli import main
 
 N_MODEL_DOC = {
@@ -202,6 +202,33 @@ def test_exit_code_cap_refusal(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("refused: ")
 
 
+def test_exit_code_count_caps(n_model_file, monkeypatch, capsys):
+    """Counts that would simulate more than EVENT_CAP events or hold more
+    than CELL_CAP per-type counts exit 3 at once, with one line."""
+    def ran(*args, **kwargs):
+        raise AssertionError("the command started past a cap")
+
+    for module, name in ((simulator, "simulate"), (simulator, "scaled_law_check"),
+                         (prelimit, "sample_prelimit")):
+        monkeypatch.setattr(module, name, ran)
+    events, cells = cli.EVENT_CAP, cli.CELL_CAP
+    for argv in (["simulate", "--events", "1000000000000"],
+                 ["simulate", "--events", str(events), "--warmup", "1"],
+                 ["simulate", "--events", "1", "--warmup", str(events)],
+                 ["simulate", "--events", str(events - events // 6 + 1)],  # default warm-up
+                 ["simulate", "--events", str(cells), "--warmup", "0", "--sample-every", "1"],
+                 ["verify-limit", "--events", str(events // 2), "--eps", "0.2,0.1"],
+                 ["verify-limit", "--events", "1000000000000", "--eps", "0.2"],
+                 ["verify-limit", "--events", str(100 * cells // 4), "--eps", "0.2,0.1"],
+                 ["sample", "--n", str(cells // 2 + 1)],
+                 ["sample", "--n", "1000000000000"]):
+        start = time.perf_counter()
+        assert main([*argv, "--model", n_model_file]) == 3, argv
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("refused: ") and err.count("\n") == 1, err
+
+
 def test_pgf_beyond_ordered_vector_cap(tmp_path, capsys):
     # twelve types: more than ENUM_CAP ordered vectors could list
     path = tmp_path / "twelve.json"
@@ -293,7 +320,9 @@ def _n_model_with(section, index, key, value=None):
     ["verify-limit", "--eps", "0.2", "--events", "50"],
     ["pgf", "--z", "5/2,1"],
     ["moments", "--n", "1", "--limit", "--target", "type:x"],
-)] + [(_n_model_with("servers", 0, "mu", "1e400"), ["verify-limit", "--events", "2000"])],
+)] + [(_n_model_with("servers", 0, "mu", "1e400"), ["verify-limit", "--events", "2000"]),
+       (dict(N_MODEL_DOC, **{"lambda": 0.25}), ["pgf", "--z", "1e400,1"]),
+       (N_MODEL_DOC, ["verify-limit", "--eps", "1e-200", "--events", "300"])],
     ids=["missing-mu", "bad-mu", "p-zero-denominator", "type-without-servers",
          "string-server-id", "string-type-server", "servers-not-a-list", "not-an-object",
          "trajectory-without-epsilon", "sample-every-zero", "negative-warmup",
@@ -301,7 +330,7 @@ def _n_model_with(section, index, key, value=None):
          "t-grid-two-fields", "t-grid-fractional-steps", "t-grid-zero-steps",
          "t-divergent-zero", "t-divergent-negative", "t-divergent-float", "t-grid-divergent",
          "eps-zero", "no-sample-at-eps", "z-at-a-pole", "target-not-an-integer",
-         "mu-beyond-float-range"])
+         "mu-beyond-float-range", "exact-z-beyond-float-model", "eps-squared-underflows"])
 def test_malformed_model_exits_2(doc, argv, tmp_path, capsys):
     """A malformed model file or argument exits 2 with a one-line message."""
     path = tmp_path / "bad.json"
@@ -569,12 +598,13 @@ def _arguments(draw, doc):
     grid = ":".join([draw(entries), draw(entries),
                      draw(st.sampled_from(["1", "3", "5/2", "0", "-1", "1e400", "20000"]))])
     eps = ",".join(draw(st.lists(st.sampled_from(["0.2", "0.5", "1", "2", "0", "-0.1", "1/3",
-                                                  "x", "1e-9"]), min_size=1, max_size=2)))
+                                                  "x", "1e-9", "1e-200"]),
+                                 min_size=1, max_size=2)))
     backend = ["--backend", draw(st.sampled_from(["exact", "float"]))]
     discipline = ["--discipline", draw(st.sampled_from(["coc", "cos"]))]
 
-    def count(*values):
-        return draw(st.sampled_from([*values, "0", "-1", "x"]))
+    def count(*values):  # the last value is over every count cap
+        return draw(st.sampled_from([*values, "0", "-1", "x", "1000000000000"]))
 
     target = draw(st.sampled_from(["total", "type:0", f"type:{k - 1}", f"type:{k}", "type:",
                                    "type:x", "type:-1", "types:0", ""]))
@@ -583,7 +613,7 @@ def _arguments(draw, doc):
         ["pgf", "--z=" + vector, *discipline, *backend],
         ["laplace", "--t=" + vector, "--cos", *backend],
         ["laplace", "--t-grid=" + grid, *backend],
-        ["verify-limit", "--eps=" + eps, "--events", "300", *discipline],
+        ["verify-limit", "--eps=" + eps, "--events", count("300"), *discipline],
         ["simulate", "--events", count("1", "2", "50", "300"), "--warmup", count("1", "100"),
          "--sample-every", count("1", "7", "1000"), *discipline],
         ["sample", "--n", count("1", "3", "40"), *discipline],

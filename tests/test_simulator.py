@@ -19,6 +19,8 @@ from redundancy_ht.prelimit import config_distribution, expected_type_counts
 from redundancy_ht.simulator import (MIN_BATCHES, T975, config_marginals_from_oracle,
                                      ctmc_oracle, ks_two_sample, scaled_law_check, simulate)
 
+import sim_reference as reference
+
 
 def test_mm1_time_average(mm1):
     est = simulate(mm1, "coc", horizon_events=400_000, seed=1)
@@ -48,7 +50,8 @@ def test_sim_per_type_matches_exact_means(n_model):
 
 def test_literal_copies_agrees_with_aggregated(four_server):
     a = simulate(four_server, "coc", horizon_events=300_000, seed=5)
-    b = simulate(four_server, "coc", horizon_events=300_000, seed=6, literal_copies=True)
+    b = reference.simulate(four_server, "coc", horizon_events=300_000, seed=6,
+                           literal_copies=True)
     for t in range(4):
         tol = 3 * (a.half_width[t] + b.half_width[t])
         assert abs(a.time_avg[t] - b.time_avg[t]) < max(tol, 0.05)
@@ -56,25 +59,43 @@ def test_literal_copies_agrees_with_aggregated(four_server):
 
 def test_debug_checks_run(n_model, four_server):
     for model in (n_model, four_server):
-        simulate(model, "coc", horizon_events=5_000, seed=7, debug_checks=True)
-        simulate(model, "coc", horizon_events=5_000, seed=7, debug_checks=True,
-                 literal_copies=True)
-        simulate(model, "cos", horizon_events=5_000, seed=8, debug_checks=True)
+        reference.simulate(model, "coc", horizon_events=5_000, seed=7, debug_checks=True)
+        reference.simulate(model, "coc", horizon_events=5_000, seed=7, debug_checks=True,
+                           literal_copies=True)
+        reference.simulate(model, "cos", horizon_events=5_000, seed=8, debug_checks=True)
+
+
+def _assert_same_run(a, b):
+    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a.time_avg, b.time_avg)
+    assert np.array_equal(a.half_width, b.half_width)
+    if a.time_avg_in_service is None:
+        assert b.time_avg_in_service is None
+    else:
+        assert np.array_equal(a.time_avg_in_service, b.time_avg_in_service)
 
 
 def test_literal_copies_follow_the_same_path():
-    # for a fixed seed the per-copy queues and the aggregated central queue
-    # make the same draws, so their sample paths coincide
+    # for a fixed seed the kernels make the draws of the policy-object loop
+    # in the same order and integrate in the same arithmetic order, so c.o.c.
+    # matches both the central queue and the literal per-copy queues, and
+    # c.o.s. matches FCFS-ALIS, to the bit
     rng = random.Random(2024)
-    for _ in range(30):
+    for i in range(30):
         model = generators.random_stable_model(rng, max_servers=5, max_types=6)
         seed = rng.randrange(1000)
-        a = simulate(model, "coc", horizon_events=2_000, seed=seed, sample_every=7)
-        b = simulate(model, "coc", horizon_events=2_000, seed=seed, sample_every=7,
-                     literal_copies=True)
-        assert np.array_equal(a.samples, b.samples)
-        assert np.array_equal(a.time_avg, b.time_avg)
-        assert np.array_equal(a.half_width, b.half_width)
+        runs = [dict(horizon_events=2_000, sample_every=7),
+                # fewer events than MIN_BATCHES: one batch per event
+                dict(horizon_events=1 + i % (MIN_BATCHES - 1), warmup_events=i % 2 * 7,
+                     sample_every=1),
+                dict(horizon_events=500, warmup_events=0, sample_every=1)]
+        for kw in runs:
+            a = simulate(model, "coc", seed=seed, **kw)
+            _assert_same_run(a, reference.simulate(model, "coc", seed=seed, **kw))
+            _assert_same_run(a, reference.simulate(model, "coc", seed=seed, literal_copies=True,
+                                                   **kw))
+            _assert_same_run(simulate(model, "cos", seed=seed, **kw),
+                             reference.simulate(model, "cos", seed=seed, **kw))
 
 
 def test_no_table_over_all_type_subsets():
