@@ -34,9 +34,11 @@ GRID_CAP = 10_000  # laplace --t-grid refuses more steps
 # the event loops reach on perfbench/models (0.42M events/s at 13-14 types)
 # and 2-3 minutes at 2-7 types (0.6-0.9M events/s). CELL_CAP bounds the
 # per-type counts one command holds, rows times types (sample: --n rows;
-# simulate and verify-limit: at most one sample per --sample-every, or per
-# simulator.KS_MIN_SPACING, events): peak memory grew by at most ~120 bytes
-# a cell (sample on M/M/1), so 5 * 10^6 cells stay under ~0.6 GB.
+# simulate: at most one sample per --sample-every events after the warm-up,
+# which keeps none; verify-limit: one per simulator.KS_MIN_SPACING events,
+# of one epsilon at a time or, with --scatter, of every epsilon): peak memory
+# grew by at most ~120 bytes a cell (sample on M/M/1), so 5 * 10^6 cells
+# stay under ~0.6 GB.
 EVENT_CAP = 100_000_000
 CELL_CAP = 5_000_000
 
@@ -131,7 +133,13 @@ def cmd_pgf(args):
     exact = args.backend == "exact"
     z = _parse_vector(args.z, model.n_types, exact)
     fn = analytic.pgf_coc if args.discipline == "coc" else analytic.pgf_cos
-    val = fn(model, z)
+    try:
+        val = fn(model, z)
+    except OverflowError:
+        if model.exact:
+            raise
+        raise ModelError(f"--z: {args.z!r} meets the model's float values "
+                         f"out of float range") from None
     _write_json(args, "pgf", {"discipline": args.discipline,
                               "z": [_num(x) for x in z], "value": _num(val)})
     return 0
@@ -254,9 +262,11 @@ def cmd_verify_limit(args):
     eps_values = [float(e) for e in eps_values]
     _refuse_above("--events plus warm-up, times the number of epsilons",
                   (args.events + args.events // 5) * len(eps_values), EVENT_CAP)
+    # the check holds one epsilon's samples at a time, --scatter keeps them all
+    held = len(eps_values) if args.scatter else 1
     spacing = simulator.KS_MIN_SPACING
-    _refuse_above(f"samples (--events / {spacing} + 1 per epsilon) times the number of types",
-                  (args.events // spacing + 1) * len(eps_values) * model.n_types, CELL_CAP)
+    _refuse_above(f"samples (--events / {spacing} + 1 per epsilon held) times the number "
+                  "of types", (args.events // spacing + 1) * held * model.n_types, CELL_CAP)
     rows = simulator.scaled_law_check(model, report.lambda_star, law, args.discipline,
                                       eps_values, args.events, seed=args.seed,
                                       keep_samples=args.scatter, traj=traj)
@@ -384,9 +394,6 @@ def main(argv=None) -> int:
         return 3
     except (ModelError, DomainError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:  # e.g. an exact 1e400 meeting a float model value
-        print(f"error: a value is out of float range ({exc})", file=sys.stderr)
         return 2
 
 

@@ -18,10 +18,10 @@ looked up per state mask (`_BusyRates`, filled on first use). A count's time
 integral is brought up to date only when the count changes, and every
 count's at the end of a batch. The warm-up and the `MIN_BATCHES` batches
 run as separate loop segments (`_segments`), each restarting the clock and
-the integrals at 0; the warm-up's are dropped. The policy-object loop these
-kernels replaced, with its literal per-copy queues and invariant checks,
-lives on in the tests as their differential oracle: for a fixed seed the
-outputs agree exactly.
+the integrals at 0; the warm-up keeps neither integrals nor samples. The
+policy-object loop these kernels replaced, with its literal per-copy queues
+and invariant checks, lives on in the tests as their differential oracle:
+for a fixed seed the outputs agree exactly.
 
 The module imports no scipy, so neither does the command line: batch-means
 half-widths read Student's t quantiles from a table (`T975`), and
@@ -168,9 +168,9 @@ def _type_draw(fmodel):
 
 
 # In both kernels each segment restarts the clock and the areas, and every
-# segment after the first (the warm-up) ends in one batch. Warm-up samples
-# are dropped but the departure countdown runs on, so sampling epochs are
-# every sample_every-th departure counted from the first event.
+# segment after the first (the warm-up) ends in one batch. The departure
+# countdown runs through the warm-up, which keeps no sample, so sampling
+# epochs are every sample_every-th departure counted from the first event.
 
 def _run_coc(fmodel, segments, seed, sample_every):
     """Cancel-on-completion: returns the (areas, duration) of each batch and
@@ -226,10 +226,9 @@ def _run_coc(fmodel, segments, seed, sample_every):
             countdown -= 1
             if not countdown:
                 countdown = sample_every
-                samples.append(count[:])
-        if not segment:
-            samples.clear()
-        else:
+                if segment:
+                    samples.append(count[:])
+        if segment:
             batches.append(([a + c * (now - t) for a, c, t in zip(area, count, since)], now))
     return batches, samples
 
@@ -308,10 +307,9 @@ def _run_cos(fmodel, segments, seed, sample_every):
             countdown -= 1
             if not countdown:
                 countdown = sample_every
-                samples.append(count[:s])
-        if not segment:
-            samples.clear()
-        else:
+                if segment:
+                    samples.append(count[:s])
+        if segment:
             batches.append(([a + c * (now - t) for a, c, t in zip(area, count, since)], now))
     return batches, samples
 

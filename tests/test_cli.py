@@ -202,31 +202,53 @@ def test_exit_code_cap_refusal(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("refused: ")
 
 
-def test_exit_code_count_caps(n_model_file, monkeypatch, capsys):
+class _Started(Exception):
+    pass
+
+
+def test_exit_code_count_caps(n_model_file, tmp_path, monkeypatch, capsys):
     """Counts that would simulate more than EVENT_CAP events or hold more
-    than CELL_CAP per-type counts exit 3 at once, with one line."""
-    def ran(*args, **kwargs):
-        raise AssertionError("the command started past a cap")
+    than CELL_CAP per-type counts exit 3 at once, with one line; counts just
+    inside the caps reach the simulator."""
+    def started(*args, **kwargs):
+        raise _Started
 
     for module, name in ((simulator, "simulate"), (simulator, "scaled_law_check"),
                          (prelimit, "sample_prelimit")):
-        monkeypatch.setattr(module, name, ran)
+        monkeypatch.setattr(module, name, started)
+    # seven dedicated servers: seven types, enough for verify-limit's
+    # held samples to pass CELL_CAP within EVENT_CAP
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"servers": [{"id": i, "mu": "1"} for i in range(1, 8)],
+                                "types": [{"servers": [i], "p": "1/7"} for i in range(1, 8)],
+                                "lambda": "1/2"}))
     events, cells = cli.EVENT_CAP, cli.CELL_CAP
-    for argv in (["simulate", "--events", "1000000000000"],
-                 ["simulate", "--events", str(events), "--warmup", "1"],
-                 ["simulate", "--events", "1", "--warmup", str(events)],
-                 ["simulate", "--events", str(events - events // 6 + 1)],  # default warm-up
-                 ["simulate", "--events", str(cells), "--warmup", "0", "--sample-every", "1"],
-                 ["verify-limit", "--events", str(events // 2), "--eps", "0.2,0.1"],
-                 ["verify-limit", "--events", "1000000000000", "--eps", "0.2"],
-                 ["verify-limit", "--events", str(100 * cells // 4), "--eps", "0.2,0.1"],
-                 ["sample", "--n", str(cells // 2 + 1)],
-                 ["sample", "--n", "1000000000000"]):
+    n_model, wide = ["--model", n_model_file], ["--model", str(wide)]
+    for argv in (["simulate", "--events", "1000000000000", *n_model],
+                 ["simulate", "--events", str(events), "--warmup", "1", *n_model],
+                 ["simulate", "--events", "1", "--warmup", str(events), *n_model],
+                 ["simulate", "--events", str(events - events // 6 + 1), *n_model],  # default warm-up
+                 ["simulate", "--events", str(cells), "--warmup", "0", "--sample-every", "1",
+                  *n_model],
+                 ["verify-limit", "--events", str(events // 2), "--eps", "0.2,0.1", *n_model],
+                 ["verify-limit", "--events", "1000000000000", "--eps", "0.2", *n_model],
+                 ["verify-limit", "--events", str(events * 4 // 5), "--eps", "0.5", *wide],
+                 ["verify-limit", "--events", str(events * 2 // 5), "--eps", "0.5,0.4",
+                  "--scatter", *wide],
+                 ["sample", "--n", str(cells // 2 + 1), *n_model],
+                 ["sample", "--n", "1000000000000", *n_model]):
         start = time.perf_counter()
-        assert main([*argv, "--model", n_model_file]) == 3, argv
+        assert main(argv) == 3, argv
         assert time.perf_counter() - start < 1
         err = capsys.readouterr().err
         assert err.startswith("refused: ") and err.count("\n") == 1, err
+    # the warm-up holds no samples, and without --scatter verify-limit holds
+    # one epsilon's at a time
+    for argv in (["simulate", "--events", "1", "--warmup", str(events - 1), "--sample-every",
+                  "1", *n_model],
+                 ["verify-limit", "--events", str(events * 2 // 5), "--eps", "0.5,0.4", *wide]):
+        with pytest.raises(_Started):
+            main(argv)
 
 
 def test_pgf_beyond_ordered_vector_cap(tmp_path, capsys):

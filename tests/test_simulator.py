@@ -114,6 +114,21 @@ def test_no_table_over_all_type_subsets():
     assert peak < 20 * 2 ** 20
 
 
+@pytest.mark.parametrize("discipline", ["coc", "cos"])
+def test_warmup_holds_no_samples(mm1, discipline):
+    # ~50,000 warm-up departures at sample_every=1: keeping their counts
+    # until the warm-up ends would peak near 4 MB
+    tracemalloc.start()
+    try:
+        est = simulate(mm1, discipline, horizon_events=100, warmup_events=100_000,
+                       sample_every=1, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert 0 < len(est.samples) <= 100
+
+
 def test_cos_waiting_matches_moment(n_model):
     est = simulate(n_model, "cos", horizon_events=600_000, seed=9)
     expected = float(moment_total(n_model, 1, "cos"))
