@@ -8,9 +8,9 @@ total-moment formulations, and compare exact samples against them.
 from fractions import Fraction as F
 
 from redundancy_ht import SystemModel
-from redundancy_ht.moments import moment_total, moment_total_alt, moments_identity
-from redundancy_ht.prelimit import (config_prob, expected_type_counts, sample_prelimit,
-                                    segment_law)
+from redundancy_ht.moments import moment_total
+from redundancy_ht.oracles import config_prob, moment_total_alt, moments_identity
+from redundancy_ht.prelimit import expected_type_counts, sample_prelimit, segment_law
 
 model = SystemModel(
     mu=(F(1),) * 4, lam=F(1, 2),

@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from . import analytic, criticality, generators, moments, prelimit, simulator
+from . import analytic, criticality, generators, moments, oracles, prelimit, simulator
 from .model import SystemModel, default_trajectory
 
 
@@ -36,7 +36,7 @@ def n_model_scenario_iii(lam=F(8, 10)) -> SystemModel:
 
 
 def _context(model):
-    report = criticality.critical_rate_and_subsets_bruteforce(model)
+    report = oracles.critical_rate_and_subsets_bruteforce(model)
     dag = criticality.crp_components(model, report.lambda_star)
     return report, dag
 
@@ -47,8 +47,8 @@ def criterion_mixture_weights():
     """Four-server example: the K-critical mixture weights are exactly {4/9, 2/9, 2/9, 1/9}."""
     model = four_server_example()
     report, _ = _context(model)
-    vecs = analytic.enumerate_k_critical(model, report, report.depth_K)
-    got = {v.entries: analytic.p_star(model, report, v) for v in vecs}
+    vecs = oracles.enumerate_k_critical(model, report, report.depth_K)
+    got = {v.entries: oracles.p_star(model, report, v) for v in vecs}
     expected = {
         (0, 2, 3, 1): F(4, 9),
         (0, 3, 2, 1): F(2, 9),
@@ -76,11 +76,11 @@ def criterion_sigma_aggregation():
     """Sigma-aggregated weights {2/3, 1/3} with beta-hat values 16/3, 8/3 and 8."""
     model = four_server_example()
     report, dag = _context(model)
-    mix = analytic.mixture_law(model, report)
-    agg = analytic.sigma_aggregate(mix, dag)
+    mix = oracles.mixture_law(model, report)
+    agg = oracles.sigma_aggregate(mix, dag)
     weights = {label: w for (w, _, label) in agg.atoms}
-    bh = {sigma: analytic.beta_hat(dag, sigma) for sigma in dag.topo_orders}
-    bhk = analytic.beta_hat_sigma_k(dag)
+    bh = {sigma: oracles.beta_hat(dag, sigma) for sigma in dag.topo_orders}
+    bhk = oracles.beta_hat_sigma_k(dag)
     ok = (weights == {(0, 1, 2): F(2, 3), (1, 0, 2): F(1, 3)}
           and bh == {(0, 1, 2): F(16, 3), (1, 0, 2): F(8, 3)}
           and bhk == F(8)
@@ -92,11 +92,11 @@ def criterion_laplace_equality():
     """Mixture and product Laplace forms: exact on a 5^4 rational grid, 1e-10 on random models."""
     model = four_server_example()
     report, dag = _context(model)
-    mix = analytic.mixture_law(model, report)
+    mix = oracles.mixture_law(model, report)
     grid = [F(i) for i in range(5)]
     checked = 0
     for t in itertools.product(grid, repeat=4):
-        a = analytic.laplace_of_mixture(mix, t)
+        a = oracles.laplace_of_mixture(mix, t)
         b = analytic.limiting_laplace(dag, t)
         if a != b:
             return False, f"exact mismatch at t={t}: {a} vs {b}"
@@ -105,10 +105,10 @@ def criterion_laplace_equality():
     worst = 0.0
     for _ in range(50):
         m, rep, dg = generators.random_laminar_model(rng, max_servers=5, max_types=5, max_k=4)
-        mx = analytic.mixture_law(m, rep)
+        mx = oracles.mixture_law(m, rep)
         for _ in range(5):
             t = [rng.uniform(0.0, 4.0) for _ in m.type_indices]
-            diff = abs(float(analytic.laplace_of_mixture(mx, t))
+            diff = abs(float(oracles.laplace_of_mixture(mx, t))
                        - float(analytic.limiting_laplace(dg, t)))
             worst = max(worst, diff)
     ok = worst < 1e-10
@@ -120,7 +120,7 @@ def criterion_construction_equivalence():
     rng = random.Random(31337)
     for i in range(200):
         model = generators.random_stable_model(rng, max_servers=6, max_types=6)
-        report = criticality.critical_rate_and_subsets_bruteforce(model)
+        report = oracles.critical_rate_and_subsets_bruteforce(model)
         dag = criticality.crp_components(model, report.lambda_star)
         built = criticality.critical_subsets_via_construction(dag)
         if built != report.critical_subsets:
@@ -136,7 +136,7 @@ def criterion_nested_sum_identity():
     for i in range(200):
         dag = generators.random_forest_dag(rng, max_k=6)
         c = [F(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(dag.K)]
-        lhs, rhs = analytic.nested_sum_identity(c, dag)
+        lhs, rhs = oracles.nested_sum_identity(c, dag)
         if lhs != rhs:
             return False, f"identity failed on instance #{i} (K={dag.K})"
     return True, "200 random forest DAGs, exact equality"
@@ -146,7 +146,7 @@ def criterion_moment_identities():
     """Geometric-moment identity for k <= 8 and total-moment formulation equivalence."""
     for k in range(1, 9):
         for num in range(1, 10):
-            lhs, rhs = moments.moments_identity(k, F(num, 10))
+            lhs, rhs = oracles.moments_identity(k, F(num, 10))
             if lhs != rhs:
                 return False, f"identity failed at k={k}, p={num}/10"
     rng = random.Random(99)
@@ -154,7 +154,7 @@ def criterion_moment_identities():
         model = generators.random_stable_model(rng, max_servers=5, max_types=4)
         for n in range(1, 5):
             a = moments.moment_total(model, n)
-            b = moments.moment_total_alt(model, n)
+            b = oracles.moment_total_alt(model, n)
             if a != b:
                 return False, f"formulations disagree on model #{i}, n={n}: {a} vs {b}"
     return True, "k <= 8 identity and 50 random models (n <= 4), exact"
@@ -231,14 +231,14 @@ def criterion_simulation_convergence():
 def criterion_product_form_oracle():
     """Truncated-CTMC solve vs product form (TV < 1e-6) plus exact segment parameters."""
     nmod = n_model_scenario_iii(lam=F(1, 2))
-    _, _, tv = simulator.ctmc_oracle(nmod, "coc", truncation_len=12)
+    _, _, tv = oracles.ctmc_oracle(nmod, "coc", truncation_len=12)
     if not tv < 1e-6:
         return False, f"total-variation distance {tv:.2e} >= 1e-6"
     model = four_server_example()  # lam = mu/2
     law = prelimit.segment_law(model, (0, 2, 3, 1))
     ok_seg = (law.segment_params[1] == F(5, 12)  # 5*lam/(6*mu) at lam/mu = 1/2
               and law.type_params[2][0] == F(1, 4))  # lam/(3*mu - 2*lam)
-    h = analytic.h_term(model, (0, 2, 3, 1), [F(1)] * 4)
+    h = oracles.h_term(model, (0, 2, 3, 1), [F(1)] * 4)
     ok_h = h == F(2, 63)
     ok = ok_seg and ok_h
     return ok, (f"TV {tv:.2e}; segment params ({law.segment_params[1]}, "

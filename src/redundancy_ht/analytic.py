@@ -21,121 +21,25 @@ per component, coefficient N*lambda* p_S / gamma(V_k) on the subtree V_k. The
 mixture is what the PGF converges to in all cases; the product form is a
 simplification valid in the laminar case (see ComponentDag.subtrees_laminar).
 
-The functions that list ordered vectors (iter_ordered_type_tuples,
-enumerate_k_critical, h_term, mixture_law, p_star, sigma_aggregate) give
-the same results term by term, as the paper writes them; they serve as
-oracles and in the acceptance battery, and no command calls them.
+The paper's sums as written, over ordered vectors (h_term, mixture_law,
+p_star) and over topological orders (sigma_aggregate, beta_hat), are in
+`oracles`, against which the tests check this module exactly.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .criticality import SUBSET_CAP, ComponentDag, CriticalityReport, require_stable
-from .errors import CapExceeded, ConsistencyError, DomainError, PoleError
+from .criticality import SUBSET_CAP, ComponentDag, require_stable
+from .errors import CapExceeded, DomainError, PoleError
 from .model import Scalar, SystemModel, TrajectorySpec, default_trajectory
-
-ENUM_CAP = 8  # listing ordered type vectors refuses beyond this many types
-
-
-# ---------------------------------------------------------------------------
-# Ordered type vectors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OrderedTypeVector:
-    """An ordered vector of distinct job types with its prefix aggregates.
-
-    cr_indices holds the 1-based positions j at which the prefix
-    {T_1, ..., T_j} is a critical subset; k = len(cr_indices).
-    """
-
-    entries: tuple
-    cr_indices: tuple
-    prefix_p: tuple
-    prefix_mu: tuple
-
-    @property
-    def k(self) -> int:
-        return len(self.cr_indices)
-
-    def position_of(self, t: int):
-        """1-based position of type t, or None if absent."""
-        try:
-            return self.entries.index(t) + 1
-        except ValueError:
-            return None
-
-    def prefix_gamma(self, traj: TrajectorySpec, j: int) -> Scalar:
-        return sum(traj.gamma[t] for t in self.entries[:j])
-
-
-def ordered_vector(model: SystemModel, entries, critical_subsets) -> OrderedTypeVector:
-    entries = tuple(entries)
-    if len(set(entries)) != len(entries):
-        raise DomainError("ordered vector entries must be distinct")
-    prefix_p, prefix_mu, crs = [], [], []
-    acc = set()
-    for j, t in enumerate(entries, start=1):
-        acc.add(t)
-        prefix_p.append(model.p_of(acc))
-        prefix_mu.append(model.mu_of(acc))
-        if frozenset(acc) in critical_subsets:
-            crs.append(j)
-    return OrderedTypeVector(entries=entries, cr_indices=tuple(crs),
-                             prefix_p=tuple(prefix_p), prefix_mu=tuple(prefix_mu))
-
-
-def iter_ordered_type_tuples(model: SystemModel):
-    """All ordered vectors of distinct job types (the empty one included)."""
-    if model.n_types > ENUM_CAP:
-        raise CapExceeded(
-            f"{model.n_types} job types exceeds the ordered-vector enumeration cap {ENUM_CAP}")
-    yield ()
-    for m in range(1, model.n_types + 1):
-        yield from itertools.permutations(model.type_indices, m)
-
-
-def enumerate_k_critical(model: SystemModel, report: CriticalityReport, k: int) -> list:
-    """All ordered vectors of distinct types whose prefixes hit exactly k critical subsets."""
-    if not 0 <= k <= report.depth_K:
-        raise DomainError(f"k={k} outside 0..K={report.depth_K}")
-    crit = report.critical_subsets
-    out = []
-    for entries in iter_ordered_type_tuples(model):
-        vec = ordered_vector(model, entries, crit)
-        if vec.k == k:
-            out.append(vec)
-    return out
 
 
 # ---------------------------------------------------------------------------
 # Pre-limit PGFs: the prefix-set engine
 # ---------------------------------------------------------------------------
-
-def h_term(model: SystemModel, entries, z) -> Scalar:
-    """One ordered-vector term of the PGF numerator, at the model's own lambda.
-
-    prod_j [N lam p_{T_j} z_{T_j} / mu(T,j)] * [1 - (N lam / mu(T,j)) sum_{i<=j} p_{T_i} z_{T_i}]^-1
-    with the empty product equal to 1.
-    """
-    n, lam = model.n_servers, model.lam
-    val = 1
-    servers = frozenset()
-    pz = 0
-    for t in entries:
-        servers = servers | model.job_types[t]
-        mu_pref = sum(model.mu[s - 1] for s in servers)
-        pz = pz + model.p[t] * z[t]
-        denom = 1 - n * lam * pz / mu_pref
-        if denom == 0:
-            raise PoleError(f"PGF pole at prefix ending in type index {t}")
-        val = val * (n * lam * model.p[t] * z[t] / mu_pref) / denom
-    return val
-
 
 def _bits(mask: int) -> list:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
@@ -189,7 +93,7 @@ def _prefix_table(model: SystemModel, z, base: int = 0, top: int = None,
     is the normalising-constant recursion of order-independent queues,
     F_base(base) = 1 and
     F_base(A) = (N lam / mu(A)) / (1 - N lam pz(A) / mu(A)) * sum_{t in A - base} p_t z_t F_base(A - {t}),
-    so that F_0(A) sums h_term over the orderings of A. With open_top the
+    so that F_0(A) sums oracles.h_term over the orderings of A. With open_top the
     entry at top leaves out its stay factor 1 / (1 - N lam pz(top) / mu(top)),
     which diverges where top is critical at lambda.
     """
@@ -260,7 +164,7 @@ def _pgf(model: SystemModel, z, kappa) -> Scalar:
 
 def pgf_coc(model: SystemModel, z) -> Scalar:
     """Joint PGF of per-type job counts under cancel-on-completion: f(z)/f(1),
-    with f(z) the sum of h_term over all ordered vectors of distinct types."""
+    with f(z) the sum of oracles.h_term over all ordered vectors of distinct types."""
     require_stable(model)
     return _pgf(model, z, None)
 
@@ -268,7 +172,7 @@ def pgf_coc(model: SystemModel, z) -> Scalar:
 def pgf_cos(model: SystemModel, z) -> Scalar:
     """Joint PGF of per-type *waiting* job counts under cancel-on-start: g(z)/g(1).
 
-    g(z) sums h_term(T, z) times the ordered-idle-server weights of the
+    g(z) sums oracles.h_term(T, z) times the ordered-idle-server weights of the
     servers compatible with no type in T.
     """
     require_stable(model)
@@ -276,41 +180,8 @@ def pgf_cos(model: SystemModel, z) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# beta weights and limiting state-configuration probabilities
+# Limit laws
 # ---------------------------------------------------------------------------
-
-def beta_weight(model: SystemModel, vec: OrderedTypeVector, lam_star: Scalar) -> Scalar:
-    """Limiting weight of an ordered vector: rate factors at lambda*, with the
-    divergent critical-prefix factors excluded symbolically."""
-    n = model.n_servers
-    cr = set(vec.cr_indices)
-    val = 1
-    for j, t in enumerate(vec.entries, start=1):
-        val = val * (n * lam_star * model.p[t] / vec.prefix_mu[j - 1])
-        if j not in cr:
-            denom = 1 - n * lam_star * vec.prefix_p[j - 1] / vec.prefix_mu[j - 1]
-            val = val / denom
-    return val
-
-
-def omega_weight(model: SystemModel, vec: OrderedTypeVector, lam_star: Scalar,
-                 traj: TrajectorySpec) -> Scalar:
-    """General-trajectory weight: beta(T) * prod_{j in CR(T)} mu(T,j)/gamma(T,j)."""
-    val = beta_weight(model, vec, lam_star)
-    for j in vec.cr_indices:
-        val = val * vec.prefix_mu[j - 1] / vec.prefix_gamma(traj, j)
-    return val
-
-
-def p_star(model: SystemModel, report: CriticalityReport, vec: OrderedTypeVector) -> Scalar:
-    """Limiting probability of a K-critical ordered vector: beta(T)/beta(N_K)."""
-    if vec.k != report.depth_K:
-        raise DomainError(f"vector is {vec.k}-critical, not K={report.depth_K}-critical")
-    lam_star = report.lambda_star
-    norm = sum(beta_weight(model, v, lam_star)
-               for v in enumerate_k_critical(model, report, report.depth_K))
-    return beta_weight(model, vec, lam_star) / norm
-
 
 def _direction(model: SystemModel, lam_star: Scalar, traj: TrajectorySpec) -> TrajectorySpec:
     """traj, or else the default trajectory's gamma = N*lambda* p; taken at the
@@ -319,10 +190,6 @@ def _direction(model: SystemModel, lam_star: Scalar, traj: TrajectorySpec) -> Tr
         return traj
     return default_trajectory(model.with_lambda(lam_star), lam_star)
 
-
-# ---------------------------------------------------------------------------
-# Limit laws
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LimitLaw:
@@ -357,7 +224,7 @@ def limit_law(dag: ComponentDag, traj: TrajectorySpec = None) -> LimitLaw:
     Row k covers the types of the subtree V_k with coefficient
     N*lambda* p_S / gamma(V_k); with the default trajectory this is
     p_S / p(V_k). Identical for c.o.c. and c.o.s. Distributionally valid
-    whenever the subtrees are laminar (the general object is mixture_law).
+    whenever the subtrees are laminar (the general object is sigma_mixture).
     """
     model = dag.model
     n = model.n_servers
@@ -370,76 +237,6 @@ def limit_law(dag: ComponentDag, traj: TrajectorySpec = None) -> LimitLaw:
             for t in model.type_indices)
         rows.append(row)
     return LimitLaw(coeffs=tuple(rows))
-
-
-def mixture_law(model: SystemModel, report: CriticalityReport,
-                traj: TrajectorySpec = None) -> MixtureLaw:
-    """One atom per K-critical vector T: weight P*(T) (or its omega analog on a
-    general trajectory) and coefficients N*lambda* p_S / gamma(T, i_k) for types
-    placed by position i_k."""
-    lam_star = report.lambda_star
-    n = model.n_servers
-    vecs = enumerate_k_critical(model, report, report.depth_K)
-    if traj is None:
-        weights = [beta_weight(model, v, lam_star) for v in vecs]
-        gamma_pref = lambda v, j: n * lam_star * v.prefix_p[j - 1]
-    else:
-        weights = [omega_weight(model, v, lam_star, traj) for v in vecs]
-        gamma_pref = lambda v, j: v.prefix_gamma(traj, j)
-    norm = sum(weights)
-    atoms = []
-    for vec, w in zip(vecs, weights):
-        rows = []
-        for i_k in vec.cr_indices:
-            g = gamma_pref(vec, i_k)
-            row = []
-            for t in model.type_indices:
-                pos = vec.position_of(t)
-                row.append(n * lam_star * model.p[t] / g
-                           if pos is not None and pos <= i_k else 0)
-            rows.append(tuple(row))
-        atoms.append((w / norm, tuple(rows), vec.entries))
-    return MixtureLaw(atoms=tuple(atoms))
-
-
-def _sigma_of_atom(dag: ComponentDag, entries) -> tuple:
-    """Recover the topological order underlying a K-critical vector's block structure."""
-    comp_of = {}
-    for idx, comp in enumerate(dag.components):
-        for t in comp.types:
-            comp_of[t] = idx
-    sigma, seen = [], set()
-    for t in entries:
-        if t not in comp_of:
-            break  # trailing non-critical types
-        c = comp_of[t]
-        if c not in seen:
-            seen.add(c)
-            sigma.append(c)
-    if len(sigma) != dag.K:
-        raise ConsistencyError(f"vector {entries} does not cover all components")
-    return tuple(sigma)
-
-
-def sigma_aggregate(mixture: MixtureLaw, dag: ComponentDag) -> MixtureLaw:
-    """Merge atoms sharing a topological order; their coefficient matrices must agree.
-
-    Merged weights are direct sums of atom weights, which keeps this exact for
-    every DAG; on laminar DAGs they equal beta_hat(sigma)/beta_hat(Sigma_K).
-    """
-    groups = {}
-    for (w, coeffs, entries) in mixture.atoms:
-        sigma = _sigma_of_atom(dag, entries)
-        if sigma in groups:
-            w0, coeffs0 = groups[sigma]
-            if coeffs0 != coeffs:
-                raise ConsistencyError(
-                    f"atoms within sigma={sigma} disagree on coefficients")
-            groups[sigma] = (w0 + w, coeffs0)
-        else:
-            groups[sigma] = (w, coeffs)
-    atoms = tuple((w, coeffs, sigma) for sigma, (w, coeffs) in sorted(groups.items()))
-    return MixtureLaw(atoms=atoms)
 
 
 @lru_cache(maxsize=64)
@@ -480,7 +277,7 @@ def sigma_mixture(dag: ComponentDag, traj: TrajectorySpec = None) -> MixtureLaw:
     idle-server weight, is the same for every sigma and cancels: the law is
     one for both disciplines. On a trajectory each weight gains the omega
     factor prod_k mu(A_k) / gamma(A_k). The result equals
-    sigma_aggregate(mixture_law(...)) without listing a vector.
+    oracles.sigma_aggregate(oracles.mixture_law(...)) without listing a vector.
     """
     orders = dag.topo_orders  # listed first: the ORDER_CAP refusal then costs no lattice
     nodes, _ = _lattice(dag, traj, repr(traj))
@@ -519,76 +316,16 @@ def limiting_transform(dag: ComponentDag, t, traj: TrajectorySpec = None, c=None
     return [x / total for x in g[d]]
 
 
-def beta_hat(dag: ComponentDag, sigma) -> Scalar:
-    """prod_k 1 / p(C_{sigma(1)} u ... u C_{sigma(k)})."""
-    model = dag.model
-    val = 1
-    acc = set()
-    for i in sigma:
-        acc |= dag.components[i].types
-        val = val / model.p_of(acc)
-    return val
-
-
-def beta_hat_sigma_k(dag: ComponentDag) -> Scalar:
-    """prod_k 1 / p(V_k)."""
-    val = 1
-    for k in range(dag.K):
-        val = val / dag.p_subtree(k)
-    return val
-
-
-def sigma_weight_formula(dag: ComponentDag, sigma, traj: TrajectorySpec = None) -> Scalar:
-    """Closed-form merged weight prod_k gamma(V_k)/gamma(C_{sigma(1)}..C_{sigma(k)}).
-
-    Reduces to beta_hat(sigma)/beta_hat(Sigma_K) on the default trajectory.
-    Valid on laminar DAGs; sigma_aggregate's direct sums hold in general.
-    """
-    model = dag.model
-    traj = _direction(model, dag.lambda_star, traj)
-    val = 1
-    acc = set()
-    for i in sigma:
-        acc |= dag.components[i].types
-        val = val / traj.gamma_of(acc)
-    for k in range(dag.K):
-        val = val * dag.gamma_subtree(k, traj)
-    return val
-
-
-def nested_sum_identity(c, dag: ComponentDag):
-    """(lhs, rhs) of the prefix-sum identity over topological orders.
-
-    lhs = sum_sigma prod_k (c_{sigma(1)} + ... + c_{sigma(k)})^-1,
-    rhs = prod_k (sum_{j in subtree of k} c_j)^-1.
-    Equal whenever the rooted subtrees are laminar.
-    """
-    if len(c) != dag.K:
-        raise DomainError("need one constant per component")
-    if any(x <= 0 for x in c):
-        raise DomainError("constants must be positive")
-    lhs = 0
-    for sigma in dag.topo_orders:
-        acc = 0
-        term = 1
-        for i in sigma:
-            acc = acc + c[i]
-            term = term / acc
-        lhs = lhs + term
-    rhs = 1
-    for k in range(dag.K):
-        rhs = rhs / sum(c[j] for j in dag.subtree_nodes[k])
-    return lhs, rhs
-
-
 # ---------------------------------------------------------------------------
 # Limiting Laplace transforms
 # ---------------------------------------------------------------------------
 
 def limiting_laplace(dag: ComponentDag, t, traj: TrajectorySpec = None) -> Scalar:
     """Product form prod_k (1 + sum_{S in V_k} t_S N*lambda* p_S / gamma(V_k))^-1."""
-    law = limit_law(dag, traj)
-    return laplace_of_limit_law(law, t)
+    val = 1
+    for row in limit_law(dag, traj).coeffs:
+        val = val / _laplace_denominator(row, t)
+    return val
 
 
 def _laplace_denominator(row, t) -> Scalar:
@@ -597,24 +334,6 @@ def _laplace_denominator(row, t) -> Scalar:
     if d <= 0:
         raise DomainError(f"the Laplace transform diverges at t: a row has 1 + t.row = {d} <= 0")
     return d
-
-
-def laplace_of_limit_law(law: LimitLaw, t) -> Scalar:
-    val = 1
-    for row in law.coeffs:
-        val = val / _laplace_denominator(row, t)
-    return val
-
-
-def laplace_of_mixture(mixture: MixtureLaw, t) -> Scalar:
-    """sum_T P*(T) prod_{i in CR(T)} (1 + ...)^-1, evaluated from the atom coefficients."""
-    total = 0
-    for (w, coeffs, _) in mixture.atoms:
-        term = w
-        for row in coeffs:
-            term = term / (1 + sum(ts * a for ts, a in zip(t, row)))
-        total = total + term
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,9 @@ GRID_CAP = 10_000  # laplace --t-grid refuses more steps
 # simulate: at most one sample per --sample-every events after the warm-up,
 # which keeps none; verify-limit: one per simulator.KS_MIN_SPACING events,
 # of one epsilon at a time or, with --scatter, of every epsilon): peak memory
-# grew by at most ~120 bytes a cell (sample on M/M/1), so 5 * 10^6 cells
-# stay under ~0.6 GB.
+# grows by at most ~115 bytes a cell (simulate --sample-every 1 on M/M/1,
+# whose event loop holds each sample as a list; sample takes ~20), so
+# 5 * 10^6 cells stay under ~0.6 GB.
 EVENT_CAP = 100_000_000
 CELL_CAP = 5_000_000
 
@@ -199,10 +200,8 @@ def cmd_moments(args):
     model, traj = _load(args)
     req = moments.MomentRequest(n=args.n, target=args.target,
                                 discipline=args.discipline, limit=bool(args.limit))
-    report = dag = None
-    if req.limit:
-        report, dag = _analysis(model)
-    val = moments.moment(model, req, report, dag, traj)
+    dag = criticality.crp_components(model) if req.limit else None
+    val = moments.moment(model, req, dag, traj)
     _write_json(args, "moments", {
         "n": req.n, "target": req.target, "discipline": req.discipline,
         "limit": req.limit, "value": _num(val)})
@@ -213,7 +212,7 @@ def cmd_sample(args):
     model, _ = _load(args)
     _refuse_above("--n times the number of types", args.n * model.n_types, CELL_CAP)
     x = prelimit.sample_prelimit(model, args.discipline, args.n, args.seed)
-    rows = [[i] + list(map(int, row)) for i, row in enumerate(x)]
+    rows = ([i] + list(map(int, row)) for i, row in enumerate(x))
     _write_csv(args, "samples", ["sample"] + model.labels(), rows)
     return 0
 
@@ -241,10 +240,8 @@ def cmd_simulate(args):
     }
     _write_json(args, "simulate", payload)
     print(f"wall seconds: {est.wall_seconds:.2f}")
-    rows = []
-    for epoch, counts in enumerate(est.samples):
-        for t, c in enumerate(counts):
-            rows.append([epoch, t, int(c)])
+    rows = ([epoch, t, int(c)] for epoch, counts in enumerate(est.samples)
+            for t, c in enumerate(counts))
     _write_csv(args, "simulate_samples", ["epoch", "type_index", "count"], rows)
     return 0
 

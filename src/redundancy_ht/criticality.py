@@ -7,13 +7,13 @@ the CRP components from the residual matching at lambda = lambda*, whose
 down-sets give the critical subsets; topological orders are listed on demand.
 
 The scans of all 2^|S|-1 nonempty type subsets (`check_stability`,
-`critical_rate_and_subsets_bruteforce`) are the literal definitions, kept as
-oracles for tests, demos and the acceptance battery.
+`critical_rate_and_subsets_bruteforce`) are the literal definitions; they
+live in `oracles`, for the tests, the demos and the acceptance battery.
 
 All structural decisions (equalities like N*lambda* p(T) = mu(T)) are made in
 exact rational arithmetic. `critical_rate` and `require_stable` take float
 models exactly (each number through Fraction(x)); the component construction
-and the subset scans reject them.
+and the brute-force scan reject them.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from functools import cached_property
 from .errors import CapExceeded, ConsistencyError, DomainError, ModelError
 from .model import Scalar, SystemModel
 
-BRUTEFORCE_CAP = 20  # refuse 2^|S| scans beyond this many job types
 ORDER_CAP = 10_000  # refuse listing more topological orders of the component DAG
 SUBSET_CAP = 14  # refuse lattices of more than 2^SUBSET_CAP type, server or down-sets
 
@@ -45,13 +44,6 @@ class CriticalityReport:
     critical_subsets: frozenset  # frozenset of frozensets of type indices
     depth_K: int
     crp_class: CrpClass
-
-    @property
-    def critical_types(self) -> frozenset:
-        out = set()
-        for sub in self.critical_subsets:
-            out |= sub
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -82,15 +74,9 @@ class ComponentDag:
         return len(self.components)
 
     @property
-    def critical_types(self) -> frozenset:
-        out = set()
-        for comp in self.components:
-            out |= comp.types
-        return frozenset(out)
-
-    @property
     def non_critical_types(self) -> frozenset:
-        return frozenset(self.model.type_indices) - self.critical_types
+        critical = frozenset().union(*(comp.types for comp in self.components))
+        return frozenset(self.model.type_indices) - critical
 
     def p_subtree(self, k: int) -> Scalar:
         return self.model.p_of(self.subtree_types[k])
@@ -147,62 +133,11 @@ def _require_exact(model: SystemModel, what: str):
         raise ModelError(f"{what} requires an exact-rational model (criticality is an equality test)")
 
 
-def _nonempty_subsets(n: int):
-    for mask in range(1, 1 << n):
-        yield frozenset(i for i in range(n) if mask >> i & 1)
-
-
-def check_stability(model: SystemModel, cap: int = BRUTEFORCE_CAP):
-    """Return (stable, witness): stable iff N*lambda*p(T) < mu(T) for all nonempty T.
-
-    On failure the witness is a violating subset of minimum cardinality
-    (hence inclusion-minimal).
-    """
-    if model.n_types > cap:
-        raise CapExceeded(f"{model.n_types} job types exceeds the subset-scan cap {cap}")
-    n = model.n_servers
-    best = None
-    for sub in sorted(_nonempty_subsets(model.n_types), key=len):
-        if n * model.lam * model.p_of(sub) >= model.mu_of(sub):
-            best = sub
-            break
-    return (best is None), best
-
-
-def critical_rate_and_subsets_bruteforce(model: SystemModel, cap: int = BRUTEFORCE_CAP) -> CriticalityReport:
-    """Scan all nonempty subsets for lambda* = (1/N) min mu(T)/p(T) and the argmin set."""
-    _require_exact(model, "brute-force criticality")
-    if model.n_types > cap:
-        raise CapExceeded(
-            f"{model.n_types} job types exceeds the brute-force cap {cap}; "
-            "use the construction route (crp_components)")
-    n = model.n_servers
-    ratios = {sub: Fraction(model.mu_of(sub), n * model.p_of(sub))
-              for sub in _nonempty_subsets(model.n_types)}
-    lam_star = min(ratios.values())
-    critical = frozenset(sub for sub, r in ratios.items() if r == lam_star)
-    depth = _longest_nesting_chain(critical)
-    return CriticalityReport(
-        lambda_star=lam_star,
-        critical_subsets=critical,
-        depth_K=depth,
-        crp_class=_classify(critical, model.n_types),
-    )
-
-
 def _classify(critical_subsets, n_types: int) -> CrpClass:
     if len(critical_subsets) > 1:
         return CrpClass.NON_CRP
     (only,) = critical_subsets
     return CrpClass.STRONG_CRP if len(only) == n_types else CrpClass.WEAK_CRP
-
-
-def _longest_nesting_chain(subsets) -> int:
-    order = sorted(subsets, key=len)
-    best = {}
-    for i, sub in enumerate(order):
-        best[sub] = 1 + max((best[prev] for prev in order[:i] if prev < sub), default=0)
-    return max(best.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Pre-limit stochastic characterization: state configurations, geometric
-segment laws, the matrix representation of the queue vector, and exact
-sampling from it.
+"""Pre-limit stochastic characterization: geometric segment laws, exact
+sampling of the queue vector, and its exact per-type means.
 
 Conditionally on the ordered vector T of first type occurrences, the jobs
 between consecutive first occurrences form independent geometric segments
@@ -10,8 +9,8 @@ critical prefixes become unit exponentials and all others vanish.
 
 The configuration T itself is drawn by peeling: its set from the
 prefix-set table of analytic._prefix_table, then its types from last to
-first. config_distribution lists every ordered vector and is kept as the
-oracle of those probabilities.
+first. oracles.config_distribution lists every ordered vector and checks
+those probabilities.
 """
 from __future__ import annotations
 
@@ -19,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (_bits, _free_idle_sum, _idle_sums, _prefix_series, _prefix_table,
-                       _set_weights, h_term, iter_ordered_type_tuples, ordered_vector)
-from .criticality import CriticalityReport, require_stable
+from .analytic import _bits, _idle_sums, _prefix_series, _prefix_table, _set_weights
+from .criticality import require_stable
 from .errors import DomainError
-from .model import Scalar, SystemModel
+from .model import SystemModel
 
 DISCIPLINES = ("coc", "cos")
 
@@ -39,38 +37,6 @@ def _kappa(model: SystemModel, discipline: str):
     _check_discipline(discipline)
     require_stable(model)
     return _idle_sums(model) if discipline == "cos" else None
-
-
-def config_distribution(model: SystemModel, discipline: str = "coc") -> tuple:
-    """Stationary distribution over ordered first-occurrence vectors.
-
-    Returns (entries_tuples, probabilities) aligned by index; the empty
-    vector is included. c.o.c. weights are h(T, 1); c.o.s. weights carry the
-    extra ordered-idle-server factor k(T), the idle-server sum over the
-    servers compatible with no type in T. This lists every ordered vector
-    and serves as the oracle of sample_prelimit's peeling probabilities.
-    """
-    kappa = _kappa(model, discipline)
-    ones = [1] * model.n_types
-    entries_list, weights = [], []
-    for entries in iter_ordered_type_tuples(model):
-        w = h_term(model, entries, ones)
-        if kappa is not None:
-            w = w * _free_idle_sum(model, kappa, entries)
-        entries_list.append(entries)
-        weights.append(w)
-    total = sum(weights)
-    return tuple(entries_list), tuple(w / total for w in weights)
-
-
-def config_prob(model: SystemModel, entries, discipline: str = "coc") -> Scalar:
-    """Stationary probability that the first-occurrence vector equals `entries`."""
-    entries = tuple(entries)
-    all_entries, probs = config_distribution(model, discipline)
-    try:
-        return probs[all_entries.index(entries)]
-    except ValueError:
-        raise DomainError(f"{entries} is not an ordered vector of distinct types") from None
 
 
 @dataclass(frozen=True)
@@ -90,11 +56,13 @@ class SegmentLaw:
 
 def segment_law(model: SystemModel, entries) -> SegmentLaw:
     entries = tuple(entries)
-    vec = ordered_vector(model, entries, frozenset())
+    if len(set(entries)) != len(entries):
+        raise DomainError("ordered vector entries must be distinct")
     n, lam = model.n_servers, model.lam
-    seg, typ, split = [], [], []
-    for j in range(1, len(entries) + 1):
-        p_j, mu_j = vec.prefix_p[j - 1], vec.prefix_mu[j - 1]
+    seg, typ, split, prefix = [], [], [], set()
+    for j, t in enumerate(entries, start=1):
+        prefix.add(t)
+        p_j, mu_j = model.p_of(prefix), model.mu_of(prefix)
         b = n * lam * p_j / mu_j
         if not 0 < b < 1:
             raise DomainError(f"segment parameter {b} outside (0,1); model unstable?")
@@ -186,48 +154,6 @@ def sample_prelimit(model: SystemModel, discipline: str, n: int, seed,
     if return_configs:
         return out, config_idx, entries_list
     return out
-
-
-@dataclass(frozen=True)
-class RepresentationMatrices:
-    """P(T), W(T) and the indicator vector of the queue-vector representation.
-
-    P is the |S| x |S| permutation aligning T-order rows to type order
-    (absent types padded in ascending index order); W is |S| x k with
-    W[i-1][l-1] = p_{T_i}/p(T, i_l) for i <= i_l; the conditional limit of
-    the scaled queue vector given T is P W U with U the i.i.d. exponentials.
-    """
-
-    entries: tuple
-    P: np.ndarray
-    W: tuple
-    indicator: np.ndarray
-
-
-def representation_matrices(model: SystemModel, report: CriticalityReport,
-                            entries) -> RepresentationMatrices:
-    entries = tuple(entries)
-    vec = ordered_vector(model, entries, report.critical_subsets)
-    s = model.n_types
-    perm = np.zeros((s, s), dtype=np.int64)
-    tbar = [t for t in model.type_indices if t not in entries]
-    for j, t in enumerate(entries):
-        perm[t, j] = 1
-    for j, t in enumerate(tbar, start=len(entries)):
-        perm[t, j] = 1
-    w_rows = []
-    for i in range(1, s + 1):
-        row = []
-        for i_l in vec.cr_indices:
-            if i <= i_l and i <= len(entries):
-                row.append(model.p[entries[i - 1]] / vec.prefix_p[i_l - 1])
-            else:
-                row.append(0)
-        w_rows.append(tuple(row))
-    indicator = np.asarray([1 if t in entries else 0 for t in model.type_indices],
-                           dtype=np.int64)
-    return RepresentationMatrices(entries=entries, P=perm, W=tuple(w_rows),
-                                  indicator=indicator)
 
 
 def expected_type_counts(model: SystemModel, discipline: str = "coc") -> tuple:

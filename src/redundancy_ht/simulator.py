@@ -1,4 +1,4 @@
-"""Event-driven simulation of the redundancy dynamics and a truncated-CTMC oracle.
+"""Event-driven simulation of the redundancy dynamics and convergence checks.
 
 Each discipline has one event loop, a kernel that keeps all of its per-event
 state in local variables:
@@ -26,8 +26,8 @@ for a fixed seed the outputs agree exactly.
 The module imports no scipy, so neither does the command line: batch-means
 half-widths read Student's t quantiles from a table (`T975`), and
 `ks_two_sample` computes the two-sample KS statistic as `scipy.stats.ks_2samp`
-does, to the bit. Only the oracle `ctmc_oracle` imports `scipy.sparse`, when
-it is called.
+does, to the bit. The truncated-CTMC oracle, `oracles.ctmc_oracle`, is the
+only code that imports `scipy.sparse`, when it is called.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ import itertools
 import math
 import random
 import time
-import warnings
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -44,11 +43,13 @@ from fractions import Fraction
 import numpy as np
 
 from .criticality import require_stable
-from .errors import CapExceeded, DomainError
+from .errors import DomainError
 from .model import SystemModel, TrajectorySpec, default_trajectory, model_at_trajectory
+# re-exported: the benchmark's reference check (perfbench/workloads.py) reads
+# simulator.config_marginals_from_oracle
+from .oracles import config_marginals_from_oracle  # noqa: F401
 from .prelimit import _check_discipline
 
-STATE_CAP = 2_000_000
 MIN_BATCHES = 20
 # scipy.stats.t.ppf(0.975, d) for d = 1 .. MIN_BATCHES - 1, the degrees of
 # freedom that batch means can have; T975[d - 1] is d degrees of freedom.
@@ -75,13 +76,13 @@ class SimEstimate:
 
 
 def simulate(model: SystemModel, discipline: str, horizon_events: int,
-             warmup_events: int = None, seed: int = 0, sample_every: int = 100,
-             allow_unstable: bool = False) -> SimEstimate:
+             warmup_events: int = None, seed: int = 0,
+             sample_every: int = 100) -> SimEstimate:
     """Run one replication and estimate steady-state per-type queue lengths.
 
     horizon_events counts post-warmup events; warm-up defaults to 20% of the
     horizon. Sampling epochs are every `sample_every`-th departure after
-    warm-up. Deterministic for a fixed seed.
+    warm-up. Deterministic for a fixed seed; an unstable model raises DomainError.
     """
     _check_discipline(discipline)
     if horizon_events < 1:
@@ -92,12 +93,7 @@ def simulate(model: SystemModel, discipline: str, horizon_events: int,
         raise DomainError(f"need a nonnegative warm-up, got {warmup_events} events")
     if sample_every < 1:
         raise DomainError(f"need sample_every >= 1, got {sample_every}")
-    try:
-        require_stable(model)
-    except DomainError as exc:
-        if not allow_unstable:
-            raise DomainError(f"{exc}; pass allow_unstable=True") from None
-        warnings.warn(f"{exc}; simulating anyway")
+    require_stable(model)
     fmodel = model.as_float()
     kernel = _run_cos if discipline == "cos" else _run_coc
     start = time.perf_counter()
@@ -396,115 +392,3 @@ def scaled_law_check(model: SystemModel, lam_star, law, discipline, eps_values,
                                  mean_scaled=tuple(float(eps * x) for x in est.time_avg),
                                  scaled_samples=scaled if keep_samples else None))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Truncated-CTMC oracle (cancel-on-completion)
-# ---------------------------------------------------------------------------
-
-def _enumerate_states(n_types: int, cap_len: int):
-    states = [()]
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for st in frontier:
-            if len(st) < cap_len:
-                for t in range(n_types):
-                    nxt.append(st + (t,))
-        states.extend(nxt)
-        frontier = nxt
-        if len(states) > STATE_CAP:
-            raise CapExceeded(
-                f"truncated state space exceeds {STATE_CAP} states; lower truncation_len")
-    return states
-
-
-def ctmc_oracle(model: SystemModel, discipline: str = "coc", truncation_len: int = 10):
-    """Solve the truncated central-queue chain and evaluate its product form.
-
-    Truncation rejects arrivals once the list holds `truncation_len` jobs.
-    Returns (pi_solve, pi_product, tv_distance) where both distributions are
-    dicts over type-label tuples. Only cancel-on-completion has a central-
-    queue product form; requesting "cos" raises DomainError.
-    """
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    _check_discipline(discipline)
-    if discipline != "coc":
-        raise DomainError("the central-queue product-form oracle exists for coc only")
-    fmodel = model.as_float()
-    states = _enumerate_states(fmodel.n_types, truncation_len)
-    index = {st: i for i, st in enumerate(states)}
-    n = fmodel.n_servers
-    lam_total = n * fmodel.lam
-    rows, cols, vals = [], [], []
-    diag = np.zeros(len(states))
-
-    def add(i, j, rate):
-        rows.append(i)
-        cols.append(j)
-        vals.append(rate)
-        diag[i] -= rate
-
-    mu_cache = {}
-
-    def mu_prefix(types_fs):
-        if types_fs not in mu_cache:
-            mu_cache[types_fs] = float(fmodel.mu_of(types_fs))
-        return mu_cache[types_fs]
-
-    for st, i in index.items():
-        if len(st) < truncation_len:
-            for t in range(fmodel.n_types):
-                add(i, index[st + (t,)], lam_total * fmodel.p[t])
-        prev = 0.0
-        seen = set()
-        for pos, t in enumerate(st):
-            seen.add(t)
-            cur = mu_prefix(frozenset(seen))
-            rate = cur - prev
-            prev = cur
-            if rate > 0:
-                add(i, index[st[:pos] + st[pos + 1:]], rate)
-    m = len(states)
-    rows.extend(range(m))
-    cols.extend(range(m))
-    vals.extend(diag)
-    gen_t = scipy.sparse.csr_matrix((vals, (cols, rows)), shape=(m, m))
-    # pi G = 0 with pi[0] pinned to 1: drop the redundant first balance
-    # equation and move the first column to the right-hand side (keeps the
-    # system sparse; a dense normalization row would destroy the solve).
-    gen_csc = gen_t.tocsc()
-    reduced = gen_csc[1:, 1:]
-    rhs = -gen_csc[1:, 0].toarray().ravel()
-    rest = scipy.sparse.linalg.spsolve(reduced.tocsr(), rhs)
-    pi = np.concatenate(([1.0], rest))
-    pi = np.maximum(pi, 0)
-    pi = pi / pi.sum()
-
-    pf = np.empty(m)
-    for st, i in index.items():
-        val = 1.0
-        seen = set()
-        for t in st:
-            seen.add(t)
-            val *= lam_total * fmodel.p[t] / mu_prefix(frozenset(seen))
-        pf[i] = val
-    pf = pf / pf.sum()
-    tv = 0.5 * float(np.abs(pi - pf).sum())
-    labels = [tuple(st) for st in states]
-    return (dict(zip(labels, pi)), dict(zip(labels, pf)), tv)
-
-
-def config_marginals_from_oracle(model: SystemModel, pi: dict) -> dict:
-    """Aggregate an oracle distribution to first-occurrence vectors (for cross-checks)."""
-    out = {}
-    for st, prob in pi.items():
-        seen = []
-        for t in st:
-            if t not in seen:
-                seen.append(t)
-        key = tuple(seen)
-        out[key] = out.get(key, 0.0) + prob
-    return out

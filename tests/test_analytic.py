@@ -6,15 +6,15 @@ import pytest
 import scipy.stats
 
 from redundancy_ht import SystemModel, TrajectorySpec, default_trajectory, generators
-from redundancy_ht.analytic import (LimitLaw, beta_hat, beta_hat_sigma_k,
-                                    enumerate_k_critical, h_term,
-                                    laplace_of_mixture, limit_law, limiting_laplace,
-                                    limiting_transform, mixture_law,
-                                    nested_sum_identity, ordered_vector, p_star, pgf_coc,
-                                    pgf_cos, sample_limit, sigma_aggregate,
-                                    sigma_weight_formula)
-from redundancy_ht.criticality import critical_rate_and_subsets_bruteforce, crp_components
+from redundancy_ht.analytic import (LimitLaw, limit_law, limiting_laplace,
+                                    limiting_transform, pgf_coc, pgf_cos, sample_limit)
+from redundancy_ht.criticality import crp_components
 from redundancy_ht.errors import CapExceeded, DomainError, PoleError
+from redundancy_ht.oracles import (beta_hat, beta_hat_sigma_k,
+                                   critical_rate_and_subsets_bruteforce, enumerate_k_critical,
+                                   h_term, laplace_of_mixture, mixture_law,
+                                   nested_sum_identity, ordered_vector, p_star,
+                                   sigma_aggregate, sigma_weight_formula)
 
 
 def _ctx(model):

@@ -5,11 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from redundancy_ht import SystemModel, generators
-from redundancy_ht.criticality import (CrpClass, check_stability, critical_rate,
-                                       critical_rate_and_subsets_bruteforce,
+from redundancy_ht.criticality import (CrpClass, critical_rate,
                                        critical_subsets_via_construction, crp_components,
                                        require_stable)
 from redundancy_ht.errors import CapExceeded, DomainError
+from redundancy_ht.oracles import check_stability, critical_rate_and_subsets_bruteforce
 
 
 def _report_and_dag(model):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redundancy_ht import SystemModel, generators
-from redundancy_ht.criticality import critical_rate_and_subsets_bruteforce, crp_components
+from redundancy_ht.criticality import crp_components
 from redundancy_ht.errors import DomainError
-from redundancy_ht.moments import (eulerian, limit_moment_total, limit_moment_type,
-                                   limit_response_time, linear_exponential_moment,
-                                   moment_total, moment_total_alt, moments_identity,
-                                   scaled_total_moment)
+from redundancy_ht.moments import (limit_moment_total, limit_moment_type, limit_response_time,
+                                   moment_total, scaled_total_moment)
+from redundancy_ht.oracles import (critical_rate_and_subsets_bruteforce, eulerian,
+                                   linear_exponential_moment, moment_total_alt, moments_identity)
 
 
 def _ctx(model):
@@ -115,30 +115,30 @@ def test_limit_moments_match_sample_limit(four_server):
 def test_limit_moment_type_strong_crp():
     model = SystemModel(mu=(F(1), F(1)), lam=F(1, 2),
                         job_types=(frozenset({1, 2}), frozenset({2})), p=(F(3, 4), F(1, 4)))
-    report, dag = _ctx(model)
-    assert limit_moment_type(model, report, dag, 0, 1) == F(3, 4)
-    assert limit_moment_type(model, report, dag, 1, 1) == F(1, 4)
+    _, dag = _ctx(model)
+    assert limit_moment_type(model, dag, 0, 1) == F(3, 4)
+    assert limit_moment_type(model, dag, 1, 1) == F(1, 4)
 
 
 def test_limit_moment_type_four_server(four_server):
-    report, dag = _ctx(four_server)
+    _, dag = _ctx(four_server)
     # type {1,2,3} draws only (1/4) U3: first moment 1/4
-    assert limit_moment_type(four_server, report, dag, 1, 1) == F(1, 4)
+    assert limit_moment_type(four_server, dag, 1, 1) == F(1, 4)
     # type {1}: E[(U1 + U3/4)^2] via the independent-exponential oracle
     oracle = linear_exponential_moment((F(1), F(1, 4)), 2)
     assert oracle == F(1) + F(1, 16) + (F(5, 4)) ** 2  # sum a^2 + (sum a)^2
-    assert limit_moment_type(four_server, report, dag, 0, 2) == oracle
+    assert limit_moment_type(four_server, dag, 0, 2) == oracle
 
 
 def test_limit_moment_type_noncritical_is_zero():
     model = SystemModel(mu=(F(1), F(1)), lam=F(1, 2),
                         job_types=(frozenset({1, 2}), frozenset({2})), p=(F(1, 4), F(3, 4)))
-    report, dag = _ctx(model)
-    assert limit_moment_type(model, report, dag, 0, 1) == 0
+    _, dag = _ctx(model)
+    assert limit_moment_type(model, dag, 0, 1) == 0
 
 
 def test_limit_moment_type_matches_mixture_oracle(rng):
-    from redundancy_ht.analytic import mixture_law, sigma_aggregate
+    from redundancy_ht.oracles import mixture_law, sigma_aggregate
 
     for _ in range(10):
         model, report, dag = generators.random_laminar_model(rng, max_servers=4,
@@ -147,7 +147,7 @@ def test_limit_moment_type_matches_mixture_oracle(rng):
         for t in model.type_indices:
             direct = sum(w * linear_exponential_moment([row[t] for row in coeffs], 2)
                          for (w, coeffs, _) in mix.atoms)
-            assert limit_moment_type(model, report, dag, t, 2) == direct
+            assert limit_moment_type(model, dag, t, 2) == direct
 
 
 def test_response_time_values(mm1, four_server, n_model):
@@ -193,9 +193,9 @@ def test_moment_request_dispatch(n_model, four_server):
     assert moment(n_model, MomentRequest(n=1)) == moment_total(n_model, 1)
     assert moment(n_model, MomentRequest(n=1, discipline="cos")) == \
         moment_total(n_model, 1, "cos")
-    report, dag = _ctx(four_server)
+    _, dag = _ctx(four_server)
     assert moment(four_server, MomentRequest(n=1, target="type:1", limit=True),
-                  report, dag) == F(1, 4)
+                  dag) == F(1, 4)
     with pytest.raises(DomainError):
         moment(n_model, MomentRequest(n=1, target="type:0"))
     with pytest.raises(DomainError):

@@ -16,16 +16,17 @@ from fractions import Fraction as F
 import pytest
 
 from redundancy_ht import SystemModel, TrajectorySpec, default_trajectory, generators
-from redundancy_ht.analytic import (enumerate_k_critical, h_term, iter_ordered_type_tuples,
-                                    laplace_of_mixture, limiting_transform, mixture_law,
-                                    omega_weight, ordered_vector, pgf_coc, pgf_cos,
-                                    sigma_aggregate, sigma_mixture)
-from redundancy_ht.criticality import critical_rate_and_subsets_bruteforce, crp_components
+from redundancy_ht.analytic import limiting_transform, pgf_coc, pgf_cos, sigma_mixture
+from redundancy_ht.criticality import crp_components
 from redundancy_ht.errors import DomainError
-from redundancy_ht.moments import (MomentRequest, _compositions, geometric_moment_factor,
-                                   linear_exponential_moment, moment, moment_total)
-from redundancy_ht.prelimit import (_last_type_weights, _peeling_weights, config_distribution,
-                                    expected_type_counts, segment_law)
+from redundancy_ht.moments import MomentRequest, moment, moment_total
+from redundancy_ht.oracles import (_compositions, config_distribution,
+                                   critical_rate_and_subsets_bruteforce, enumerate_k_critical,
+                                   geometric_moment_factor, h_term, iter_ordered_type_tuples,
+                                   laplace_of_mixture, linear_exponential_moment, mixture_law,
+                                   omega_weight, ordered_vector, sigma_aggregate)
+from redundancy_ht.prelimit import (_last_type_weights, _peeling_weights, expected_type_counts,
+                                    segment_law)
 
 
 def idle_vector_weight(model, u):
@@ -248,7 +249,7 @@ def test_lattice_moments_match_sigma_listing(diamond):
     rng = random.Random(4100)
     models = [diamond] + [m for _, m in _models(410, 25)]
     laminar = set()
-    for model, report, dag, traj in _with_trajectories(rng, models):
+    for model, _, dag, traj in _with_trajectories(rng, models):
         laminar.add(dag.subtrees_laminar)
         atoms = sigma_mixture(dag, traj).atoms
         targets = [("total", [1] * model.n_types)] + \
@@ -258,7 +259,6 @@ def test_lattice_moments_match_sigma_listing(diamond):
                 want = sum(w * linear_exponential_moment([sum(a * b for a, b in zip(c, row))
                                                           for row in rows], n)
                            for w, rows, _ in atoms)
-                got = moment(model, MomentRequest(n=n, target=target, limit=True), report, dag,
-                             traj)
+                got = moment(model, MomentRequest(n=n, target=target, limit=True), dag, traj)
                 assert got == want, (target, n)
     assert laminar == {True, False}

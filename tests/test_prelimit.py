@@ -6,11 +6,11 @@ import pytest
 import scipy.stats
 
 from redundancy_ht import SystemModel
-from redundancy_ht.analytic import enumerate_k_critical, mixture_law, ordered_vector, p_star
-from redundancy_ht.criticality import critical_rate_and_subsets_bruteforce
 from redundancy_ht.errors import DomainError
-from redundancy_ht.prelimit import (config_distribution, config_prob, expected_type_counts,
-                                    representation_matrices, sample_prelimit, segment_law)
+from redundancy_ht.oracles import (config_distribution, config_prob,
+                                   critical_rate_and_subsets_bruteforce, enumerate_k_critical,
+                                   mixture_law, ordered_vector, p_star, representation_matrices)
+from redundancy_ht.prelimit import expected_type_counts, sample_prelimit, segment_law
 
 T_EXAMPLE = (0, 2, 3, 1)  # [{1}, {3}, {3,4}, {1,2,3}] in the four-server system
 
@@ -24,7 +24,7 @@ def test_config_distribution_normalized(n_model):
 
 def test_config_prob_example_value(four_server):
     # unnormalized weight 2/63 at lam/mu = 1/2, then divided by the full sum
-    from redundancy_ht.analytic import h_term, iter_ordered_type_tuples
+    from redundancy_ht.oracles import h_term, iter_ordered_type_tuples
 
     norm = sum(h_term(four_server, e, [F(1)] * 4)
                for e in iter_ordered_type_tuples(four_server))

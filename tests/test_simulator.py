@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from redundancy_ht import SystemModel, generators
-from redundancy_ht.criticality import critical_rate_and_subsets_bruteforce, crp_components
+from redundancy_ht.criticality import crp_components
 from redundancy_ht.errors import CapExceeded, DomainError
 from redundancy_ht.model import TrajectorySpec, model_at_trajectory
 from redundancy_ht.moments import moment_total
-from redundancy_ht.prelimit import config_distribution, expected_type_counts
-from redundancy_ht.simulator import (MIN_BATCHES, T975, config_marginals_from_oracle,
-                                     ctmc_oracle, ks_two_sample, scaled_law_check, simulate)
+from redundancy_ht.oracles import (config_distribution, config_marginals_from_oracle,
+                                   critical_rate_and_subsets_bruteforce, ctmc_oracle)
+from redundancy_ht.prelimit import expected_type_counts
+from redundancy_ht.simulator import MIN_BATCHES, T975, ks_two_sample, scaled_law_check, simulate
 
 import sim_reference as reference
 
@@ -138,12 +139,10 @@ def test_cos_waiting_matches_moment(n_model):
     assert 1.0 < est.time_avg_in_service.sum() <= 2.0
 
 
-def test_unstable_requires_override():
+def test_unstable_model_is_refused():
     model = SystemModel(mu=(F(1),), lam=F(2), job_types=(frozenset({1}),), p=(F(1),))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^model is unstable: lambda = 2 >= lambda\* = 1$"):
         simulate(model, "coc", horizon_events=100)
-    with pytest.warns(UserWarning):
-        simulate(model, "coc", horizon_events=100, allow_unstable=True)
 
 
 def test_oracle_mm1_geometric(mm1):
