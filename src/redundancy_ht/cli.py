@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, acceptance, analytic, criticality, moments, prelimit, simulator
+from . import __version__, analytic, criticality, moments, prelimit, simulator
 from .errors import CapExceeded, DomainError, ModelError, PoleError
 from .model import MODEL_FORMAT_VERSION, load_model, parse_scalar
 
@@ -30,16 +30,17 @@ GRID_CAP = 10_000  # laplace --t-grid refuses more steps
 # Counts from the command line are refused (exit 3) beyond these caps before
 # any work starts. EVENT_CAP bounds the events one command simulates, warm-up
 # included (simulate: --events plus --warmup; verify-limit: that per
-# epsilon): 10^8 events take about 4 minutes of one CPU at the slowest rate
-# the event loops reach on perfbench/models (0.42M events/s at 13-14 types)
-# and 2-3 minutes at 2-7 types (0.6-0.9M events/s). CELL_CAP bounds the
-# per-type counts one command holds, rows times types (sample: --n rows;
-# simulate: at most one sample per --sample-every events after the warm-up,
-# which keeps none; verify-limit: one per simulator.KS_MIN_SPACING events,
-# of one epsilon at a time or, with --scatter, of every epsilon): peak memory
-# grows by at most ~115 bytes a cell (simulate --sample-every 1 on M/M/1,
-# whose event loop holds each sample as a list; sample takes ~20), so
-# 5 * 10^6 cells stay under ~0.6 GB.
+# epsilon): 10^8 events take about 3.5 minutes of one CPU at the slowest rate
+# the event loops reach on perfbench/models (0.48M events/s, c.o.s. at 13
+# types) and 1.5-2.5 minutes at 2-7 types (0.7-1.1M events/s). CELL_CAP
+# bounds the per-type counts one command holds, rows times types (sample:
+# --n rows; simulate: at most one sample per --sample-every events after the
+# warm-up, which keeps none; verify-limit: one per simulator.KS_MIN_SPACING
+# events, of one epsilon at a time or, with --scatter, of every epsilon):
+# peak memory grows by ~20 bytes a cell for sample and ~8 for simulate
+# --sample-every 1 on M/M/1, whose event loop holds the counts in one flat
+# int64 array (verify-limit --scatter keeps an int64 and a float64 per held
+# cell), so 5 * 10^6 cells stay near 0.1 GB.
 EVENT_CAP = 100_000_000
 CELL_CAP = 5_000_000
 
@@ -272,7 +273,7 @@ def cmd_verify_limit(args):
     csv_rows = [[r.eps, r.ks_total, r.ks_total_critical, *r.ks_per_type] for r in rows]
     _write_csv(args, "ks_sequence", header, csv_rows)
     if args.scatter:
-        scatter_rows = rows[-1].scaled_samples.tolist()
+        scatter_rows = (row.tolist() for row in rows[-1].scaled_samples)
         _write_csv(args, "scaled_scatter",
                    [f"scaled_q_{lbl}" for lbl in model.labels()], scatter_rows)
     payload = [{"epsilon": r.eps, "ks_total": r.ks_total,
@@ -286,6 +287,9 @@ def cmd_verify_limit(args):
 
 
 def cmd_verify(args):
+    # the battery and its model generators load only for this command
+    from . import acceptance
+
     names = None
     if args.only:
         names = set(args.only.split(","))

@@ -11,17 +11,27 @@ state in local variables:
   longest-idle compatible server, else it waits; a freed server takes the
   earliest compatible waiting job.
 
-Both draw, per event, the holding time at the total rate as
-`random.expovariate` computes it, then an arrival of a random type or a
-completion at a server chosen in proportion to its speed. Busy rates are
-looked up per state mask (`_BusyRates`, filled on first use). A count's time
-integral is brought up to date only when the count changes, and every
-count's at the end of a batch. The warm-up and the `MIN_BATCHES` batches
-run as separate loop segments (`_segments`), each restarting the clock and
-the integrals at 0; the warm-up keeps neither integrals nor samples. The
-policy-object loop these kernels replaced, with its literal per-copy queues
-and invariant checks, lives on in the tests as their differential oracle:
-for a fixed seed the outputs agree exactly.
+Both simulate the jump chain and advance the clock by the expected holding
+time 1/q of each state, q being its total rate, in place of a sampled
+exponential: discrete-time conversion (Hordijk, Iglehart & Schassberger
+1976; Fox & Glynn 1986), which keeps time averages consistent with a
+variance no larger than the sampled clock's. The next event is one
+`bisect_right` into the state's cumulative event rates, arrivals of a
+random type and then completions at the busy servers in proportion to their
+speeds. Those rates, with 1/q, q and the event codes, are looked up per
+state mask (`_EventTable`, filled on first use). Each event still draws,
+and discards, the uniform that its sampled holding time took, so that a
+fixed seed gives the jump chain, the sampled counts and every KS statistic
+of the sampled-clock simulator it replaced, barring a uniform within
+rounding of a rate boundary; only time averages and their half-widths
+differ. A count's time integral is brought up to date only
+when the count changes, and every count's at the end of a batch. The
+warm-up and the `MIN_BATCHES` batches run as separate loop segments
+(`_segments`), each restarting the clock and the integrals at 0; the
+warm-up keeps neither integrals nor samples, and the samples are kept flat
+in one int64 array. The policy-object loop these kernels replaced, with its
+literal per-copy queues and invariant checks, lives on in the tests as
+their differential oracle: for a fixed seed the outputs agree exactly.
 
 The module imports no scipy, so neither does the command line: batch-means
 half-widths read Student's t quantiles from a table (`T975`), and
@@ -35,7 +45,8 @@ import itertools
 import math
 import random
 import time
-from bisect import bisect_left
+from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,7 +131,7 @@ def _estimate(fmodel, discipline, batches, samples, events, wall):
         discipline=discipline,
         time_avg=time_avg[:s],
         half_width=half,
-        samples=np.asarray(samples, dtype=np.int64).reshape(-1, s),
+        samples=np.frombuffer(samples, dtype=np.int64).reshape(-1, s),
         events=events,
         wall_seconds=wall,
         time_avg_in_service=time_avg[s:] if discipline == "cos" else None,
@@ -136,17 +147,36 @@ def _segments(horizon, warmup):
     return [warmup] + [per_batch] * (nb - 1) + [horizon - per_batch * (nb - 1)]
 
 
-class _BusyRates(dict):
-    """Per state mask, filled on first use: (total speed, [(server, mu)]) of
-    the servers srv with mask & masks[srv] nonzero, in server order."""
+class _EventTable(dict):
+    """Per state mask, filled on first use: (1/q, q, cumulative rates, event
+    codes). q is the total rate, N lambda plus the speeds of the busy
+    servers, those srv with mask & masks[srv] nonzero. The cumulative rates
+    run over the arrivals by type and then over the busy servers in server
+    order, and end in inf; an event's code is t for an arrival of type t and
+    S + srv for a completion at server srv. The event of a uniform u on
+    [0, q) is codes[bisect_right(cumulative rates, u)]."""
 
-    def __init__(self, mu, masks):
-        self.mu, self.masks = mu, masks
+    def __init__(self, fmodel, masks):
+        s = fmodel.n_types
+        self.lam_total = lam_total = fmodel.n_servers * fmodel.lam
+        cum = list(itertools.accumulate(fmodel.p))
+        # the last arrival boundary is lam_total * 1.0, no rounding gap at
+        # the top; it starts the busy servers' accumulation
+        self.arrivals = [lam_total * c for c in cum[:-1]]
+        self.arrival_codes = list(range(s))
+        self.servers = [(bits, m, s + srv) for srv, (bits, m) in enumerate(zip(masks, fmodel.mu))]
 
     def __missing__(self, key):
-        pairs = [(srv, m) for srv, (m, bits) in enumerate(zip(self.mu, self.masks))
-                 if bits & key]
-        self[key] = value = (sum(m for _, m in pairs), pairs)
+        rates, codes = [], self.arrival_codes[:]
+        for bits, m, code in self.servers:
+            if bits & key:
+                rates.append(m)
+                codes.append(code)
+        q = self.lam_total + sum(rates)
+        cum = self.arrivals[:]
+        cum += itertools.accumulate(rates, initial=self.lam_total)
+        cum[-1] = math.inf
+        self[key] = value = (1.0 / q, q, cum, codes)
         return value
 
 
@@ -156,13 +186,6 @@ def _compat(fmodel):
             for srv in range(fmodel.n_servers)]
 
 
-def _type_draw(fmodel):
-    """(N lambda, cumulative p): type t arrives when bisect_left(cum, u) == t."""
-    cum = list(itertools.accumulate(fmodel.p))
-    cum[-1] = 1.0  # no rounding gap at the top
-    return fmodel.n_servers * fmodel.lam, cum
-
-
 # In both kernels each segment restarts the clock and the areas, and every
 # segment after the first (the warm-up) ends in one batch. The departure
 # countdown runs through the warm-up, which keeps no sample, so sampling
@@ -170,29 +193,27 @@ def _type_draw(fmodel):
 
 def _run_coc(fmodel, segments, seed, sample_every):
     """Cancel-on-completion: returns the (areas, duration) of each batch and
-    the per-type counts at the sampling epochs."""
+    the per-type counts at the sampling epochs, flat."""
     s = fmodel.n_types
-    rand, log = random.Random(seed).random, math.log
-    lam_total, cum = _type_draw(fmodel)
+    rand = random.Random(seed).random
     compat = _compat(fmodel)
-    rates = _BusyRates(fmodel.mu, [sum(1 << t for t in c) for c in compat])
+    table = _EventTable(fmodel, [sum(1 << t for t in c) for c in compat])
     queues = [deque() for _ in range(s)]
     count = [0] * s
     present = 0  # bitmask of the types with a job in the system
     next_id = 0
     countdown = sample_every
-    batches, samples = [], []
+    batches, samples = [], array("q")
     for segment, n_events in enumerate(segments):
         now = 0.0
         area = [0.0] * s
         since = [0.0] * s
         for _ in itertools.repeat(None, n_events):
-            busy_rate, busy = rates[present]
-            total_rate = lam_total + busy_rate
-            now += -log(1.0 - rand()) / total_rate
-            u = rand() * total_rate
-            if u < lam_total:
-                t = bisect_left(cum, u / lam_total)
+            hold, rate, cum, codes = table[present]
+            now += hold
+            rand()  # the sampled holding time's uniform, discarded
+            t = codes[bisect_right(cum, rand() * rate)]
+            if t < s:
                 queues[t].append(next_id)
                 next_id += 1
                 area[t] += count[t] * (now - since[t])
@@ -200,15 +221,8 @@ def _run_coc(fmodel, segments, seed, sample_every):
                 count[t] += 1
                 present |= 1 << t
                 continue
-            u -= lam_total
-            chosen = busy[-1][0]
-            for srv, m in busy:
-                if u < m:
-                    chosen = srv
-                    break
-                u -= m
             best = None
-            for c in compat[chosen]:
+            for c in compat[t - s]:
                 q = queues[c]
                 if q and (best is None or q[0] < best):
                     best, t = q[0], c
@@ -223,7 +237,7 @@ def _run_coc(fmodel, segments, seed, sample_every):
             if not countdown:
                 countdown = sample_every
                 if segment:
-                    samples.append(count[:])
+                    samples.extend(count)
         if segment:
             batches.append(([a + c * (now - t) for a, c, t in zip(area, count, since)], now))
     return batches, samples
@@ -234,11 +248,10 @@ def _run_cos(fmodel, segments, seed, sample_every):
     channels 0..S-1 for the waiting jobs per type and S..2S-1 for the jobs in
     service; samples hold the waiting counts."""
     s, n = fmodel.n_types, fmodel.n_servers
-    rand, log = random.Random(seed).random, math.log
-    lam_total, cum = _type_draw(fmodel)
+    rand = random.Random(seed).random
     compat = _compat(fmodel)
     compat_mask = [sum(1 << t for t in c) for c in compat]
-    rates = _BusyRates(fmodel.mu, [1 << srv for srv in range(n)])
+    table = _EventTable(fmodel, [1 << srv for srv in range(n)])
     waiting = [deque() for _ in range(s)]
     serving = [None] * n  # channel s + type in service, per server
     idle = list(range(n))  # longest idle first
@@ -246,18 +259,17 @@ def _run_cos(fmodel, segments, seed, sample_every):
     busy_mask = 0
     next_id = 0
     countdown = sample_every
-    batches, samples = [], []
+    batches, samples = [], array("q")
     for segment, n_events in enumerate(segments):
         now = 0.0
         area = [0.0] * (2 * s)
         since = [0.0] * (2 * s)
         for _ in itertools.repeat(None, n_events):
-            busy_rate, busy = rates[busy_mask]
-            total_rate = lam_total + busy_rate
-            now += -log(1.0 - rand()) / total_rate
-            u = rand() * total_rate
-            if u < lam_total:
-                t = bisect_left(cum, u / lam_total)
+            hold, rate, cum, codes = table[busy_mask]
+            now += hold
+            rand()  # the sampled holding time's uniform, discarded
+            t = codes[bisect_right(cum, rand() * rate)]
+            if t < s:
                 for pos, srv in enumerate(idle):
                     if compat_mask[srv] >> t & 1:
                         del idle[pos]
@@ -271,13 +283,7 @@ def _run_cos(fmodel, segments, seed, sample_every):
                 since[t] = now
                 count[t] += 1
                 continue
-            u -= lam_total
-            chosen = busy[-1][0]
-            for srv, m in busy:
-                if u < m:
-                    chosen = srv
-                    break
-                u -= m
+            chosen = t - s
             t = serving[chosen]
             area[t] += count[t] * (now - since[t])
             since[t] = now
@@ -304,7 +310,7 @@ def _run_cos(fmodel, segments, seed, sample_every):
             if not countdown:
                 countdown = sample_every
                 if segment:
-                    samples.append(count[:s])
+                    samples.extend(count[:s])
         if segment:
             batches.append(([a + c * (now - t) for a, c, t in zip(area, count, since)], now))
     return batches, samples

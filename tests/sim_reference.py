@@ -1,10 +1,12 @@
 """The policy-object event loop, kept as the differential oracle for the
 simulator's kernels.
 
-`_run` draws the time to the next transition at the total rate, then an
-arrival of a random type or a completion at a server chosen in proportion
-to its speed, and leaves what these do to a queue policy with `busy()`,
-`arrive(t)`, `finish(server)` and an invariant `check()`:
+`_run` advances the clock by the expected holding time, the reciprocal of
+the total rate, draws and discards the uniform a sampled holding time would
+take, and picks an arrival of a random type or a completion at a server
+chosen in proportion to its speed from the event table entry of the
+policy's state. It leaves what these do to a queue policy with `busy()`
+(that entry), `arrive(t)`, `finish(server)` and an invariant `check()`:
 
 - `_CentralQueue`: cancel-on-completion on the aggregated central queue.
   Each server works on the earliest compatible job, so a job departs at
@@ -23,13 +25,13 @@ so for a fixed seed it must return exactly what
 from __future__ import annotations
 
 import bisect
-import itertools
 import random
 import time
+from array import array
 from collections import deque
 
 from redundancy_ht.errors import DomainError
-from redundancy_ht.simulator import MIN_BATCHES, _BusyRates, _compat, _estimate
+from redundancy_ht.simulator import MIN_BATCHES, _compat, _estimate, _EventTable
 
 
 def simulate(model, discipline, horizon_events, warmup_events=None, seed=0,
@@ -55,44 +57,32 @@ def simulate(model, discipline, horizon_events, warmup_events=None, seed=0,
 
 def _run(policy, fmodel, horizon, warmup, seed, sample_every, debug_checks):
     """The event loop: returns the policy's batch integrals and the sampled type counts."""
-    rng = random.Random(seed)
-    expo, unif = rng.expovariate, rng.random
+    unif = random.Random(seed).random
     s = fmodel.n_types
-    lam_total = fmodel.n_servers * fmodel.lam
-    cum = list(itertools.accumulate(fmodel.p))
-    cum[-1] = 1.0  # no rounding gap at the top
     acc, busy_now, arrive, finish = policy.acc, policy.busy, policy.arrive, policy.finish
     per_batch = max(1, horizon // MIN_BATCHES)
     cuts = iter(range(per_batch, per_batch * MIN_BATCHES, per_batch))
     next_cut = next(cuts)
-    samples = []
+    samples = array("q")
     departures = 0
     for event in range(-warmup, horizon):
         if debug_checks:
             policy.check()
-        busy_rate, busy = busy_now()
-        total_rate = lam_total + busy_rate
-        dt = expo(total_rate)
+        hold, rate, cum, codes = busy_now()
         if event >= 0:
             if event == next_cut:
                 acc.cut()
                 next_cut = next(cuts, None)
-            acc.now += dt
-        u = unif() * total_rate
-        if u < lam_total:
-            arrive(bisect.bisect_left(cum, u / lam_total))
+            acc.now += hold
+        unif()  # the holding-time draw, discarded
+        code = codes[bisect.bisect_right(cum, unif() * rate)]
+        if code < s:
+            arrive(code)
         else:
-            u -= lam_total
-            chosen = busy[-1][0]
-            for srv, m in busy:
-                if u < m:
-                    chosen = srv
-                    break
-                u -= m
-            finish(chosen)
+            finish(code - s)
             departures += 1
             if event >= 0 and departures % sample_every == 0:
-                samples.append(acc.count[:s])
+                samples.extend(acc.count[:s])
     acc.cut()
     return acc.batches, samples
 
@@ -144,7 +134,7 @@ class _CentralQueue:
         self.model = fmodel
         self.acc = _Integrals(fmodel.n_types)
         self.compat = _compat(fmodel)
-        self.rates = _BusyRates(fmodel.mu, [sum(1 << t for t in c) for c in self.compat])
+        self.rates = _EventTable(fmodel, [sum(1 << t for t in c) for c in self.compat])
         self.queues = [deque() for _ in fmodel.type_indices]
         self.present = 0  # bitmask of the types with a job in the system
         self.next_id = 0
@@ -168,7 +158,8 @@ class _CentralQueue:
     def check(self):
         present = {t for t, c in enumerate(self.acc.count) if c}
         want = float(self.model.mu_of(present)) if present else 0.0
-        assert abs(self.busy()[0] - want) < 1e-9, "busy rate is not the speed of the present types"
+        busy_rate = self.busy()[1] - self.rates.lam_total
+        assert abs(busy_rate - want) < 1e-9, "busy rate is not the speed of the present types"
 
 
 class _CopyQueues:
@@ -178,7 +169,7 @@ class _CopyQueues:
     def __init__(self, fmodel):
         self.model = fmodel
         self.acc = _Integrals(fmodel.n_types)
-        self.rates = _BusyRates(fmodel.mu, [1 << srv for srv in range(fmodel.n_servers)])
+        self.rates = _EventTable(fmodel, [1 << srv for srv in range(fmodel.n_servers)])
         self.server_q = [deque() for _ in range(fmodel.n_servers)]
         self.alive = {}  # job id -> type index
         self.next_id = 0
@@ -216,7 +207,7 @@ class _FcfsAlis:
         self.acc = _Integrals(2 * fmodel.n_types)
         self.compat = _compat(fmodel)
         self.compat_mask = [sum(1 << t for t in c) for c in self.compat]
-        self.rates = _BusyRates(fmodel.mu, [1 << srv for srv in range(n)])
+        self.rates = _EventTable(fmodel, [1 << srv for srv in range(n)])
         self.waiting = [deque() for _ in fmodel.type_indices]
         self.serving = [None] * n  # type index in service per server
         self.idle = list(range(n))  # longest idle first

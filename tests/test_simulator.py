@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -18,7 +19,8 @@ from redundancy_ht.moments import moment_total
 from redundancy_ht.oracles import (config_distribution, config_marginals_from_oracle,
                                    critical_rate_and_subsets_bruteforce, ctmc_oracle)
 from redundancy_ht.prelimit import expected_type_counts
-from redundancy_ht.simulator import MIN_BATCHES, T975, ks_two_sample, scaled_law_check, simulate
+from redundancy_ht.simulator import (MIN_BATCHES, T975, _compat, _EventTable, ks_two_sample,
+                                    scaled_law_check, simulate)
 
 import sim_reference as reference
 
@@ -97,6 +99,65 @@ def test_literal_copies_follow_the_same_path():
                                                    **kw))
             _assert_same_run(simulate(model, "cos", seed=seed, **kw),
                              reference.simulate(model, "cos", seed=seed, **kw))
+
+
+def test_event_table_entries():
+    # per state mask: arrivals by type, then the busy servers in server
+    # order; cumulative rates that end in inf; and 1/q beside q
+    rng = random.Random(99)
+    for _ in range(40):
+        model = generators.random_stable_model(rng, max_servers=6, max_types=7)
+        fmodel = model.as_float()
+        s, n = model.n_types, model.n_servers
+        type_masks = [sum(1 << t for t in c) for c in _compat(fmodel)]
+        for masks, width in ((type_masks, s), ([1 << srv for srv in range(n)], n)):
+            table = _EventTable(fmodel, masks)
+            for key in {rng.randrange(1 << width) for _ in range(12)} | {0}:
+                hold, rate, cum, codes = table[key]
+                busy = [srv for srv in range(n) if masks[srv] & key]
+                assert codes == list(range(s)) + [s + srv for srv in busy]
+                assert len(cum) == len(codes)
+                assert all(a <= b for a, b in zip(cum, cum[1:]))
+                assert cum[-1] == math.inf and all(map(math.isfinite, cum[:-1]))
+                assert hold == 1.0 / rate
+                want = float(n * model.lam + sum(model.mu[srv] for srv in busy))
+                assert abs(rate - want) <= 1e-12 * want
+
+
+# sha256 of the sampled counts (20,000 events, seed 31, every 3rd departure)
+# and the KS statistics of scaled_law_check (eps 0.2 and 0.1, 40,000 events
+# each, seed 32, 2,000 law draws), as the stream of each discipline gives
+# them. A change to the simulator that draws a different jump chain for a
+# fixed seed changes these values and has to say so.
+STREAM_PINS = {
+    ("n_model", "coc"): (
+        "c40730e50751eb8c4886068eb5c841e880354e1ebbe4df406f6859c645f84829",
+        [((0.34, 0.2095), 0.185), ((0.1855, 0.3585), 0.298)]),
+    ("n_model", "cos"): (
+        "f02ec6fb134de837b7891e402aa68cb7a734270e9b49182e615ee2c8f97c8339",
+        [((0.62, 0.2995), 0.2835), ((0.2, 0.4045), 0.338)]),
+    ("four_server", "coc"): (
+        "789e91afc6ca646fb623ed668d31ca6225fbbd1755d073ffaf902be2251bb951",
+        [((0.2655, 0.4, 0.2, 0.3395), 0.166), ((0.1945, 0.28, 0.0995, 0.3735), 0.2025)]),
+    ("four_server", "cos"): (
+        "da7962b58e213bc46e05b5d3fb0cd64edbdc48b1b2de86d2f2a8b46803f49218",
+        [((0.3255, 0.67, 0.3475, 0.42), 0.312), ((0.1855, 0.32, 0.2475, 0.4475), 0.252)]),
+}
+
+
+@pytest.mark.parametrize("name, discipline", sorted(STREAM_PINS))
+def test_fixed_seed_streams_are_pinned(request, name, discipline):
+    from redundancy_ht.analytic import limit_law
+
+    model = request.getfixturevalue(name)
+    digest, ks = STREAM_PINS[name, discipline]
+    est = simulate(model, discipline, horizon_events=20_000, seed=31, sample_every=3)
+    assert hashlib.sha256(est.samples.tobytes()).hexdigest() == digest
+    dag = crp_components(model)
+    rows = scaled_law_check(model, dag.lambda_star, limit_law(dag), discipline,
+                            eps_values=[0.2, 0.1], events_per_eps=40_000, seed=32,
+                            law_samples=2_000)
+    assert [(row.ks_per_type, row.ks_total) for row in rows] == ks
 
 
 def test_no_table_over_all_type_subsets():
@@ -234,15 +295,26 @@ def test_ks_two_sample_needs_two_samples():
         ks_two_sample([], [1.0])
 
 
-def test_cli_import_loads_no_scipy():
+def _modules_loaded_by_cli_import():
+    """The module names a fresh interpreter holds after `import redundancy_ht.cli`."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, redundancy_ht.cli; "
-            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+    code = "import sys, redundancy_ht.cli; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    assert [k for k in _modules_loaded_by_cli_import() if k.startswith("scipy")] == []
+
+
+def test_cli_import_loads_no_acceptance_battery():
+    # only `rht verify` reads the battery, which imports it when it runs
+    loaded = set(_modules_loaded_by_cli_import())
+    assert "redundancy_ht.cli" in loaded
+    assert not loaded & {"redundancy_ht.acceptance", "redundancy_ht.generators"}
 
 
 def test_scaled_law_check_runs(n_model):
