@@ -240,7 +240,8 @@ def cmd_simulate(args):
         "type_labels": model.labels(),
     }
     _write_json(args, "simulate", payload)
-    print(f"wall seconds: {est.wall_seconds:.2f}")
+    rate = (args.events + warmup) / est.wall_seconds if est.wall_seconds > 0 else math.inf
+    print(f"wall seconds: {est.wall_seconds:.2f}  kernel: {est.kernel}  events/s: {rate:.0f}")
     rows = ([epoch, t, int(c)] for epoch, counts in enumerate(est.samples)
             for t, c in enumerate(counts))
     _write_csv(args, "simulate_samples", ["epoch", "type_index", "count"], rows)

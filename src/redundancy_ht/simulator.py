@@ -1,7 +1,16 @@
 """Event-driven simulation of the redundancy dynamics and convergence checks.
 
 Each discipline has one event loop, a kernel that keeps all of its per-event
-state in local variables:
+state in local variables. It runs compiled where it can: `_kernels.c`
+holds both loops in C, built with the system `cc` on the first `simulate`
+call and cached per user, keyed by the source's sha256
+(`$XDG_CACHE_HOME/redundancy-ht`, `~/.cache/redundancy-ht`, else under
+the temporary directory; see `_kernels`). The C loops reproduce CPython's
+Mersenne Twister and make the same floating-point operations in the same
+order, so for a fixed seed they return what the Python kernels below return,
+to the bit, 10-15x faster. Where no compiler or writable cache exists, or
+the build fails (once: a marker keeps later processes from retrying), the
+Python kernels run; no flag chooses, and `SimEstimate.kernel` says which ran.
 
 - `_run_coc`: cancel-on-completion on the aggregated central queue, one
   FCFS queue of job ids per type. Each server works on the earliest
@@ -19,7 +28,8 @@ variance no larger than the sampled clock's. The next event is one
 `bisect_right` into the state's cumulative event rates, arrivals of a
 random type and then completions at the busy servers in proportion to their
 speeds. Those rates, with 1/q, q and the event codes, are looked up per
-state mask (`_EventTable`, filled on first use). Each event still draws,
+state mask (`_EventTable`, filled on first use; the C loops refold them
+whenever the busy set changes). Each event still draws,
 and discards, the uniform that its sampled holding time took, so that a
 fixed seed gives the jump chain, the sampled counts and every KS statistic
 of the sampled-clock simulator it replaced, barring a uniform within
@@ -41,6 +51,7 @@ only code that imports `scipy.sparse`, when it is called.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -53,6 +64,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _kernels
 from .criticality import require_stable
 from .errors import DomainError
 from .model import SystemModel, TrajectorySpec, default_trajectory, model_at_trajectory
@@ -80,6 +92,7 @@ class SimEstimate:
     events: int
     wall_seconds: float
     time_avg_in_service: np.ndarray = None  # cos only: per-type in-service average
+    kernel: str = "python"  # the event loop that ran: "c" (compiled) or "python"
 
     @property
     def time_avg_total(self) -> float:
@@ -106,15 +119,24 @@ def simulate(model: SystemModel, discipline: str, horizon_events: int,
         raise DomainError(f"need sample_every >= 1, got {sample_every}")
     require_stable(model)
     fmodel = model.as_float()
-    kernel = _run_cos if discipline == "cos" else _run_coc
+    kernel, name = _kernel(discipline)
     start = time.perf_counter()
     batches, samples = kernel(fmodel, _segments(horizon_events, warmup_events), seed,
                               sample_every)
     return _estimate(fmodel, discipline, batches, samples, horizon_events,
-                     time.perf_counter() - start)
+                     time.perf_counter() - start, name)
 
 
-def _estimate(fmodel, discipline, batches, samples, events, wall):
+def _kernel(discipline):
+    """The event loop of a discipline and its name: the compiled one where
+    `_kernels.c` builds, else the Python one."""
+    lib = _kernels.library()
+    if lib is None:
+        return (_run_cos if discipline == "cos" else _run_coc), "python"
+    return functools.partial(_run_compiled, lib, discipline), "c"
+
+
+def _estimate(fmodel, discipline, batches, samples, events, wall, kernel="python"):
     """Time averages and batch-means half-widths from the per-batch
     (areas, duration) pairs of a run."""
     s = fmodel.n_types
@@ -135,6 +157,7 @@ def _estimate(fmodel, discipline, batches, samples, events, wall):
         events=events,
         wall_seconds=wall,
         time_avg_in_service=time_avg[s:] if discipline == "cos" else None,
+        kernel=kernel,
     )
 
 
@@ -158,26 +181,33 @@ class _EventTable(dict):
 
     def __init__(self, fmodel, masks):
         s = fmodel.n_types
-        self.lam_total = lam_total = fmodel.n_servers * fmodel.lam
-        cum = list(itertools.accumulate(fmodel.p))
-        # the last arrival boundary is lam_total * 1.0, no rounding gap at
-        # the top; it starts the busy servers' accumulation
-        self.arrivals = [lam_total * c for c in cum[:-1]]
+        self.lam_total, self.arrivals = _arrival_rates(fmodel)
         self.arrival_codes = list(range(s))
         self.servers = [(bits, m, s + srv) for srv, (bits, m) in enumerate(zip(masks, fmodel.mu))]
 
     def __missing__(self, key):
         rates, codes = [], self.arrival_codes[:]
+        busy = 0.0  # a left fold, which sum() of floats is not from Python 3.12 on
         for bits, m, code in self.servers:
             if bits & key:
                 rates.append(m)
                 codes.append(code)
-        q = self.lam_total + sum(rates)
+                busy += m
+        q = self.lam_total + busy
         cum = self.arrivals[:]
         cum += itertools.accumulate(rates, initial=self.lam_total)
         cum[-1] = math.inf
         self[key] = value = (1.0 / q, q, cum, codes)
         return value
+
+
+def _arrival_rates(fmodel):
+    """N lambda and the arrival boundaries of the cumulative event rates,
+    N lambda times the running sums of p but the last."""
+    lam_total = fmodel.n_servers * fmodel.lam
+    # the last arrival boundary is lam_total * 1.0, no rounding gap at the
+    # top; it starts the busy servers' accumulation
+    return lam_total, [lam_total * c for c in itertools.accumulate(fmodel.p[:-1])]
 
 
 def _compat(fmodel):
@@ -314,6 +344,37 @@ def _run_cos(fmodel, segments, seed, sample_every):
         if segment:
             batches.append(([a + c * (now - t) for a, c, t in zip(area, count, since)], now))
     return batches, samples
+
+
+def _run_compiled(lib, discipline, fmodel, segments, seed, sample_every):
+    """`_run_coc` or `_run_cos` in C (`_kernels.c`): the same batches and
+    samples to the bit, the samples left in the buffer the C loop filled."""
+    import ctypes
+
+    s, n = fmodel.n_types, fmodel.n_servers
+    lam_total, arrivals = _arrival_rates(fmodel)
+    compat = _compat(fmodel)
+    width = 2 * s if discipline == "cos" else s
+    areas = np.empty((len(segments) - 1, width))
+    durations = np.empty(len(segments) - 1)
+    address, length = ctypes.c_void_p(), ctypes.c_int64()
+    run = lib.rht_run_cos if discipline == "cos" else lib.rht_run_coc
+    status = run(s, n, lam_total, np.array(arrivals, dtype=np.float64),
+                 np.array(fmodel.mu, dtype=np.float64),
+                 np.array([0, *itertools.accumulate(map(len, compat))], dtype=np.int32),
+                 np.array([t for types in compat for t in types], dtype=np.int32),
+                 np.array(random.Random(seed).getstate()[1], dtype=np.uint32),
+                 len(segments), np.array(segments, dtype=np.int64),
+                 # a period beyond the event count samples nothing either way
+                 min(sample_every, sum(segments) + 1), areas, durations,
+                 ctypes.byref(address), ctypes.byref(length))
+    if status == 1:
+        raise MemoryError("the compiled simulator kernel ran out of memory")
+    if status:
+        raise RuntimeError(f"the compiled simulator kernel failed with status {status}")
+    samples = (np.asarray(_kernels.OwnedSamples(lib, address.value, length.value))
+               if length.value else array("q"))
+    return list(zip(areas.tolist(), durations.tolist())), samples
 
 
 # ---------------------------------------------------------------------------
