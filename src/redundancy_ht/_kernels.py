@@ -10,17 +10,16 @@ is compiled with the system `cc` into a temporary file that then replaces
 the library's path, so concurrent processes never load half a file.
 Nothing is written to the source tree. A failed build leaves a
 `<hash>.failed` marker beside it, and no later process runs the compiler
-on the same source again. There is no flag and no environment variable:
-the compiled kernels run wherever they build.
+on the same source again. No flag or environment variable selects the
+kernels: the compiled ones run wherever they build.
 """
 from __future__ import annotations
 
 import functools
+import importlib
 import os
 import tempfile
 from importlib import resources
-
-import numpy as np
 
 _CC = "cc"  # the compiler command
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -29,10 +28,8 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 @functools.cache
 def library():
     """The compiled kernels with their argument types declared, or None."""
-    import hashlib
-
     source = resources.files(__package__).joinpath("_kernels.c").read_bytes()
-    digest = hashlib.sha256(source).hexdigest()
+    digest = _sha256(source)
     folder = _cache_dir()
     if folder is None:
         return None
@@ -46,18 +43,30 @@ def library():
         lib = ctypes.CDLL(path)
     except OSError:
         return None
-    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    int32s = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+    # arrays go in as the addresses of C-contiguous numpy arrays of the C
+    # types (numpy.ctypeslib.ndpointer would add ~0.6 ms of import a process)
+    array = ctypes.c_void_p
     for kernel in (lib.rht_run_coc, lib.rht_run_cos):
-        kernel.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_double, doubles, doubles,
-                           int32s, int32s, np.ctypeslib.ndpointer(np.uint32, flags="C_CONTIGUOUS"),
-                           ctypes.c_int, np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"),
-                           ctypes.c_int64, doubles, doubles, ctypes.POINTER(ctypes.c_void_p),
-                           ctypes.POINTER(ctypes.c_int64)]
+        kernel.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_double, array, array, array,
+                           array, array, ctypes.c_int, array, ctypes.c_int64, array, array,
+                           ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_int64)]
         kernel.restype = ctypes.c_int
     lib.rht_free.argtypes = [ctypes.c_void_p]
     lib.rht_free.restype = None
     return lib
+
+
+def _sha256(data):
+    """The sha256 hex digest of `data`. Importing hashlib loads OpenSSL, ~3 ms
+    a process, so the lean builtin module comes first, as in `random`."""
+    for name in ("_sha2", "_sha256"):  # Python 3.12 on, 3.11 and before
+        try:
+            return importlib.import_module(name).sha256(data).hexdigest()
+        except ImportError:
+            pass
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
 
 
 def _cache_dir():
@@ -71,8 +80,13 @@ def _cache_dir():
         if not os.path.isabs(folder):
             continue
         try:
-            os.makedirs(folder, mode=0o700, exist_ok=True)
             owner = os.stat(folder).st_uid
+        except FileNotFoundError:
+            try:
+                os.makedirs(folder, mode=0o700)
+                owner = os.stat(folder).st_uid
+            except OSError:
+                continue
         except OSError:
             continue
         if (uid is None or owner == uid) and os.access(folder, os.W_OK):

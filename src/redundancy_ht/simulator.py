@@ -8,7 +8,7 @@ call and cached per user, keyed by the source's sha256
 the temporary directory; see `_kernels`). The C loops reproduce CPython's
 Mersenne Twister and make the same floating-point operations in the same
 order, so for a fixed seed they return what the Python kernels below return,
-to the bit, 10-15x faster. Where no compiler or writable cache exists, or
+to the bit, about ten times as fast (`BENCH_11.json`). Where no compiler or writable cache exists, or
 the build fails (once: a marker keeps later processes from retrying), the
 Python kernels run; no flag chooses, and `SimEstimate.kernel` says which ran.
 
@@ -355,20 +355,23 @@ def _run_compiled(lib, discipline, fmodel, segments, seed, sample_every):
     lam_total, arrivals = _arrival_rates(fmodel)
     compat = _compat(fmodel)
     width = 2 * s if discipline == "cos" else s
+    # new C-contiguous arrays of the kernel's C types, alive through the call
+    arrivals = np.array(arrivals, dtype=np.float64)
+    mu = np.array(fmodel.mu, dtype=np.float64)
+    compat_start = np.array([0, *itertools.accumulate(map(len, compat))], dtype=np.int32)
+    compat_types = np.array([t for types in compat for t in types], dtype=np.int32)
+    mt_state = np.array(random.Random(seed).getstate()[1], dtype=np.uint32)
+    counts = np.array(segments, dtype=np.int64)
     areas = np.empty((len(segments) - 1, width))
     durations = np.empty(len(segments) - 1)
     address, length = ctypes.c_void_p(), ctypes.c_int64()
     run = lib.rht_run_cos if discipline == "cos" else lib.rht_run_coc
-    status = run(s, n, lam_total, np.array(arrivals, dtype=np.float64),
-                 np.array(fmodel.mu, dtype=np.float64),
-                 np.array([0, *itertools.accumulate(map(len, compat))], dtype=np.int32),
-                 np.array([t for types in compat for t in types], dtype=np.int32),
-                 np.array(random.Random(seed).getstate()[1], dtype=np.uint32),
-                 len(segments), np.array(segments, dtype=np.int64),
+    status = run(s, n, lam_total, arrivals.ctypes.data, mu.ctypes.data, compat_start.ctypes.data,
+                 compat_types.ctypes.data, mt_state.ctypes.data, len(segments), counts.ctypes.data,
                  # a period beyond the event count samples nothing either way
-                 min(sample_every, sum(segments) + 1), areas, durations,
+                 min(sample_every, sum(segments) + 1), areas.ctypes.data, durations.ctypes.data,
                  ctypes.byref(address), ctypes.byref(length))
-    if status == 1:
+    if status == 1:  # RHT_NOMEM
         raise MemoryError("the compiled simulator kernel ran out of memory")
     if status:
         raise RuntimeError(f"the compiled simulator kernel failed with status {status}")
