@@ -80,13 +80,8 @@ def _cache_dir():
         if not os.path.isabs(folder):
             continue
         try:
+            os.makedirs(folder, mode=0o700, exist_ok=True)
             owner = os.stat(folder).st_uid
-        except FileNotFoundError:
-            try:
-                os.makedirs(folder, mode=0o700)
-                owner = os.stat(folder).st_uid
-            except OSError:
-                continue
         except OSError:
             continue
         if (uid is None or owner == uid) and os.access(folder, os.W_OK):
