@@ -74,12 +74,6 @@ def test_compiled_kernels_on_tiny_runs(lib, n_model):
             _assert_same(python, compiled)
 
 
-def test_simulate_runs_the_compiled_kernel(lib, four_server):
-    est = simulate(four_server, "cos", horizon_events=5_000, seed=2)
-    assert est.kernel == "c"
-    assert est.samples.dtype == np.int64 and est.samples.shape[1] == 4
-
-
 def test_kernel_source_ships_with_the_package():
     source = resources.files("redundancy_ht").joinpath("_kernels.c")
     assert source.is_file()
