@@ -6,8 +6,8 @@ or additionally over ordered idle-server vectors (cancel-on-start). Each
 factor of a product depends only on a prefix set and its newest element,
 so one recursion over the subsets of types (_prefix_table), weighted by
 one over the subsets of servers (_idle_sums), computes these sums as power
-series in s; the PGFs, the pre-limit moments, the per-type means and the
-exact sampler read it.
+series in s; the PGFs, the pre-limit moments and the exact sampler read
+it.
 
 Limit: as the arrival-rate vector approaches the stability boundary along
 a trajectory lambda_S(eps) = N*lambda* p_S - eps*gamma_S, the scaled queue
@@ -201,6 +201,11 @@ class LimitLaw:
     def K(self) -> int:
         return len(self.coeffs)
 
+    @property
+    def atoms(self) -> tuple:
+        """The law as a MixtureLaw's single atom (weight 1, no label)."""
+        return ((1, self.coeffs, None),)
+
 
 @dataclass(frozen=True)
 class MixtureLaw:
@@ -212,10 +217,6 @@ class MixtureLaw:
     @property
     def K(self) -> int:
         return len(self.atoms[0][1])
-
-    @property
-    def weights(self) -> tuple:
-        return tuple(w for (w, _, _) in self.atoms)
 
 
 def limit_law(dag: ComponentDag, traj: TrajectorySpec = None) -> LimitLaw:
@@ -345,11 +346,7 @@ def sample_limit(law, n: int, seed) -> np.ndarray:
     if n < 1:
         raise DomainError("need n >= 1 samples")
     rng = np.random.default_rng(seed)
-    if isinstance(law, LimitLaw):
-        a = np.asarray(law.coeffs, dtype=float)
-        u = rng.exponential(1.0, size=(n, a.shape[0]))
-        return u @ a
-    pv = np.asarray([float(w) for w in law.weights])
+    pv = np.asarray([float(w) for (w, _, _) in law.atoms])
     counts = rng.multinomial(n, pv / pv.sum())
     out = []
     for (count, (_, coeffs, _)) in zip(counts, law.atoms):

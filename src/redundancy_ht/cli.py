@@ -103,14 +103,10 @@ def _load(args):
     return load_model(args.model)
 
 
-def _analysis(model):
-    dag = criticality.crp_components(model)
-    return criticality.report_from_construction(model, dag), dag
-
-
 def cmd_analyze(args):
     model, _ = _load(args)
-    report, dag = _analysis(model)
+    dag = criticality.crp_components(model)
+    report = criticality.report_from_construction(model, dag)
     payload = {
         "lambda_star": _num(report.lambda_star),
         "critical_subsets": sorted(sorted(s) for s in report.critical_subsets),
@@ -200,7 +196,7 @@ def cmd_limit_law(args):
 def cmd_moments(args):
     model, traj = _load(args)
     req = moments.MomentRequest(n=args.n, target=args.target,
-                                discipline=args.discipline, limit=bool(args.limit))
+                                discipline=args.discipline, limit=args.limit)
     dag = criticality.crp_components(model) if req.limit else None
     val = moments.moment(model, req, dag, traj)
     _write_json(args, "moments", {
@@ -250,7 +246,7 @@ def cmd_simulate(args):
 
 def cmd_verify_limit(args):
     model, traj = _load(args)
-    report, dag = _analysis(model)
+    dag = criticality.crp_components(model)
     if dag.subtrees_laminar:
         law = analytic.limit_law(dag, traj)
     else:
@@ -266,7 +262,7 @@ def cmd_verify_limit(args):
     spacing = simulator.KS_MIN_SPACING
     _refuse_above(f"samples (--events / {spacing} + 1 per epsilon held) times the number "
                   "of types", (args.events // spacing + 1) * held * model.n_types, CELL_CAP)
-    rows = simulator.scaled_law_check(model, report.lambda_star, law, args.discipline,
+    rows = simulator.scaled_law_check(model, dag.lambda_star, law, args.discipline,
                                       eps_values, args.events, seed=args.seed,
                                       keep_samples=args.scatter, traj=traj)
     header = ["epsilon", "ks_total", "ks_total_critical"] + \
@@ -348,10 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--target", default="total", help="total or type:<index>")
     p.add_argument("--discipline", choices=("coc", "cos"), default="coc")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--limit", action="store_true")
-    group.add_argument("--prelimit", dest="limit", action="store_false")
-    p.set_defaults(fn=cmd_moments, limit=False)
+    p.add_argument("--limit", action="store_true")
+    p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("sample", help="exact stationary samples of the queue vector")
     common(p)

@@ -1,30 +1,29 @@
-"""Closed-form moments of the queue lengths and their heavy-traffic limits.
+"""Moments of linear functionals c.Q of the queue vector and their
+heavy-traffic limits, for c = 1 (the total) or the indicator of one type.
 
-The n-th pre-limit moment of the total number of jobs is n! times the
-coefficient of s^n in the PGF at z_S = e^s for every type, read from the
-prefix-set series of analytic._prefix_series (moment_total). The
+The n-th pre-limit moment E[(c.Q)^n] is n! times the coefficient of s^n in
+the PGF at z_t = e^{c_t s}, read from one prefix-set series by
+prelimit.linear_moment; moment_total is its c = 1. For the total the
 Eulerian-number formula over ordered type vectors, built from the moments
 of the geometric segment totals, computes the same value by enumeration
 (oracles.moment_total_alt); its per-segment factors equal the composition-sum
 factors by an exact polynomial identity, tested in oracles.moments_identity.
 
-Limit moments are moments of the limit law along the trajectory, from
-analytic.limiting_transform; on the default trajectory every row of it sums
+The limit of eps^n E[(c.Q)^n] is E[(c.Y)^n] for Y the limit law along the
+trajectory, from analytic.limiting_transform; it is 0 when c vanishes on
+every critical type. On the default trajectory every row of the law sums
 to 1 and the total has the closed form (n+K-1)!/(K-1)!.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .analytic import _prefix_series, limiting_transform
+from .analytic import limiting_transform
 from .criticality import ComponentDag, CriticalityReport
 from .errors import DomainError
 from .model import Scalar, SystemModel, TrajectorySpec
-from .prelimit import _kappa
-
-MOMENT_ORDER_CAP = 12
+from .prelimit import MOMENT_ORDER_CAP, linear_moment
 
 
 @dataclass(frozen=True)
@@ -46,33 +45,33 @@ class MomentRequest:
 
 def moment(model: SystemModel, req: MomentRequest, dag: ComponentDag = None,
            traj: TrajectorySpec = None) -> Scalar:
-    """Dispatch a MomentRequest to the matching closed form.
+    """E[(c.Q)^n] for the request's c, 1 for the total and the indicator of
+    the type for type:<index>: pre-limit, or its limit along the trajectory
+    traj (the default one when None), which needs the dag.
 
-    Pre-limit per-type moments are not exposed (only the total has a closed
-    form for both disciplines); ask for the limit instead. Limits follow
-    the trajectory traj, the default one when None, and need the dag.
+    In the limit the total on the default trajectory takes its closed form,
+    and a c that vanishes on every critical type gives 0.
     """
+    c = [1] * model.n_types
+    if req.target != "total":
+        index = int(req.target.split(":", 1)[1])
+        if index not in model.type_indices:
+            raise DomainError(f"unknown type index {index}")
+        c = [int(t == index) for t in model.type_indices]
     if not req.limit:
-        if req.target != "total":
-            raise DomainError("per-type moments are exposed in the limit only")
-        return moment_total(model, req.n, req.discipline)
+        return linear_moment(model, c, req.n, req.discipline)
     if dag is None:
         raise DomainError("a limit moment needs the dag argument")
-    if req.target != "total":
-        return limit_moment_type(model, dag, int(req.target.split(":", 1)[1]), req.n, traj)
-    if traj is None:
+    if req.target == "total" and traj is None:
         return limit_moment_total(dag.K, req.n)
-    return _mixture_moment(dag, traj, req.n, [1] * model.n_types)
+    if not any(c[t] for comp in dag.components for t in comp.types):
+        return 0
+    return _mixture_moment(dag, traj, req.n, c)
 
 
 def moment_total(model: SystemModel, n: int, discipline: str = "coc") -> Scalar:
     """E[Q^n] (c.o.c.) or E[Qtilde^n] (c.o.s.): n! [s^n] of the PGF at z_S = e^s."""
-    if not 1 <= n <= MOMENT_ORDER_CAP:
-        raise DomainError(f"moment order must be in 1..{MOMENT_ORDER_CAP}")
-    kappa = _kappa(model, discipline)
-    exp_s = [Fraction(1, math.factorial(k)) for k in range(n + 1)]
-    series = _prefix_series(model, [exp_s] * model.n_types, kappa)
-    return math.factorial(n) * series[n] / series[0]
+    return linear_moment(model, [1] * model.n_types, n, discipline)
 
 
 def limit_moment_total(report_or_k, n: int) -> int:
@@ -93,22 +92,6 @@ def scaled_total_moment(model: SystemModel, lam_star: Scalar, eps: Scalar, n: in
 def _mixture_moment(dag: ComponentDag, traj: TrajectorySpec, n: int, c) -> Scalar:
     """E[(c.Y)^n] for Y the limit law on traj: n! [s^n] E[exp(s c.Y)]."""
     return math.factorial(n) * limiting_transform(dag, [0] * len(c), traj, c, n)[n]
-
-
-def limit_moment_type(model: SystemModel, dag: ComponentDag, type_index: int, n: int,
-                      traj: TrajectorySpec = None) -> Scalar:
-    """Limit of E[((1 - lam/lam*) Q_S)^n] for one job type (c.o.c. and c.o.s. alike).
-
-    Sums over topological orders sigma with their limiting weights on the
-    trajectory traj (the default one when None); within a sigma, type S
-    draws coefficient N*lambda* p_S / gamma(prefix) from every component at
-    or after the one containing S, and non-critical types get 0.
-    """
-    if type_index not in set(model.type_indices):
-        raise DomainError(f"unknown type index {type_index}")
-    if type_index in dag.non_critical_types:
-        return 0
-    return _mixture_moment(dag, traj, n, [int(t == type_index) for t in model.type_indices])
 
 
 def limit_response_time(report: CriticalityReport, model: SystemModel) -> Scalar:

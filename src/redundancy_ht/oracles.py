@@ -21,8 +21,7 @@ from .analytic import MixtureLaw, _direction, _free_idle_sum
 from .criticality import ComponentDag, CriticalityReport, _classify, _require_exact
 from .errors import CapExceeded, ConsistencyError, DomainError, PoleError
 from .model import Scalar, SystemModel, TrajectorySpec
-from .moments import MOMENT_ORDER_CAP
-from .prelimit import _check_discipline, _kappa
+from .prelimit import MOMENT_ORDER_CAP, _check_discipline, _kappa
 
 ENUM_CAP = 8  # listing ordered type vectors refuses beyond this many types
 BRUTEFORCE_CAP = 20  # refuse 2^|S| scans beyond this many job types

@@ -1,5 +1,5 @@
 """Pre-limit stochastic characterization: geometric segment laws, exact
-sampling of the queue vector, and its exact per-type means.
+sampling of the queue vector, and its exact moments along any direction.
 
 Conditionally on the ordered vector T of first type occurrences, the jobs
 between consecutive first occurrences form independent geometric segments
@@ -11,19 +11,26 @@ The configuration T itself is drawn by peeling: its set from the
 prefix-set table of analytic._prefix_table, then its types from last to
 first. oracles.config_distribution lists every ordered vector and checks
 those probabilities.
+
+Every moment reads one prefix-set series: E[(c.Q)^n] is n! times the
+coefficient of s^n in the PGF at z_t = e^{c_t s} (linear_moment). The
+total moments of `moments` take c = 1, the per-type means c = e_S.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .analytic import _bits, _idle_sums, _prefix_series, _prefix_table, _set_weights
 from .criticality import require_stable
 from .errors import DomainError
-from .model import SystemModel
+from .model import Scalar, SystemModel
 
 DISCIPLINES = ("coc", "cos")
+MOMENT_ORDER_CAP = 12
 
 
 def _check_discipline(discipline: str):
@@ -156,17 +163,24 @@ def sample_prelimit(model: SystemModel, discipline: str, n: int, seed,
     return out
 
 
-def expected_type_counts(model: SystemModel, discipline: str = "coc") -> tuple:
-    """Exact per-type stationary means: E[Q_S] (c.o.c.) or E[Qtilde_S] (c.o.s.).
+def linear_moment(model: SystemModel, c, n: int, discipline: str = "coc") -> Scalar:
+    """E[(c.Q)^n] (c.o.c.) or E[(c.Qtilde)^n] (c.o.s.) for a weight c_t per type.
 
-    E[Q_S] is the derivative of the PGF in z_S at z = 1: the coefficient of
-    s in the prefix-set series at z_S = 1 + s and every other z at 1,
-    divided by the constant coefficient.
+    n! times the coefficient of s^n in the PGF at z_t = e^{c_t s}: the
+    prefix-set series at those z, divided by its constant coefficient.
     """
+    if not 1 <= n <= MOMENT_ORDER_CAP:
+        raise DomainError(f"moment order must be in 1..{MOMENT_ORDER_CAP}")
+    if len(c) != model.n_types:
+        raise DomainError(f"need one weight per job type, got {len(c)} for {model.n_types}")
     kappa = _kappa(model, discipline)
-    means = []
-    for t in model.type_indices:
-        series = _prefix_series(model, [[1, 1] if u == t else [1, 0]
-                                        for u in model.type_indices], kappa)
-        means.append(series[1] / series[0])
-    return tuple(means)
+    exp_s = [Fraction(1, math.factorial(k)) for k in range(n + 1)]
+    series = _prefix_series(model, [[e * ct ** k for k, e in enumerate(exp_s)] for ct in c], kappa)
+    return math.factorial(n) * series[n] / series[0]
+
+
+def expected_type_counts(model: SystemModel, discipline: str = "coc") -> tuple:
+    """Exact per-type stationary means: E[Q_S] (c.o.c.) or E[Qtilde_S] (c.o.s.),
+    the linear moment of order 1 with c the indicator of S."""
+    return tuple(linear_moment(model, [int(u == t) for u in model.type_indices], 1, discipline)
+                 for t in model.type_indices)

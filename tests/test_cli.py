@@ -94,6 +94,10 @@ def test_moments_subcommand(n_model_file, capsys):
     assert json.loads(out)["value"] == "22/3"
     code, out = _run(["moments", "--model", n_model_file, "--n", "2", "--limit"], capsys)
     assert json.loads(out)["value"] == "6"
+    for discipline, want in (("coc", "16/3"), ("cos", "1344/295")):  # expected_type_counts
+        code, out = _run(["moments", "--model", n_model_file, "--n", "1", "--target", "type:1",
+                          "--discipline", discipline], capsys)
+        assert code == 0 and json.loads(out)["value"] == want
 
 
 def test_sample_csv_deterministic(n_model_file, tmp_path, capsys):
@@ -490,6 +494,20 @@ def test_limit_sums_run_over_down_sets(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_laminar_limit_needs_no_down_set_lattice(tmp_path, capsys):
+    """Fifteen independent queues have 2^15 down-sets, over the lattice cap;
+    verify-limit samples the product form and the total limit moment is
+    the closed form, so neither refuses."""
+    path = _independent_queues(tmp_path, k=15)
+    assert main(["verify-limit", "--model", path, "--eps", "0.2", "--events", "2000",
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    code, out = _run(["moments", "--limit", "--n", "2", "--model", path], capsys)
+    assert code == 0 and json.loads(out)["value"] == "240"  # 16!/14!
+    assert main(["moments", "--limit", "--n", "2", "--target", "type:0", "--model", path]) == 3
+    assert capsys.readouterr().err.startswith("refused: ")
+
+
 def test_laplace_grid_reads_the_mixture_off_laminar(tmp_path, capsys):
     """On the diamond with gamma = (1, 2, 3) the product form gives 5/14 at
     t = 1, but the limit law is the mixture."""
@@ -557,6 +575,7 @@ def test_no_command_lists_ordered_vectors(doc, tmp_path, monkeypatch, capsys):
                  ["limit-law"], ["moments", "--n", "2"], ["moments", "--n", "1", "--discipline", "cos"],
                  ["moments", "--n", "2", "--limit"],
                  ["moments", "--n", "2", "--limit", "--target", "type:0"],
+                 ["moments", "--n", "2", "--target", "type:0", "--discipline", "cos"],
                  ["sample", "--n", "200"], ["sample", "--n", "200", "--discipline", "cos"],
                  ["simulate", "--events", "2000"],
                  ["verify-limit", "--eps", "0.2,0.1", "--events", "2000"]):

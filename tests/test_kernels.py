@@ -3,6 +3,7 @@ and the loader's cache and fallback."""
 import os
 import shutil
 import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -126,3 +127,46 @@ def test_build_goes_to_the_cache_once(lib, n_model, tmp_path, monkeypatch, fresh
     assert os.stat(folder).st_mode & 0o077 == 0
     assert sorted(p.name for p in package.iterdir()) == before
 
+
+_RSS_CHILD = """
+import itertools, sys
+from fractions import Fraction as F
+from redundancy_ht import SystemModel
+from redundancy_ht.simulator import simulate
+name, discipline, horizon, warmup = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+if name == "mm1":
+    model = SystemModel(mu=(F(1),), lam=F(1, 2), job_types=(frozenset({1}),), p=(F(1),))
+else:  # 18 types on 5 servers
+    subsets = [s for k in range(1, 6) for s in itertools.combinations(range(1, 6), k)]
+    model = SystemModel(mu=(F(1),) * 5, lam=F(1, 2),
+                        job_types=tuple(frozenset(s) for s in subsets[-18:]), p=(F(1, 18),) * 18)
+est = simulate(model, discipline, horizon_events=horizon, warmup_events=warmup, sample_every=1,
+               seed=3)
+assert est.kernel == "c" and 0 < len(est.samples) <= horizon
+"""
+
+
+def _peak_rss(*args):
+    """Peak resident memory, in bytes, of a fresh interpreter that simulates
+    with the compiled kernel (_RSS_CHILD)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-c", _RSS_CHILD, *map(str, args)],
+                            env=dict(os.environ, PYTHONPATH=path))
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_maxrss * 1024
+
+
+def test_compiled_kernels_peak_memory(lib):
+    """tracemalloc cannot see allocations made in C, so the compiled kernels'
+    memory is bounded by the peak resident size of a child process, against
+    a child that runs 100 events of M/M/1."""
+    base = _peak_rss("mm1", "coc", 100, 0)
+    # 10^7 warm-up events at sample_every=1 pass ~5M departures: holding
+    # their counts would add ~40 MB
+    for discipline in ("coc", "cos"):
+        assert _peak_rss("mm1", discipline, 100, 10 ** 7) < base + 8 * 2 ** 20, discipline
+    # a table over all 2^18 type masks would add well over 100 MB
+    assert _peak_rss("wide", "coc", 1_000, 0) < base + 8 * 2 ** 20

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from redundancy_ht import SystemModel, generators
 from redundancy_ht.criticality import crp_components
 from redundancy_ht.errors import DomainError
-from redundancy_ht.moments import (limit_moment_total, limit_moment_type, limit_response_time,
+from redundancy_ht.moments import (MomentRequest, limit_moment_total, limit_response_time, moment,
                                    moment_total, scaled_total_moment)
 from redundancy_ht.oracles import (critical_rate_and_subsets_bruteforce, eulerian,
                                    linear_exponential_moment, moment_total_alt, moments_identity)
@@ -17,6 +17,10 @@ from redundancy_ht.oracles import (critical_rate_and_subsets_bruteforce, euleria
 def _ctx(model):
     report = critical_rate_and_subsets_bruteforce(model)
     return report, crp_components(model, report.lambda_star)
+
+
+def _limit_type(model, dag, t, n):
+    return moment(model, MomentRequest(n=n, target=f"type:{t}", limit=True), dag)
 
 
 def test_mm1_first_moment(mm1):
@@ -116,25 +120,25 @@ def test_limit_moment_type_strong_crp():
     model = SystemModel(mu=(F(1), F(1)), lam=F(1, 2),
                         job_types=(frozenset({1, 2}), frozenset({2})), p=(F(3, 4), F(1, 4)))
     _, dag = _ctx(model)
-    assert limit_moment_type(model, dag, 0, 1) == F(3, 4)
-    assert limit_moment_type(model, dag, 1, 1) == F(1, 4)
+    assert _limit_type(model, dag, 0, 1) == F(3, 4)
+    assert _limit_type(model, dag, 1, 1) == F(1, 4)
 
 
 def test_limit_moment_type_four_server(four_server):
     _, dag = _ctx(four_server)
     # type {1,2,3} draws only (1/4) U3: first moment 1/4
-    assert limit_moment_type(four_server, dag, 1, 1) == F(1, 4)
+    assert _limit_type(four_server, dag, 1, 1) == F(1, 4)
     # type {1}: E[(U1 + U3/4)^2] via the independent-exponential oracle
     oracle = linear_exponential_moment((F(1), F(1, 4)), 2)
     assert oracle == F(1) + F(1, 16) + (F(5, 4)) ** 2  # sum a^2 + (sum a)^2
-    assert limit_moment_type(four_server, dag, 0, 2) == oracle
+    assert _limit_type(four_server, dag, 0, 2) == oracle
 
 
 def test_limit_moment_type_noncritical_is_zero():
     model = SystemModel(mu=(F(1), F(1)), lam=F(1, 2),
                         job_types=(frozenset({1, 2}), frozenset({2})), p=(F(1, 4), F(3, 4)))
     _, dag = _ctx(model)
-    assert limit_moment_type(model, dag, 0, 1) == 0
+    assert _limit_type(model, dag, 0, 1) == 0
 
 
 def test_limit_moment_type_matches_mixture_oracle(rng):
@@ -147,7 +151,7 @@ def test_limit_moment_type_matches_mixture_oracle(rng):
         for t in model.type_indices:
             direct = sum(w * linear_exponential_moment([row[t] for row in coeffs], 2)
                          for (w, coeffs, _) in mix.atoms)
-            assert limit_moment_type(model, dag, t, 2) == direct
+            assert _limit_type(model, dag, t, 2) == direct
 
 
 def test_response_time_values(mm1, four_server, n_model):
@@ -188,15 +192,15 @@ def test_moment_order_cap(n_model):
 
 
 def test_moment_request_dispatch(n_model, four_server):
-    from redundancy_ht.moments import MomentRequest, moment
-
     assert moment(n_model, MomentRequest(n=1)) == moment_total(n_model, 1)
     assert moment(n_model, MomentRequest(n=1, discipline="cos")) == \
         moment_total(n_model, 1, "cos")
     _, dag = _ctx(four_server)
     assert moment(four_server, MomentRequest(n=1, target="type:1", limit=True),
                   dag) == F(1, 4)
-    with pytest.raises(DomainError):
-        moment(n_model, MomentRequest(n=1, target="type:0"))
+    assert moment(n_model, MomentRequest(n=1, target="type:0")) == 2
+    for limit in (False, True):
+        with pytest.raises(DomainError, match="unknown type index 2"):
+            moment(n_model, MomentRequest(n=1, target="type:2", limit=limit), _ctx(n_model)[1])
     with pytest.raises(DomainError):
         MomentRequest(n=0)

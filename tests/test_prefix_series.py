@@ -2,11 +2,12 @@
 
 The oracles below enumerate ordered type vectors and ordered idle-server
 vectors as the formulas are written; pgf_coc, pgf_cos, moment_total,
-expected_type_counts, the c.o.s. configuration distribution, the sampler's
-peeling probabilities, sigma_mixture and the c.o.s. limiting Laplace
-transform must agree with them exactly on random rational models. The path
-sums over the down-sets of the component DAG (limiting_transform, the limit
-moments) must agree exactly with the sums over sigma_mixture's listed orders.
+linear_moment, expected_type_counts, the c.o.s. configuration
+distribution, the sampler's peeling probabilities, sigma_mixture and the
+c.o.s. limiting Laplace transform must agree with them exactly on random
+rational models. The path sums over the down-sets of the component DAG
+(limiting_transform, the limit moments) must agree exactly with the sums
+over sigma_mixture's listed orders.
 """
 import itertools
 import math
@@ -15,18 +16,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from redundancy_ht import SystemModel, TrajectorySpec, default_trajectory, generators
+from redundancy_ht import (SystemModel, TrajectorySpec, default_trajectory, generators,
+                           model_at_trajectory)
 from redundancy_ht.analytic import limiting_transform, pgf_coc, pgf_cos, sigma_mixture
 from redundancy_ht.criticality import crp_components
 from redundancy_ht.errors import DomainError
-from redundancy_ht.moments import MomentRequest, moment, moment_total
+from redundancy_ht.moments import MomentRequest, _mixture_moment, moment, moment_total
 from redundancy_ht.oracles import (_compositions, config_distribution,
                                    critical_rate_and_subsets_bruteforce, enumerate_k_critical,
                                    geometric_moment_factor, h_term, iter_ordered_type_tuples,
                                    laplace_of_mixture, linear_exponential_moment, mixture_law,
                                    omega_weight, ordered_vector, sigma_aggregate)
 from redundancy_ht.prelimit import (_last_type_weights, _peeling_weights, expected_type_counts,
-                                    segment_law)
+                                    linear_moment, segment_law)
 
 
 def idle_vector_weight(model, u):
@@ -104,6 +106,37 @@ def means_oracle(model, discipline):
     return tuple(means)
 
 
+def _series_mul(a, b):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def _exp_series(x, n):
+    """e^{x s} up to s^n."""
+    return [F(x) ** k / math.factorial(k) for k in range(n + 1)]
+
+
+def linear_moment_oracle(model, configs, c, n):
+    """sum_T P(T) n! [s^n] e^{s c(T)} prod_j (1 - b_j) / (1 - b_j sum_i f_ji e^{s c_Ti})
+    over the configurations T and their probabilities P(T) (config_oracle):
+    one job of each type of T, then geometric segments b_j split by the fractions f_j."""
+    total = 0
+    for entries, prob in configs.items():
+        series = _exp_series(sum(c[t] for t in entries), n)
+        if entries:
+            law = segment_law(model, entries)
+            exps = [_exp_series(c[t], n) for t in entries]
+            for b, fracs in zip(law.segment_params, law.split_fractions):
+                split = [sum(f * e[k] for f, e in zip(fracs, exps)) for k in range(n + 1)]
+                denom = [1 - b * split[0]] + [-b * x for x in split[1:]]
+                inverse = [1 / denom[0]]  # 1 / denom, degree by degree
+                for k in range(1, n + 1):
+                    inverse.append(-sum(denom[i] * inverse[k - i] for i in range(1, k + 1))
+                                   / denom[0])
+                series = _series_mul(series, [(1 - b) * x for x in inverse])
+        total = total + prob * series[n]
+    return math.factorial(n) * total
+
+
 def _models(seed, count):
     rng = random.Random(seed)
     for _ in range(count):
@@ -130,6 +163,17 @@ def test_means_match_segment_sums():
     for _, model in _models(403, 20):
         for discipline in ("coc", "cos"):
             assert expected_type_counts(model, discipline) == means_oracle(model, discipline)
+
+
+def test_linear_moments_match_segment_sums():
+    for rng, model in _models(411, 6):
+        for discipline in ("coc", "cos"):
+            configs = config_oracle(model, discipline)
+            for _ in range(2):
+                c = [F(rng.randint(-3, 5), rng.randint(1, 4)) for _ in model.type_indices]
+                for n in (1, 2, 3):
+                    assert linear_moment(model, c, n, discipline) == \
+                        linear_moment_oracle(model, configs, c, n)
 
 
 def test_cos_configurations_match_idle_vector_sums():
@@ -261,4 +305,29 @@ def test_lattice_moments_match_sigma_listing(diamond):
                            for w, rows, _ in atoms)
                 got = moment(model, MomentRequest(n=n, target=target, limit=True), dag, traj)
                 assert got == want, (target, n)
+    assert laminar == {True, False}
+
+
+def test_linear_moments_converge_to_the_limit(n_model, four_server, diamond):
+    """Along a random trajectory, eps^n E[(c.Q)^n] of the pre-limit model
+    approaches E[(c.Y)^n] of the limit law, with a relative error falling
+    over eps = 1/10, 1/100, 1/1000, functional by functional."""
+    rng = random.Random(4110)
+    laminar = set()
+    for model in (n_model, four_server, diamond):
+        dag = crp_components(model)
+        laminar.add(dag.subtrees_laminar)
+        nlam = model.n_servers * dag.lambda_star
+        # gamma within a factor 2 of the default direction keeps every rate positive
+        gamma = tuple(nlam * p * F(rng.randint(2, 8), 4) for p in model.p)
+        c = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in model.type_indices]
+        for n in (1, 2):
+            limit = _mixture_moment(dag, TrajectorySpec(gamma, F(0)), n, c)
+            for discipline in ("coc", "cos"):
+                errors = []
+                for eps in (F(1, 10), F(1, 100), F(1, 1000)):
+                    pre = model_at_trajectory(model, TrajectorySpec(gamma, eps), dag.lambda_star)
+                    errors.append(abs(eps ** n * linear_moment(pre, c, n, discipline) / limit - 1))
+                assert errors[0] > errors[1] > errors[2], (model, n, discipline, errors)
+                assert errors[2] < F(1, 50)
     assert laminar == {True, False}

@@ -19,8 +19,8 @@ from redundancy_ht.moments import moment_total
 from redundancy_ht.oracles import (config_distribution, config_marginals_from_oracle,
                                    critical_rate_and_subsets_bruteforce, ctmc_oracle)
 from redundancy_ht.prelimit import expected_type_counts
-from redundancy_ht.simulator import (MIN_BATCHES, T975, _compat, _EventTable, ks_two_sample,
-                                    scaled_law_check, simulate)
+from redundancy_ht.simulator import (MIN_BATCHES, T975, _compat, _EventTable, _run_coc, _run_cos,
+                                    _segments, ks_two_sample, scaled_law_check, simulate)
 
 import sim_reference as reference
 
@@ -160,6 +160,8 @@ def test_fixed_seed_streams_are_pinned(request, name, discipline):
     assert [(row.ks_per_type, row.ks_total) for row in rows] == ks
 
 
+# tracemalloc sees the Python kernels' allocations only; test_kernels bounds
+# the compiled kernels' peak resident memory in a child process
 def test_no_table_over_all_type_subsets():
     # 18 types on 5 servers: a table over all 2^18 type masks would need
     # well over 100 MB before the first event
@@ -169,26 +171,25 @@ def test_no_table_over_all_type_subsets():
                         p=(F(1, 18),) * 18)
     tracemalloc.start()
     try:
-        simulate(model, "coc", horizon_events=1_000, seed=1)
+        _run_coc(model.as_float(), _segments(1_000, 200), 1, 100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2 ** 20
 
 
-@pytest.mark.parametrize("discipline", ["coc", "cos"])
-def test_warmup_holds_no_samples(mm1, discipline):
+@pytest.mark.parametrize("kernel", [_run_coc, _run_cos], ids=["coc", "cos"])
+def test_warmup_holds_no_samples(mm1, kernel):
     # ~50,000 warm-up departures at sample_every=1: keeping their counts
     # until the warm-up ends would peak near 4 MB
     tracemalloc.start()
     try:
-        est = simulate(mm1, discipline, horizon_events=100, warmup_events=100_000,
-                       sample_every=1, seed=3)
+        _, samples = kernel(mm1.as_float(), _segments(100, 100_000), 3, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-    assert 0 < len(est.samples) <= 100
+    assert 0 < len(samples) <= 100
 
 
 def test_cos_waiting_matches_moment(n_model):
