@@ -24,8 +24,8 @@
  *
  * Build: cc -O2 -ffp-contract=off -shared -fPIC (no fused multiply-adds,
  * which would round differently from Python). Every function returns
- * RHT_OK, RHT_NOMEM or RHT_BAD_STATE and frees what it allocated, except the
- * sample buffer it hands back, which the caller releases with rht_free.
+ * RHT_OK, RHT_NOMEM or RHT_BAD_STATE and frees all it allocated before it
+ * returns: the samples go into a buffer the caller owns.
  */
 #include <math.h>
 #include <stdint.h>
@@ -198,17 +198,18 @@ typedef struct {
     int channels;
     int64_t *count;
     double *area, *since, now;
-    int64_t *samples, n_samples, cap_samples;
+    int64_t *samples, n_samples, cap_samples; /* the caller's buffer, in rows */
 } counts_t;
 
-static int counts_init(counts_t *c, int channels)
+static int counts_init(counts_t *c, int channels, int64_t *samples, int64_t cap_samples)
 {
     c->channels = channels;
     c->count = calloc((size_t)channels, sizeof *c->count);
     c->area = malloc((size_t)channels * sizeof *c->area);
     c->since = malloc((size_t)channels * sizeof *c->since);
-    c->samples = NULL;
-    c->n_samples = c->cap_samples = 0;
+    c->samples = samples;
+    c->n_samples = 0;
+    c->cap_samples = cap_samples;
     return c->count && c->area && c->since ? RHT_OK : RHT_NOMEM;
 }
 
@@ -217,7 +218,6 @@ static void counts_free(counts_t *c)
     free(c->count);
     free(c->area);
     free(c->since);
-    free(c->samples);
 }
 
 static void counts_restart(counts_t *c)
@@ -235,22 +235,14 @@ static inline void change(counts_t *c, int ch, int64_t delta)
     c->count[ch] += delta;
 }
 
-/* Append the first `width` counts; the buffer grows geometrically. */
+/* Append the first `width` counts as a row, or RHT_BAD_STATE when the
+ * buffer has no room for it. */
 static int sample(counts_t *c, int width)
 {
-    if (c->n_samples + width > c->cap_samples) {
-        int64_t cap = c->cap_samples ? 2 * c->cap_samples : 4096;
-        int64_t *buf;
-        while (cap < c->n_samples + width)
-            cap *= 2;
-        buf = realloc(c->samples, (size_t)cap * sizeof *buf);
-        if (!buf)
-            return RHT_NOMEM;
-        c->samples = buf;
-        c->cap_samples = cap;
-    }
-    memcpy(c->samples + c->n_samples, c->count, (size_t)width * sizeof *c->count);
-    c->n_samples += width;
+    if (c->n_samples == c->cap_samples)
+        return RHT_BAD_STATE;
+    memcpy(c->samples + c->n_samples * width, c->count, (size_t)width * sizeof *c->count);
+    c->n_samples++;
     return RHT_OK;
 }
 
@@ -261,24 +253,6 @@ static void end_batch(const counts_t *c, double *area_row, double *duration)
         area_row[i] = c->area[i] + c->count[i] * (c->now - c->since[i]);
     *duration = c->now;
 }
-
-/* Hand the samples to the caller, trimmed to their length; none gives NULL. */
-static void hand_over(counts_t *c, int64_t **samples, int64_t *n_samples)
-{
-    if (c->n_samples) {
-        int64_t *buf = realloc(c->samples, (size_t)c->n_samples * sizeof *buf);
-        if (buf)
-            c->samples = buf;
-    } else {
-        free(c->samples);
-        c->samples = NULL;
-    }
-    *samples = c->samples;
-    *n_samples = c->n_samples;
-    c->samples = NULL;
-}
-
-void rht_free(int64_t *samples) { free(samples); }
 
 /*
  * Common arguments of both kernels:
@@ -292,17 +266,20 @@ void rht_free(int64_t *samples) { free(samples); }
  *   n_segments, segments
  *                     event counts of the warm-up and of each batch
  *   sample_every      departures between sampling epochs
+ *   cap_samples       the rows that samples holds
  * Outputs:
  *   areas             (n_segments - 1) x channels batch areas
  *   durations         n_segments - 1 batch durations
- *   samples, n_samples
- *                     the sampled counts, flat, and how many there are
+ *   samples           the sampled counts, s a row, flat; RHT_BAD_STATE
+ *                     where they need more than cap_samples rows
+ *   n_samples         the rows written
  */
 
 int rht_run_coc(int s, int n, double lam_total, const double *arrivals, const double *mu,
                 const int32_t *compat_start, const int32_t *compat, const uint32_t *mt_state,
                 int n_segments, const int64_t *segments, int64_t sample_every,
-                double *areas, double *durations, int64_t **samples, int64_t *n_samples)
+                double *areas, double *durations, int64_t *samples, int64_t cap_samples,
+                int64_t *n_samples)
 {
     mt_t g;
     rates_t r = {0};
@@ -316,7 +293,7 @@ int rht_run_coc(int s, int n, double lam_total, const double *arrivals, const do
     g.index = (int)mt_state[MT_N];
     status = rates_init(&r, s, n, lam_total, arrivals, mu);
     if (status == RHT_OK)
-        status = counts_init(&c, s);
+        status = counts_init(&c, s, samples, cap_samples);
     if (status == RHT_OK && (!queues || !is_busy))
         status = RHT_NOMEM;
     for (seg = 0; status == RHT_OK && seg < n_segments; seg++) {
@@ -369,8 +346,7 @@ int rht_run_coc(int s, int n, double lam_total, const double *arrivals, const do
         if (status == RHT_OK && seg)
             end_batch(&c, areas + (int64_t)(seg - 1) * s, &durations[seg - 1]);
     }
-    if (status == RHT_OK)
-        hand_over(&c, samples, n_samples);
+    *n_samples = c.n_samples;
     if (queues)
         for (t = 0; t < s; t++)
             free(queues[t].buf);
@@ -386,7 +362,8 @@ int rht_run_coc(int s, int n, double lam_total, const double *arrivals, const do
 int rht_run_cos(int s, int n, double lam_total, const double *arrivals, const double *mu,
                 const int32_t *compat_start, const int32_t *compat, const uint32_t *mt_state,
                 int n_segments, const int64_t *segments, int64_t sample_every,
-                double *areas, double *durations, int64_t **samples, int64_t *n_samples)
+                double *areas, double *durations, int64_t *samples, int64_t cap_samples,
+                int64_t *n_samples)
 {
     mt_t g;
     rates_t r = {0};
@@ -403,7 +380,7 @@ int rht_run_cos(int s, int n, double lam_total, const double *arrivals, const do
     g.index = (int)mt_state[MT_N];
     status = rates_init(&r, s, n, lam_total, arrivals, mu);
     if (status == RHT_OK)
-        status = counts_init(&c, 2 * s);
+        status = counts_init(&c, 2 * s, samples, cap_samples);
     if (status == RHT_OK && (!waiting || !is_busy || !serves || !serving || !idle))
         status = RHT_NOMEM;
     if (status == RHT_OK)
@@ -470,8 +447,7 @@ int rht_run_cos(int s, int n, double lam_total, const double *arrivals, const do
         if (status == RHT_OK && seg)
             end_batch(&c, areas + (int64_t)(seg - 1) * 2 * s, &durations[seg - 1]);
     }
-    if (status == RHT_OK)
-        hand_over(&c, samples, n_samples);
+    *n_samples = c.n_samples;
     if (waiting)
         for (t = 0; t < s; t++)
             free(waiting[t].buf);

@@ -1,7 +1,9 @@
 """Build and load the compiled simulator kernels, `_kernels.c`.
 
 `library()` returns the kernels as a `ctypes` library, or None where they
-cannot be had; `simulator.simulate` then runs its Python kernels. The first
+cannot be had; `simulator.simulate` then runs its Python kernels. The
+kernels write into numpy arrays that the caller allocates, the samples
+too, and free all they allocate before they return. The first
 call in a process looks for the library in a per-user cache directory,
 `$XDG_CACHE_HOME/redundancy-ht` (`~/.cache/redundancy-ht` when that is
 unset), or else `redundancy-ht-<uid>` under `tempfile.gettempdir()`, in a
@@ -43,16 +45,15 @@ def library():
         lib = ctypes.CDLL(path)
     except OSError:
         return None
-    # arrays go in as the addresses of C-contiguous numpy arrays of the C
-    # types (numpy.ctypeslib.ndpointer would add ~0.6 ms of import a process)
+    # arrays, the outputs too, go in as the addresses of C-contiguous numpy
+    # arrays of the C types (numpy.ctypeslib.ndpointer would add ~0.6 ms of
+    # import a process)
     array = ctypes.c_void_p
     for kernel in (lib.rht_run_coc, lib.rht_run_cos):
         kernel.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_double, array, array, array,
                            array, array, ctypes.c_int, array, ctypes.c_int64, array, array,
-                           ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_int64)]
+                           array, ctypes.c_int64, array]
         kernel.restype = ctypes.c_int
-    lib.rht_free.argtypes = [ctypes.c_void_p]
-    lib.rht_free.restype = None
     return lib
 
 
@@ -114,16 +115,3 @@ def _build(source, folder, digest):
     except OSError:
         pass
     return False
-
-
-class OwnedSamples:
-    """The sample buffer a kernel allocated, viewed as an int64 array
-    (`np.asarray`) and freed with the last array that views it."""
-
-    def __init__(self, lib, address, length):
-        self._free, self._address = lib.rht_free, address
-        self.__array_interface__ = {"data": (address, False), "shape": (length,),
-                                    "typestr": "<i8", "version": 3}
-
-    def __del__(self):
-        self._free(self._address)

@@ -18,7 +18,6 @@ and the brute-force scan reject them.
 from __future__ import annotations
 
 import itertools
-import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -158,21 +157,15 @@ class _FlowNet:
         self.cap[(u, v)] = capacity
         self.cap[(v, u)] = Fraction(0)
 
-    def _residual(self, u, v):
-        return self.cap[(u, v)]
-
-    def _bfs_path(self, order_key=None):
+    def _bfs_path(self):
         prev = {_SRC: None}
         queue = deque([_SRC])
         while queue:
             u = queue.popleft()
-            nbrs = self.adj.get(u, ())
-            if order_key is not None:
-                nbrs = sorted(nbrs, key=order_key)
-            for v in nbrs:
+            for v in self.adj.get(u, ()):
                 if v in prev:
                     continue
-                r = self._residual(u, v)
+                r = self.cap[(u, v)]
                 if r is None or r > 0:
                     prev[v] = u
                     if v == _SNK:
@@ -184,10 +177,10 @@ class _FlowNet:
                     queue.append(v)
         return None
 
-    def max_flow(self, order_key=None):
+    def max_flow(self):
         total = Fraction(0)
         while True:
-            path = self._bfs_path(order_key)
+            path = self._bfs_path()
             if path is None:
                 return total
             bottleneck = min((self.cap[e] for e in path if self.cap[e] is not None),
@@ -209,7 +202,7 @@ class _FlowNet:
             for v in self.adj.get(u, ()):
                 if v in seen:
                     continue
-                r = self._residual(u, v)
+                r = self.cap[(u, v)]
                 if r is None or r > 0:
                     seen.add(v)
                     queue.append(v)
@@ -228,10 +221,10 @@ def _build_net(model: SystemModel, lam: Scalar) -> _FlowNet:
     return net
 
 
-def _flow_solution(model: SystemModel, lam: Scalar, order_key=None):
+def _flow_solution(model: SystemModel, lam: Scalar):
     """Max flow at arrival rates N*lam*p_S; returns (value, type->server flow dict)."""
     net = _build_net(model, lam)
-    value = net.max_flow(order_key)
+    value = net.max_flow()
     flows = {}
     for t in model.type_indices:
         for srv in model.job_types[t]:
@@ -285,34 +278,22 @@ def require_stable(model: SystemModel):
         raise DomainError(f"model is unstable: lambda = {model.lam} >= lambda* = {lam_star}")
 
 
-def crp_components(model: SystemModel, lam_star: Scalar = None, audit: bool = False) -> ComponentDag:
+def crp_components(model: SystemModel, lam_star: Scalar = None) -> ComponentDag:
     """CRP components, their DAG and rooted subtrees at lambda = lambda*.
 
     The residual matching consists of the type-server edges carrying positive
     flow in a maximum flow of the criticality network; components are its
-    connected pieces restricted to critical job types. With ``audit=True`` the
-    flow is re-solved under several augmentation orders and the component
-    partition is required to be identical each time.
+    connected pieces restricted to critical job types.
     """
     _require_exact(model, "crp_components")
     if lam_star is None:
         lam_star = critical_rate(model)
-    parts = _component_partition(model, lam_star)
-    if audit:
-        rng = random.Random(0)
-        for _ in range(4):
-            perm = {t: rng.random() for t in model.type_indices}
-            key = lambda node: (perm.get(node[1], 0) if isinstance(node, tuple) and node[0] == "t"
-                                else rng.random())
-            other = _component_partition(model, lam_star, order_key=key)
-            if {c.types for c in other} != {c.types for c in parts}:
-                raise ConsistencyError("max-flow choice changed the component partition")
-    return _assemble_dag(model, lam_star, parts)
+    return _assemble_dag(model, lam_star, _component_partition(model, lam_star))
 
 
-def _component_partition(model: SystemModel, lam_star, order_key=None):
+def _component_partition(model: SystemModel, lam_star):
     n = model.n_servers
-    value, flows = _flow_solution(model, lam_star, order_key)
+    value, flows = _flow_solution(model, lam_star)
     if value != n * lam_star:
         raise ConsistencyError("max flow at lambda* failed to route all arrivals")
     inflow = {srv: Fraction(0) for srv in range(1, n + 1)}

@@ -173,7 +173,11 @@ def linear_moment(model: SystemModel, c, n: int, discipline: str = "coc") -> Sca
         raise DomainError(f"moment order must be in 1..{MOMENT_ORDER_CAP}")
     if len(c) != model.n_types:
         raise DomainError(f"need one weight per job type, got {len(c)} for {model.n_types}")
-    kappa = _kappa(model, discipline)
+    return _linear_moment(model, c, n, _kappa(model, discipline))
+
+
+def _linear_moment(model: SystemModel, c, n: int, kappa) -> Scalar:
+    """`linear_moment` with the discipline's idle-server sums given."""
     exp_s = [Fraction(1, math.factorial(k)) for k in range(n + 1)]
     series = _prefix_series(model, [[e * ct ** k for k, e in enumerate(exp_s)] for ct in c], kappa)
     return math.factorial(n) * series[n] / series[0]
@@ -182,5 +186,6 @@ def linear_moment(model: SystemModel, c, n: int, discipline: str = "coc") -> Sca
 def expected_type_counts(model: SystemModel, discipline: str = "coc") -> tuple:
     """Exact per-type stationary means: E[Q_S] (c.o.c.) or E[Qtilde_S] (c.o.s.),
     the linear moment of order 1 with c the indicator of S."""
-    return tuple(linear_moment(model, [int(u == t) for u in model.type_indices], 1, discipline)
+    kappa = _kappa(model, discipline)
+    return tuple(_linear_moment(model, [int(u == t) for u in model.type_indices], 1, kappa)
                  for t in model.type_indices)

@@ -348,13 +348,17 @@ def _run_cos(fmodel, segments, seed, sample_every):
 
 def _run_compiled(lib, discipline, fmodel, segments, seed, sample_every):
     """`_run_coc` or `_run_cos` in C (`_kernels.c`): the same batches and
-    samples to the bit, the samples left in the buffer the C loop filled."""
-    import ctypes
-
+    samples to the bit. The samples go into an int64 buffer allocated here,
+    one row per sampling epoch after the warm-up, of which there are at most
+    (post-warm-up events) // sample_every + 1; pages the kernel never writes
+    take no memory."""
     s, n = fmodel.n_types, fmodel.n_servers
     lam_total, arrivals = _arrival_rates(fmodel)
     compat = _compat(fmodel)
     width = 2 * s if discipline == "cos" else s
+    # a period beyond the event count samples nothing either way
+    sample_every = min(sample_every, sum(segments) + 1)
+    cap_samples = sum(segments[1:]) // sample_every + 1
     # new C-contiguous arrays of the kernel's C types, alive through the call
     arrivals = np.array(arrivals, dtype=np.float64)
     mu = np.array(fmodel.mu, dtype=np.float64)
@@ -364,20 +368,18 @@ def _run_compiled(lib, discipline, fmodel, segments, seed, sample_every):
     counts = np.array(segments, dtype=np.int64)
     areas = np.empty((len(segments) - 1, width))
     durations = np.empty(len(segments) - 1)
-    address, length = ctypes.c_void_p(), ctypes.c_int64()
+    samples = np.empty(cap_samples * s, dtype=np.int64)
+    n_samples = np.zeros(1, dtype=np.int64)
     run = lib.rht_run_cos if discipline == "cos" else lib.rht_run_coc
     status = run(s, n, lam_total, arrivals.ctypes.data, mu.ctypes.data, compat_start.ctypes.data,
                  compat_types.ctypes.data, mt_state.ctypes.data, len(segments), counts.ctypes.data,
-                 # a period beyond the event count samples nothing either way
-                 min(sample_every, sum(segments) + 1), areas.ctypes.data, durations.ctypes.data,
-                 ctypes.byref(address), ctypes.byref(length))
+                 sample_every, areas.ctypes.data, durations.ctypes.data, samples.ctypes.data,
+                 cap_samples, n_samples.ctypes.data)
     if status == 1:  # RHT_NOMEM
         raise MemoryError("the compiled simulator kernel ran out of memory")
     if status:
         raise RuntimeError(f"the compiled simulator kernel failed with status {status}")
-    samples = (np.asarray(_kernels.OwnedSamples(lib, address.value, length.value))
-               if length.value else array("q"))
-    return list(zip(areas.tolist(), durations.tolist())), samples
+    return list(zip(areas.tolist(), durations.tolist())), samples[:n_samples[0] * s]
 
 
 # ---------------------------------------------------------------------------

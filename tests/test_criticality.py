@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from redundancy_ht import SystemModel, generators
-from redundancy_ht.criticality import (CrpClass, critical_rate,
+from redundancy_ht.criticality import (CrpClass, _flow_solution, critical_rate,
                                        critical_subsets_via_construction, crp_components,
                                        require_stable)
 from redundancy_ht.errors import CapExceeded, DomainError
@@ -195,10 +195,43 @@ def test_crp_class_iff_depth_one(rng):
             (report.depth_K == 1)
 
 
+def _relabelled(model, rng):
+    """The model with its type order and server ids shuffled, and the maps
+    from the new type indices and server ids back to the old ones."""
+    old_type = list(model.type_indices)
+    rng.shuffle(old_type)
+    new_server = list(range(1, model.n_servers + 1))
+    rng.shuffle(new_server)  # new_server[srv - 1] is old server srv's id
+    old_server = {new: old for old, new in enumerate(new_server, start=1)}
+    relabelled = SystemModel(
+        mu=tuple(model.mu[old_server[srv] - 1] for srv in range(1, model.n_servers + 1)),
+        lam=model.lam,
+        job_types=tuple(frozenset(new_server[srv - 1] for srv in model.job_types[t])
+                        for t in old_type),
+        p=tuple(model.p[t] for t in old_type))
+    return relabelled, old_type, old_server
+
+
 def test_flow_choice_invariance(rng):
-    for _ in range(25):
+    # relabelling changes the order in which the max flow augments, and so
+    # often the flow it finds, but never the component partition
+    flows_differ = 0
+    for _ in range(200):
         model = generators.random_stable_model(rng, max_servers=6, max_types=6)
-        crp_components(model, audit=True)  # raises on any disagreement
+        relabelled, old_type, old_server = _relabelled(model, rng)
+        lam_star = critical_rate(model)
+        assert critical_rate(relabelled) == lam_star
+        value, flows = _flow_solution(model, lam_star)
+        other_value, other_flows = _flow_solution(relabelled, lam_star)
+        assert other_value == value
+        flows_differ += {(old_type[t], old_server[srv]): f
+                         for (t, srv), f in other_flows.items()} != flows
+        parts = {(c.types, c.servers) for c in crp_components(model, lam_star).components}
+        other_parts = {(frozenset(old_type[t] for t in c.types),
+                        frozenset(old_server[srv] for srv in c.servers))
+                       for c in crp_components(relabelled, lam_star).components}
+        assert other_parts == parts
+    assert flows_differ > 0
 
 
 def test_non_critical_types_excluded():

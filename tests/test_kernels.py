@@ -1,6 +1,8 @@
 """The compiled simulator kernels (`_kernels.c`) against the Python kernels,
 and the loader's cache and fallback."""
+import itertools
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -11,8 +13,8 @@ import numpy as np
 import pytest
 
 from redundancy_ht import _kernels, load_model
-from redundancy_ht.simulator import (MIN_BATCHES, _estimate, _run_coc, _run_compiled, _run_cos,
-                                     _segments, simulate)
+from redundancy_ht.simulator import (MIN_BATCHES, _arrival_rates, _compat, _estimate, _run_coc,
+                                     _run_compiled, _run_cos, _segments, simulate)
 
 MODELS = sorted((Path(__file__).parent.parent / "perfbench" / "models").glob("*.json"))
 PYTHON_KERNELS = {"coc": _run_coc, "cos": _run_cos}
@@ -75,10 +77,43 @@ def test_compiled_kernels_on_tiny_runs(lib, n_model):
             _assert_same(python, compiled)
 
 
+def test_kernels_stop_at_the_end_of_the_sample_buffer(lib, n_model):
+    fmodel = n_model.as_float()
+    s = fmodel.n_types
+    segments = _segments(2_000, 0)
+    assert len(_run_compiled(lib, "coc", fmodel, segments, 3, 1)[1]) > s  # more than one row
+    lam_total, arrivals = _arrival_rates(fmodel)
+    compat = _compat(fmodel)
+    inputs = [np.array(arrivals), np.array(fmodel.mu),
+              np.array([0, *itertools.accumulate(map(len, compat))], dtype=np.int32),
+              np.array([t for types in compat for t in types], dtype=np.int32),
+              np.array(random.Random(3).getstate()[1], dtype=np.uint32)]
+    counts = np.array(segments, dtype=np.int64)
+    areas, durations = np.empty((len(segments) - 1, s)), np.empty(len(segments) - 1)
+    sentinel = -12345
+    buffer = np.full(s + 1, sentinel, dtype=np.int64)  # one row, then the sentinel
+    n_samples = np.zeros(1, dtype=np.int64)
+    status = lib.rht_run_coc(s, fmodel.n_servers, lam_total, *(a.ctypes.data for a in inputs),
+                             len(segments), counts.ctypes.data, 1, areas.ctypes.data,
+                             durations.ctypes.data, buffer.ctypes.data, 1, n_samples.ctypes.data)
+    assert status == 2  # RHT_BAD_STATE
+    assert buffer[s] == sentinel
+    assert n_samples[0] == 1
+
+
 def test_kernel_source_ships_with_the_package():
     source = resources.files("redundancy_ht").joinpath("_kernels.c")
     assert source.is_file()
     assert b"rht_run_coc" in source.read_bytes() and b"rht_run_cos" in source.read_bytes()
+
+
+def test_kernel_source_compiles_without_warnings():
+    if shutil.which(_kernels._CC) is None:
+        pytest.skip("no C compiler")
+    source = resources.files("redundancy_ht").joinpath("_kernels.c").read_bytes()
+    proc = subprocess.run([_kernels._CC, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c",
+                           "-"], input=source, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def _counting_runs(monkeypatch):
