@@ -167,7 +167,7 @@ def criterion_erlang_moments():
     lam_star = report.lambda_star
     details = []
     for n in (1, 2, 3):
-        target = moments.limit_moment_total(report, n)
+        target = moments.limit_moment_total(report.depth_K, n)
         rels = []
         for eps in (F(1, 10), F(1, 100), F(1, 1000)):
             val = moments.scaled_total_moment(model, lam_star, eps, n)

@@ -96,15 +96,8 @@ def _refuse_above(what, count, cap):
         raise CapExceeded(f"{what} is {count}, over the cap of {cap}")
 
 
-def _load(args):
-    # Structural analysis always runs on the model as parsed (exact when the
-    # file uses numeric strings); --backend float switches evaluation inputs
-    # and outputs to floats, per the exact-structures/float-grids split.
-    return load_model(args.model)
-
-
 def cmd_analyze(args):
-    model, _ = _load(args)
+    model, _ = load_model(args.model)
     dag = criticality.crp_components(model)
     report = criticality.report_from_construction(model, dag)
     payload = {
@@ -127,7 +120,7 @@ def cmd_analyze(args):
 
 
 def cmd_pgf(args):
-    model, _ = _load(args)
+    model, _ = load_model(args.model)
     exact = args.backend == "exact"
     z = _parse_vector(args.z, model.n_types, exact)
     fn = analytic.pgf_coc if args.discipline == "coc" else analytic.pgf_cos
@@ -144,7 +137,7 @@ def cmd_pgf(args):
 
 
 def cmd_laplace(args):
-    model, traj = _load(args)
+    model, traj = load_model(args.model)
     dag = criticality.crp_components(model)
     exact = args.backend == "exact"
     if args.t is not None:
@@ -176,7 +169,7 @@ def cmd_laplace(args):
 
 
 def cmd_limit_law(args):
-    model, traj = _load(args)
+    model, traj = load_model(args.model)
     dag = criticality.crp_components(model)
     law = analytic.limit_law(dag, traj)
     mix = analytic.sigma_mixture(dag, traj)
@@ -194,7 +187,7 @@ def cmd_limit_law(args):
 
 
 def cmd_moments(args):
-    model, traj = _load(args)
+    model, traj = load_model(args.model)
     req = moments.MomentRequest(n=args.n, target=args.target,
                                 discipline=args.discipline, limit=args.limit)
     dag = criticality.crp_components(model) if req.limit else None
@@ -206,7 +199,7 @@ def cmd_moments(args):
 
 
 def cmd_sample(args):
-    model, _ = _load(args)
+    model, _ = load_model(args.model)
     _refuse_above("--n times the number of types", args.n * model.n_types, CELL_CAP)
     x = prelimit.sample_prelimit(model, args.discipline, args.n, args.seed)
     rows = ([i] + list(map(int, row)) for i, row in enumerate(x))
@@ -215,7 +208,7 @@ def cmd_sample(args):
 
 
 def cmd_simulate(args):
-    model, _ = _load(args)
+    model, _ = load_model(args.model)
     warmup = args.events // 5 if args.warmup is None else args.warmup
     _refuse_above("--events plus warm-up", args.events + warmup, EVENT_CAP)
     if args.sample_every >= 1:
@@ -245,7 +238,7 @@ def cmd_simulate(args):
 
 
 def cmd_verify_limit(args):
-    model, traj = _load(args)
+    model, traj = load_model(args.model)
     dag = criticality.crp_components(model)
     if dag.subtrees_laminar:
         law = analytic.limit_law(dag, traj)

@@ -3,8 +3,10 @@
 The max-flow route is the production path for every criticality question:
 `critical_rate` finds lambda* by Dinkelbach iteration on max-flow min-cuts,
 `require_stable` decides lambda < lambda* from it, and `crp_components` finds
-the CRP components from the residual matching at lambda = lambda*, whose
-down-sets give the critical subsets; topological orders are listed on demand.
+the CRP components and their rooted subtrees by reachability searches in the
+residual graph of one maximum flow at lambda = lambda*; the down-sets of the
+component DAG give the critical subsets, and topological orders are listed on
+demand.
 
 The scans of all 2^|S|-1 nonempty type subsets (`check_stability`,
 `critical_rate_and_subsets_bruteforce`) are the literal definitions; they
@@ -194,16 +196,18 @@ class _FlowNet:
                 self.cap[(v, u)] = (cv if cv is not None else Fraction(0)) + bottleneck
             total += bottleneck
 
-    def src_reachable(self):
-        seen = {_SRC}
-        queue = deque([_SRC])
+    def reachable(self, start, backward=False):
+        """The nodes reachable from start over arcs of positive residual
+        capacity; backward=True gives the nodes from which start is reachable."""
+        seen = {start}
+        queue = deque([start])
         while queue:
             u = queue.popleft()
             for v in self.adj.get(u, ()):
                 if v in seen:
                     continue
-                r = self.cap[(u, v)]
-                if r is None or r > 0:
+                r = self.cap[(v, u) if backward else (u, v)]
+                if r is None or r:  # None is infinite; residuals are never negative
                     seen.add(v)
                     queue.append(v)
         return seen
@@ -219,19 +223,6 @@ def _build_net(model: SystemModel, lam: Scalar) -> _FlowNet:
     for srv in range(1, n + 1):
         net.add_edge(("s", srv), _SNK, Fraction(model.mu[srv - 1]))
     return net
-
-
-def _flow_solution(model: SystemModel, lam: Scalar):
-    """Max flow at arrival rates N*lam*p_S; returns (value, type->server flow dict)."""
-    net = _build_net(model, lam)
-    value = net.max_flow()
-    flows = {}
-    for t in model.type_indices:
-        for srv in model.job_types[t]:
-            f = net.cap[(("s", srv), ("t", t))]  # reverse capacity == pushed flow
-            if f > 0:
-                flows[(t, srv)] = f
-    return value, flows
 
 
 def critical_rate(model: SystemModel) -> Fraction:
@@ -257,7 +248,7 @@ def critical_rate(model: SystemModel) -> Fraction:
         value = net.max_flow()
         if value == n * lam * total_p:
             return lam
-        reachable = net.src_reachable()
+        reachable = net.reachable(_SRC)
         tight = frozenset(t for t in model.type_indices if ("t", t) in reachable)
         if not tight:
             raise ConsistencyError("min cut yielded no violating subset")
@@ -281,136 +272,50 @@ def require_stable(model: SystemModel):
 def crp_components(model: SystemModel, lam_star: Scalar = None) -> ComponentDag:
     """CRP components, their DAG and rooted subtrees at lambda = lambda*.
 
-    The residual matching consists of the type-server edges carrying positive
-    flow in a maximum flow of the criticality network; components are its
-    connected pieces restricted to critical job types.
+    In the residual graph of a maximum flow at lambda*, the critical types
+    are those that cannot reach the sink. A type-server edge carries flow in
+    some maximum flow iff its two ends reach each other (Picard & Queyranne
+    1980), so a component is the types and servers of one strongly connected
+    piece around a critical type, and its rooted subtree is the types that
+    type reaches.
     """
     _require_exact(model, "crp_components")
     if lam_star is None:
         lam_star = critical_rate(model)
-    return _assemble_dag(model, lam_star, _component_partition(model, lam_star))
+    return _assemble_dag(model, lam_star, *_component_partition(model, lam_star))
 
 
 def _component_partition(model: SystemModel, lam_star):
+    """The components and their subtrees' types: 1 + 2K residual searches."""
     n = model.n_servers
-    value, flows = _flow_solution(model, lam_star)
-    if value != n * lam_star:
+    net = _build_net(model, lam_star)
+    if net.max_flow() != n * lam_star:
         raise ConsistencyError("max flow at lambda* failed to route all arrivals")
-    inflow = {srv: Fraction(0) for srv in range(1, n + 1)}
-    for (t, srv), f in flows.items():
-        inflow[srv] += f
-    saturated = {srv for srv in inflow if inflow[srv] == model.mu[srv - 1]}
-    served_by = {}  # server -> types sending it positive flow
-    for (t, srv) in flows:
-        served_by.setdefault(srv, set()).add(t)
 
-    def is_critical(t0: int) -> bool:
-        # Alternating search: type -> all compatible servers, server -> types
-        # feeding it. t0 is critical iff no unsaturated server is reachable.
-        seen_t, seen_s = {t0}, set()
-        stack = [t0]
-        while stack:
-            t = stack.pop()
-            for srv in model.job_types[t]:
-                if srv in seen_s:
-                    continue
-                if srv not in saturated:
-                    return False
-                seen_s.add(srv)
-                for t2 in served_by.get(srv, ()):
-                    if t2 not in seen_t:
-                        seen_t.add(t2)
-                        stack.append(t2)
-        return True
+    def types_in(nodes):
+        return frozenset(t for t in model.type_indices if ("t", t) in nodes)
 
-    critical_types = {t for t in model.type_indices if is_critical(t)}
-    if not critical_types:
+    feeds_sink = net.reachable(_SNK, backward=True)
+    critical = [t for t in model.type_indices if ("t", t) not in feeds_sink]
+    if not critical:
         raise ConsistencyError("no critical job types at lambda*")
-
-    # The residual matching holds every type-server edge that carries flow in
-    # SOME maximum flow: either positive flow here, or completable through a
-    # residual path from the server back to the type (push along the cycle).
-    # This makes the matching, and hence the components, flow-invariant.
-    matching = set(flows)
-    reach_cache = {}
-    for t in critical_types:
-        for srv in model.job_types[t]:
-            if (t, srv) in matching:
-                continue
-            if srv not in reach_cache:
-                reach_cache[srv] = _residual_reachable_types(model, srv, flows,
-                                                             inflow, saturated)
-            if t in reach_cache[srv]:
-                matching.add((t, srv))
-
-    # Connected components of the residual matching restricted to critical types.
-    parent = {t: t for t in critical_types}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    match_by_server = {}
-    for (t, srv) in matching:
-        if t in critical_types:
-            match_by_server.setdefault(srv, []).append(t)
-    for types_here in match_by_server.values():
-        for a, b in zip(types_here, types_here[1:]):
-            parent[find(a)] = find(b)
-
-    groups = {}
-    for t in critical_types:
-        groups.setdefault(find(t), set()).add(t)
-    comps = []
-    for types_set in groups.values():
-        servers = frozenset(srv for (t, srv) in matching if t in types_set)
-        comps.append(CrpComponent(types=frozenset(types_set), servers=servers))
-    for comp in comps:
-        if model.n_servers * lam_star * model.p_of(comp.types) != \
-                sum(model.mu[s - 1] for s in comp.servers):
-            raise ConsistencyError(
-                f"component balance N*lam*p(C)=mu(Z) violated for {comp}")
-    return comps
+    comps, subtrees, placed = [], [], set()
+    for t in critical:
+        if t in placed:
+            continue
+        down = net.reachable(("t", t))  # holds the source too, over t's reverse arc
+        piece = down & net.reachable(("t", t), backward=True)
+        servers = frozenset(srv for srv in range(1, n + 1) if ("s", srv) in piece)
+        comp = CrpComponent(types=types_in(piece), servers=servers)
+        if n * lam_star * model.p_of(comp.types) != sum(model.mu[srv - 1] for srv in comp.servers):
+            raise ConsistencyError(f"component balance N*lam*p(C)=mu(Z) violated for {comp}")
+        placed |= comp.types
+        comps.append(comp)
+        subtrees.append(types_in(down))
+    return comps, subtrees
 
 
-def _residual_reachable_types(model: SystemModel, start_server: int, flows,
-                              inflow, saturated):
-    """Types reachable from a server in the residual graph of a maximum flow.
-
-    Arcs: server -> type over positive flow; type -> its compatible servers
-    (infinite residual); unsaturated server -> sink; sink -> any server with
-    positive inflow. The source is a dead end at lambda* and is omitted.
-    """
-    fed_by = {}
-    for (t, srv) in flows:
-        fed_by.setdefault(srv, []).append(t)
-    seen_t, seen_s = set(), {start_server}
-    snk_visited = False
-    stack = [("s", start_server)]
-    while stack:
-        kind, node = stack.pop()
-        if kind == "s":
-            for t in fed_by.get(node, ()):
-                if t not in seen_t:
-                    seen_t.add(t)
-                    stack.append(("t", t))
-            if node not in saturated and not snk_visited:
-                snk_visited = True
-                for srv in range(1, model.n_servers + 1):
-                    if inflow[srv] > 0 and srv not in seen_s:
-                        seen_s.add(srv)
-                        stack.append(("s", srv))
-        else:
-            for srv in model.job_types[node]:
-                if srv not in seen_s:
-                    seen_s.add(srv)
-                    stack.append(("s", srv))
-    return seen_t
-
-
-def _assemble_dag(model: SystemModel, lam_star, comps) -> ComponentDag:
+def _assemble_dag(model: SystemModel, lam_star, comps, subtrees) -> ComponentDag:
     k = len(comps)
     edges = set()
     for i, ci in enumerate(comps):
@@ -419,18 +324,9 @@ def _assemble_dag(model: SystemModel, lam_star, comps) -> ComponentDag:
                 continue
             if any(model.job_types[t] & cj.servers for t in ci.types):
                 edges.add((i, j))
-    # rooted subtree of i = components reachable from i along overflow edges
-    reach = []
-    for i in range(k):
-        seen = {i}
-        stack = [i]
-        while stack:
-            u = stack.pop()
-            for (a, b) in edges:
-                if a == u and b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        reach.append(frozenset(seen))
+    # rooted subtree of i = the components whose types i's types reach
+    comp_of = {t: i for i, comp in enumerate(comps) for t in comp.types}
+    reach = [frozenset(comp_of[t] for t in types) for types in subtrees]
 
     order = sorted(range(k), key=lambda i: (len(reach[i]), min(comps[i].types)))
     rank = {old: new for new, old in enumerate(order)}
@@ -440,8 +336,6 @@ def _assemble_dag(model: SystemModel, lam_star, comps) -> ComponentDag:
     for (a, b) in edges2:
         if not b < a:
             raise ConsistencyError("canonical component order is not topological")
-    vtypes = tuple(frozenset(t for idx in nodes for t in comps2[idx].types)
-                   for nodes in reach2)
     return ComponentDag(
         model=model,
         lambda_star=lam_star,
@@ -449,7 +343,7 @@ def _assemble_dag(model: SystemModel, lam_star, comps) -> ComponentDag:
         edges=edges2,
         before=tuple(sum(1 << j for (a, j) in edges2 if a == i) for i in range(k)),
         subtree_nodes=reach2,
-        subtree_types=vtypes,
+        subtree_types=tuple(subtrees[old] for old in order),
     )
 
 

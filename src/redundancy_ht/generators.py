@@ -57,8 +57,8 @@ def forest_model(parent: dict, n_components: int, lam=Fraction(1, 2)) -> SystemM
     One server and one job type per component; the type of component k is
     compatible with its own server and the servers of the components it
     overflows into (its children in `parent`: parent[j] = k means edge k->j).
-    Unit speeds and uniform fractions make every component critical with
-    lambda* = 1 and the residual matching diagonal.
+    Unit speeds and uniform fractions make every type critical with
+    lambda* = 1, each alone in a component with its own server.
     """
     children = {k: [] for k in range(n_components)}
     for child, par in parent.items():

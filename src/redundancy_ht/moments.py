@@ -74,9 +74,8 @@ def moment_total(model: SystemModel, n: int, discipline: str = "coc") -> Scalar:
     return linear_moment(model, [1] * model.n_types, n, discipline)
 
 
-def limit_moment_total(report_or_k, n: int) -> int:
-    """Limit of E[((1 - lam/lam*) Q)^n]: (n+K-1)!/(K-1)! for both disciplines."""
-    k = report_or_k.depth_K if isinstance(report_or_k, CriticalityReport) else int(report_or_k)
+def limit_moment_total(k: int, n: int) -> int:
+    """Limit of E[((1 - lam/lam*) Q)^n] for K = k: (n+K-1)!/(K-1)! for both disciplines."""
     if n < 1:
         raise DomainError("moment order must be >= 1")
     return math.factorial(n + k - 1) // math.factorial(k - 1)

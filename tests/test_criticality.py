@@ -1,11 +1,12 @@
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from redundancy_ht import SystemModel, generators
-from redundancy_ht.criticality import (CrpClass, _flow_solution, critical_rate,
+from redundancy_ht.criticality import (CrpClass, _build_net, _FlowNet, critical_rate,
                                        critical_subsets_via_construction, crp_components,
                                        require_stable)
 from redundancy_ht.errors import CapExceeded, DomainError
@@ -212,6 +213,15 @@ def _relabelled(model, rng):
     return relabelled, old_type, old_server
 
 
+def _flow_solution(model, lam):
+    """Max flow at arrival rates N*lam*p_S: its value and positive type->server flows."""
+    net = _build_net(model, lam)
+    value = net.max_flow()
+    pushed = {(t, srv): net.cap[(("s", srv), ("t", t))]  # reverse capacity == pushed flow
+              for t in model.type_indices for srv in model.job_types[t]}
+    return value, {edge: f for edge, f in pushed.items() if f > 0}
+
+
 def test_flow_choice_invariance(rng):
     # relabelling changes the order in which the max flow augments, and so
     # often the flow it finds, but never the component partition
@@ -271,3 +281,55 @@ def test_topo_orders_match_permutation_filter(rng):
         assert len(dag.down_sets) == len({frozenset(sigma[:m]) for sigma in want
                                           for m in range(dag.K + 1)})
     assert max(dag.K for dag in dags) >= 4
+
+
+def _tie_heavy_model(rng):
+    """3-6 servers of speed 1 or 2, 2-7 distinct types of 1-3 servers and
+    uniform p at 4/5 lambda*: equal ratios make several components common."""
+    n = rng.randint(3, 6)
+    n_types = rng.randint(2, 7)
+    types = set()
+    while len(types) < n_types:
+        types.add(frozenset(rng.sample(range(1, n + 1), rng.randint(1, 3))))
+    probe = SystemModel(mu=tuple(F(rng.choice((1, 1, 2))) for _ in range(n)), lam=F(1),
+                        job_types=tuple(sorted(types, key=sorted)),
+                        p=tuple(F(1, n_types) for _ in types))
+    return probe.with_lambda(F(4, 5) * critical_rate(probe))
+
+
+def test_components_match_critical_subset_definition():
+    # V(t) is the smallest critical subset holding t; the component of t is
+    # V(t) less the critical subsets strictly inside it, with the servers
+    # only V(t) uses, and V(t) is that component's rooted subtree
+    rng = random.Random(11)
+    several = 0
+    for _ in range(300):
+        model = _tie_heavy_model(rng)
+        report = critical_rate_and_subsets_bruteforce(model)
+        dag = crp_components(model, report.lambda_star)
+        want = set()
+        for t in frozenset().union(*report.critical_subsets):
+            v = frozenset.intersection(*(a for a in report.critical_subsets if t in a))
+            inner = frozenset().union(*(a for a in report.critical_subsets if a < v))
+            want.add((v - inner, model.servers_of(v) - model.servers_of(inner), v))
+        assert {(comp.types, comp.servers, v)
+                for comp, v in zip(dag.components, dag.subtree_types)} == want
+        several += dag.K >= 2
+    assert several >= 100  # 103 of these 300 models have K >= 2
+
+
+def test_components_search_the_residual_graph_1_plus_2k_times(monkeypatch):
+    calls = []
+    real = _FlowNet.reachable
+    monkeypatch.setattr(_FlowNet, "reachable", lambda net, start, backward=False:
+                        calls.append(start) or real(net, start, backward))
+    rng = random.Random(12)
+    shared = 0
+    for _ in range(60):
+        model = _tie_heavy_model(rng)
+        lam_star = critical_rate(model)
+        del calls[:]
+        dag = crp_components(model, lam_star)
+        assert len(calls) == 1 + 2 * dag.K
+        shared += any(len(comp.types) > 1 for comp in dag.components)
+    assert shared > 0  # one search per critical type would miss the count here

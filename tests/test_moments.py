@@ -88,10 +88,10 @@ def test_alt_equals_main_random_models(rng):
 
 
 def test_limit_moment_total_values(mm1, four_server, n_model):
-    assert limit_moment_total(_ctx(mm1)[0], 1) == 1
-    assert limit_moment_total(_ctx(four_server)[0], 2) == 12  # 4!/2! with K = 3
+    assert limit_moment_total(_ctx(mm1)[0].depth_K, 1) == 1
+    assert limit_moment_total(_ctx(four_server)[0].depth_K, 2) == 12  # 4!/2! with K = 3
     report, _ = _ctx(n_model)
-    assert limit_moment_total(report, 1) == 2
+    assert limit_moment_total(report.depth_K, 1) == 2
     eps = F(1, 1000)
     val = scaled_total_moment(n_model, report.lambda_star, eps, 1)
     assert abs(val - 2) / 2 < 2 * eps
@@ -101,7 +101,7 @@ def test_limit_moment_total_is_erlang_moment(four_server):
     report, dag = _ctx(four_server)
     k = report.depth_K
     for n in range(1, 5):
-        assert limit_moment_total(report, n) == math.factorial(n + k - 1) // math.factorial(k - 1)
+        assert limit_moment_total(k, n) == math.factorial(n + k - 1) // math.factorial(k - 1)
 
 
 def test_limit_moments_match_sample_limit(four_server):
@@ -111,7 +111,7 @@ def test_limit_moments_match_sample_limit(four_server):
     x = sample_limit(limit_law(dag), 200_000, seed=21)
     total = x.sum(axis=1)
     for n in (1, 2):
-        target = limit_moment_total(report, n)
+        target = limit_moment_total(report.depth_K, n)
         se = (total ** n).std() / math.sqrt(len(total))
         assert abs((total ** n).mean() - target) < 4 * se
 
@@ -177,7 +177,7 @@ def test_cos_sandwich(n_model):
             assert lower <= mid <= upper
     report, _ = _ctx(n_model)
     for n in (1, 2):
-        target = limit_moment_total(report, n)
+        target = limit_moment_total(report.depth_K, n)
         gaps = []
         for eps in (F(1, 10), F(1, 100), F(1, 1000)):
             lo = scaled_total_moment(n_model, report.lambda_star, eps, n, "cos")
