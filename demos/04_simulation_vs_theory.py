@@ -10,8 +10,7 @@ from fractions import Fraction as F
 import numpy as np
 
 from redundancy_ht import (SystemModel, critical_rate_and_subsets_bruteforce,
-                           crp_components, ctmc_oracle, limit_law, scaled_law_check,
-                           simulate)
+                           crp_components, ctmc_oracle, scaled_law_check, simulate)
 from redundancy_ht.moments import moment_total
 from redundancy_ht.prelimit import expected_type_counts
 
@@ -35,8 +34,7 @@ pi, pf, tv = ctmc_oracle(model.with_lambda(F(1, 2)), "coc", truncation_len=12)
 print(f"total-variation distance over {len(pi)} states: {tv:.2e}")
 
 print("\n=== scaled queue vector vs the K=2 limit law ===")
-rows = scaled_law_check(model, report.lambda_star, limit_law(dag), "coc",
-                        eps_values=[0.2, 0.1, 0.05],
+rows = scaled_law_check(dag, "coc", eps_values=[0.2, 0.1, 0.05],
                         events_per_eps=[150_000, 300_000, 800_000], seed=3)
 for r in rows:
     print(f"eps={r.eps}: KS(total vs Erlang(1,2) draws) = {r.ks_total:.4f} "

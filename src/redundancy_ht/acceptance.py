@@ -204,13 +204,9 @@ def criterion_pgf_convergence():
 def criterion_simulation_convergence():
     """Scenario III at eps=0.02: scaled means within 10%, total KS below critical,
     KS sequence decreasing over eps in {0.1, 0.05, 0.02}."""
-    model = n_model_scenario_iii()
-    report, dag = _context(model)
-    law = analytic.limit_law(dag)
-    rows = simulator.scaled_law_check(
-        model, report.lambda_star, law, "coc",
-        eps_values=[0.1, 0.05, 0.02],
-        events_per_eps=[400_000, 1_600_000, 40_000_000], seed=7)
+    _, dag = _context(n_model_scenario_iii())
+    rows = simulator.scaled_law_check(dag, "coc", eps_values=[0.1, 0.05, 0.02],
+                                      events_per_eps=[400_000, 1_600_000, 40_000_000], seed=7)
     final = rows[-1]
     mean_12, mean_2 = final.mean_scaled
     if abs(mean_12 - 0.5) > 0.05:

@@ -28,18 +28,13 @@ from .model import MODEL_FORMAT_VERSION, load_model, parse_scalar
 
 GRID_CAP = 10_000  # laplace --t-grid refuses more steps
 # Counts from the command line are refused (exit 3) beyond these caps before
-# any work starts. EVENT_CAP bounds the events one command simulates, warm-up
-# included (simulate: --events plus --warmup; verify-limit: that per
-# epsilon): 10^8 events take about 3.5 minutes of one CPU at the slowest rate
-# the event loops reach on perfbench/models (0.48M events/s, c.o.s. at 13
-# types) and 1.5-2.5 minutes at 2-7 types (0.7-1.1M events/s). CELL_CAP
-# bounds the per-type counts one command holds, rows times types (sample:
-# --n rows; simulate: at most one sample per --sample-every events after the
-# warm-up, which keeps none; verify-limit: one per simulator.KS_MIN_SPACING
-# events, of one epsilon at a time or, with --scatter, of every epsilon):
-# peak memory grows by ~20 bytes a cell for sample and ~8 for simulate
-# --sample-every 1 on M/M/1, whose event loop holds the counts in one flat
-# int64 array (verify-limit --scatter keeps an int64 and a float64 per held
+# any work starts: EVENT_CAP simulated events, CELL_CAP held per-type counts
+# (sample --n rows, or what simulator.simulate_size and scaled_law_size count,
+# times the types). 10^8 events take about 3.5 minutes of one CPU at the
+# slowest event rate on perfbench/models (0.48M/s, c.o.s. at 13 types),
+# 1.5-2.5 minutes at 2-7 types (0.7-1.1M/s). A cell costs ~20 bytes of peak
+# memory for sample and ~8 for simulate --sample-every 1 on M/M/1 (one flat
+# int64 array; verify-limit --scatter keeps an int64 and a float64 per held
 # cell), so 5 * 10^6 cells stay near 0.1 GB.
 EVENT_CAP = 100_000_000
 CELL_CAP = 5_000_000
@@ -209,11 +204,10 @@ def cmd_sample(args):
 
 def cmd_simulate(args):
     model, _ = load_model(args.model)
-    warmup = args.events // 5 if args.warmup is None else args.warmup
-    _refuse_above("--events plus warm-up", args.events + warmup, EVENT_CAP)
-    if args.sample_every >= 1:
-        _refuse_above("samples (--events / --sample-every + 1) times the number of types",
-                      (args.events // args.sample_every + 1) * model.n_types, CELL_CAP)
+    events, held = simulator.simulate_size(args.events, args.warmup, args.sample_every)
+    _refuse_above("--events plus warm-up", events, EVENT_CAP)
+    _refuse_above("samples (--events / --sample-every + 1) times the number of types",
+                  held * model.n_types, CELL_CAP)
     est = simulator.simulate(model, args.discipline, horizon_events=args.events,
                              warmup_events=args.warmup, seed=args.seed,
                              sample_every=args.sample_every)
@@ -229,7 +223,7 @@ def cmd_simulate(args):
         "type_labels": model.labels(),
     }
     _write_json(args, "simulate", payload)
-    rate = (args.events + warmup) / est.wall_seconds if est.wall_seconds > 0 else math.inf
+    rate = events / est.wall_seconds if est.wall_seconds > 0 else math.inf
     print(f"wall seconds: {est.wall_seconds:.2f}  kernel: {est.kernel}  events/s: {rate:.0f}")
     rows = ([epoch, t, int(c)] for epoch, counts in enumerate(est.samples)
             for t, c in enumerate(counts))
@@ -240,24 +234,16 @@ def cmd_simulate(args):
 def cmd_verify_limit(args):
     model, traj = load_model(args.model)
     dag = criticality.crp_components(model)
-    if dag.subtrees_laminar:
-        law = analytic.limit_law(dag, traj)
-    else:
-        law = analytic.sigma_mixture(dag, traj)
     eps_values = [parse_scalar(e) for e in args.eps.split(",")]
     if any(e <= 0 for e in eps_values):
         raise ModelError(f"--eps: every epsilon must be positive, got {args.eps!r}")
     eps_values = [float(e) for e in eps_values]
-    _refuse_above("--events plus warm-up, times the number of epsilons",
-                  (args.events + args.events // 5) * len(eps_values), EVENT_CAP)
-    # the check holds one epsilon's samples at a time, --scatter keeps them all
-    held = len(eps_values) if args.scatter else 1
-    spacing = simulator.KS_MIN_SPACING
-    _refuse_above(f"samples (--events / {spacing} + 1 per epsilon held) times the number "
-                  "of types", (args.events // spacing + 1) * held * model.n_types, CELL_CAP)
-    rows = simulator.scaled_law_check(model, dag.lambda_star, law, args.discipline,
-                                      eps_values, args.events, seed=args.seed,
-                                      keep_samples=args.scatter, traj=traj)
+    events, held = simulator.scaled_law_size(args.events, len(eps_values), args.scatter)
+    _refuse_above("--events plus warm-up, times the number of epsilons", events, EVENT_CAP)
+    _refuse_above("samples (--events / 100 + 1 per epsilon held) times the number of types",
+                  held * model.n_types, CELL_CAP)
+    rows = simulator.scaled_law_check(dag, args.discipline, eps_values, args.events,
+                                      seed=args.seed, keep_samples=args.scatter, traj=traj)
     header = ["epsilon", "ks_total", "ks_total_critical"] + \
         [f"ks_{lbl}" for lbl in model.labels()]
     csv_rows = [[r.eps, r.ks_total, r.ks_total_critical, *r.ks_per_type] for r in rows]

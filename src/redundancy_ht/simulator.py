@@ -65,9 +65,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .criticality import require_stable
+from .criticality import ComponentDag, require_stable
 from .errors import DomainError
-from .model import SystemModel, TrajectorySpec, default_trajectory, model_at_trajectory
+from .model import SystemModel, TrajectorySpec, model_at_trajectory
 # re-exported: the benchmark's reference check (perfbench/workloads.py) reads
 # simulator.config_marginals_from_oracle
 from .oracles import config_marginals_from_oracle  # noqa: F401
@@ -104,15 +104,14 @@ def simulate(model: SystemModel, discipline: str, horizon_events: int,
              sample_every: int = 100) -> SimEstimate:
     """Run one replication and estimate steady-state per-type queue lengths.
 
-    horizon_events counts post-warmup events; warm-up defaults to 20% of the
-    horizon. Sampling epochs are every `sample_every`-th departure after
-    warm-up. Deterministic for a fixed seed; an unstable model raises DomainError.
+    horizon_events counts post-warmup events; warm-up defaults to 20% of the horizon.
+    Sampling epochs are every `sample_every`-th departure counted from the first event;
+    the warm-up keeps none. Deterministic for a fixed seed; an unstable model raises DomainError.
     """
     _check_discipline(discipline)
     if horizon_events < 1:
         raise DomainError("need at least one event")
-    if warmup_events is None:
-        warmup_events = horizon_events // 5
+    warmup_events = simulate_size(horizon_events, warmup_events, sample_every)[0] - horizon_events
     if warmup_events < 0:
         raise DomainError(f"need a nonnegative warm-up, got {warmup_events} events")
     if sample_every < 1:
@@ -125,6 +124,17 @@ def simulate(model: SystemModel, discipline: str, horizon_events: int,
                               sample_every)
     return _estimate(fmodel, discipline, batches, samples, horizon_events,
                      time.perf_counter() - start, name)
+
+
+def simulate_size(horizon_events: int, warmup_events: int = None,
+                  sample_every: int = 100) -> tuple:
+    """(events, rows) of a `simulate` run: the events it takes, warm-up (by
+    default horizon_events // 5) included, and the most sample rows it holds:
+    horizon_events // sample_every + 1, as the warm-up keeps none (0 for the
+    sample_every < 1 that `simulate` refuses)."""
+    warmup = horizon_events // 5 if warmup_events is None else warmup_events
+    rows = horizon_events // sample_every + 1 if sample_every >= 1 else 0
+    return horizon_events + warmup, rows
 
 
 def _kernel(discipline):
@@ -349,16 +359,15 @@ def _run_cos(fmodel, segments, seed, sample_every):
 def _run_compiled(lib, discipline, fmodel, segments, seed, sample_every):
     """`_run_coc` or `_run_cos` in C (`_kernels.c`): the same batches and
     samples to the bit. The samples go into an int64 buffer allocated here,
-    one row per sampling epoch after the warm-up, of which there are at most
-    (post-warm-up events) // sample_every + 1; pages the kernel never writes
-    take no memory."""
+    one row per sampling epoch after the warm-up, as many as `simulate_size`
+    bounds; pages the kernel never writes take no memory."""
     s, n = fmodel.n_types, fmodel.n_servers
     lam_total, arrivals = _arrival_rates(fmodel)
     compat = _compat(fmodel)
     width = 2 * s if discipline == "cos" else s
     # a period beyond the event count samples nothing either way
     sample_every = min(sample_every, sum(segments) + 1)
-    cap_samples = sum(segments[1:]) // sample_every + 1
+    cap_samples = simulate_size(sum(segments[1:]), segments[0], sample_every)[1]
     # new C-contiguous arrays of the kernel's C types, alive through the call
     arrivals = np.array(arrivals, dtype=np.float64)
     mu = np.array(fmodel.mu, dtype=np.float64)
@@ -387,7 +396,7 @@ def _run_compiled(lib, discipline, fmodel, segments, seed, sample_every):
 # ---------------------------------------------------------------------------
 
 KS_EXACT_N = 10_000  # ks_2samp's exact mode, which rounds the statistic, up to this size
-KS_MIN_SPACING = 100  # scaled_law_check's default sampling epochs are at least this far apart
+KS_MIN_SPACING = 100  # the fewest departures between scaled_law_check's sampling epochs
 
 
 def ks_two_sample(a, b):
@@ -422,32 +431,32 @@ class ScaledLawRow:
     scaled_samples: np.ndarray = None
 
 
-def scaled_law_check(model: SystemModel, lam_star, law, discipline, eps_values,
-                     events_per_eps, seed: int = 0, sample_every: int = None,
+def scaled_law_check(dag: ComponentDag, discipline, eps_values, events_per_eps, seed: int = 0,
                      law_samples: int = 100_000, keep_samples: bool = False,
                      traj: TrajectorySpec = None) -> list:
-    """Simulate along lambda_S(eps) = N*lambda* p_S - eps*gamma_S and compare eps*Q with the law.
+    """Simulate `dag`'s model along lambda_S(eps) = N*lambda* p_S - eps*gamma_S
+    and compare eps*Q with its limit law (`limit_law`; `sigma_mixture` off laminar subtrees).
 
-    gamma is taken from `traj` (its epsilon is ignored: `eps_values` sets
-    the positions); None means the ray lambda = (1-eps) lambda*. Returns one
-    row per eps with per-marginal and total two-sample KS distances against
-    Monte-Carlo draws from `law`. Sampling epochs default to ~eps^-2 events
-    apart so that the KS samples are effectively independent at every eps
-    on the grid.
-    """
-    from .analytic import sample_limit
+    gamma is taken from `traj` (its epsilon is ignored: `eps_values` sets the
+    positions); None means the ray lambda = (1-eps) lambda*. Returns one row per
+    eps with per-marginal and total two-sample KS distances against Monte-Carlo
+    draws from the law. Sampling epochs are every max(KS_MIN_SPACING, 8 eps^-2)-th
+    departure counted from the first event, so that the KS samples are
+    effectively independent at every eps on the grid."""
+    from .analytic import _direction, limit_law, sample_limit, sigma_mixture
 
+    model, lam_star = dag.model, dag.lambda_star
+    law = (limit_law if dag.subtrees_laminar else sigma_mixture)(dag, traj)
     rows = []
     ref = sample_limit(law, law_samples, seed=seed + 999)
     ref_total = np.sort(ref.sum(axis=1))
     ref_cols = [np.sort(ref[:, t]) for t in range(model.n_types)]
-    gamma = default_trajectory(model, lam_star).gamma if traj is None else traj.gamma
+    gamma = _direction(model, lam_star, traj).gamma
     for i, eps in enumerate(eps_values):
         pre = model_at_trajectory(model, TrajectorySpec(gamma, Fraction(eps)), lam_star)
         horizon = events_per_eps if isinstance(events_per_eps, int) else events_per_eps[i]
         try:
-            spacing = sample_every if sample_every is not None else \
-                max(KS_MIN_SPACING, int(8.0 / eps ** 2))
+            spacing = max(KS_MIN_SPACING, int(8.0 / eps ** 2))
         except (ZeroDivisionError, OverflowError):  # eps^-2 beyond the float range
             raise DomainError(f"{horizon} events give no sample ~eps^-2 events apart "
                               f"at eps={eps}") from None
@@ -464,3 +473,11 @@ def scaled_law_check(model: SystemModel, lam_star, law, discipline, eps_values,
                                  mean_scaled=tuple(float(eps * x) for x in est.time_avg),
                                  scaled_samples=scaled if keep_samples else None))
     return rows
+
+
+def scaled_law_size(events_per_eps: int, n_eps: int, keep_samples: bool = False) -> tuple:
+    """(events, rows) of a `scaled_law_check` run: its n_eps simulations, default
+    warm-ups included, and the most sample rows it holds, KS_MIN_SPACING or
+    more departures apart, of one epsilon at a time (of all with keep_samples)."""
+    events, rows = simulate_size(events_per_eps, sample_every=KS_MIN_SPACING)
+    return events * n_eps, rows * (n_eps if keep_samples else 1)

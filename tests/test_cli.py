@@ -417,25 +417,40 @@ DIAMOND_DOC = {
                          ids=["diamond", "n-model"])
 def test_verify_limit_uses_the_mixture_off_laminar(doc, law_type, tmp_path, monkeypatch,
                                                    capsys):
-    from redundancy_ht import simulator
-
     seen = []
 
-    def fake_check(model, lam_star, law, *args, **kwargs):
+    def recording_sampler(law, *args, **kwargs):
         seen.append(law)
-        return []
+        raise _Started
 
-    monkeypatch.setattr(simulator, "scaled_law_check", fake_check)
+    monkeypatch.setattr(analytic, "sample_limit", recording_sampler)
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
-    assert main(["verify-limit", "--model", str(path), "--out-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
+    with pytest.raises(_Started):
+        main(["verify-limit", "--model", str(path), "--out-dir", str(tmp_path)])
     (law,) = seen
     assert type(law).__name__ == law_type
     if law_type == "MixtureLaw":  # the product form would give means 1/2, 1/2, 2
         means = [sum(w * sum(row[t] for row in coeffs) for w, coeffs, _ in law.atoms)
                  for t in range(3)]
         assert means == [Fraction(7, 12), Fraction(7, 12), Fraction(11, 6)]
+
+
+def test_verify_limit_ignores_the_file_lambda(tmp_path, capsys):
+    """verify-limit reads only lambda*, so a file whose lambda is past it
+    (3/2 against lambda* = 1) runs, with the artifacts of lambda = 4/5."""
+    outputs = []
+    for lam in ("4/5", "3/2"):
+        out = tmp_path / lam.replace("/", "_")
+        out.mkdir()
+        path = out / "m.json"
+        path.write_text(json.dumps(dict(N_MODEL_DOC, **{"lambda": lam})))
+        assert main(["verify-limit", "--model", str(path), "--events", "5000",
+                     "--eps", "0.2,0.1", "--seed", "3", "--out-dir", str(out)]) == 0, lam
+        outputs.append([(out / name).read_bytes()
+                        for name in ("ks_sequence.csv", "verify_limit.json")])
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
 
 
 def test_moments_limit_follows_the_trajectory(tmp_path, capsys):

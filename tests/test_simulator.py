@@ -147,16 +147,12 @@ STREAM_PINS = {
 
 @pytest.mark.parametrize("name, discipline", sorted(STREAM_PINS))
 def test_fixed_seed_streams_are_pinned(request, name, discipline):
-    from redundancy_ht.analytic import limit_law
-
     model = request.getfixturevalue(name)
     digest, ks = STREAM_PINS[name, discipline]
     est = simulate(model, discipline, horizon_events=20_000, seed=31, sample_every=3)
     assert hashlib.sha256(est.samples.tobytes()).hexdigest() == digest
-    dag = crp_components(model)
-    rows = scaled_law_check(model, dag.lambda_star, limit_law(dag), discipline,
-                            eps_values=[0.2, 0.1], events_per_eps=40_000, seed=32,
-                            law_samples=2_000)
+    rows = scaled_law_check(crp_components(model), discipline, eps_values=[0.2, 0.1],
+                            events_per_eps=40_000, seed=32, law_samples=2_000)
     assert [(row.ks_per_type, row.ks_total) for row in rows] == ks
 
 
@@ -319,12 +315,9 @@ def test_cli_import_loads_no_acceptance_battery():
 
 
 def test_scaled_law_check_runs(n_model):
-    from redundancy_ht.analytic import limit_law
-
     report = critical_rate_and_subsets_bruteforce(n_model)
     dag = crp_components(n_model, report.lambda_star)
-    rows = scaled_law_check(n_model, report.lambda_star, limit_law(dag), "coc",
-                            eps_values=[0.2, 0.1], events_per_eps=60_000, seed=11,
+    rows = scaled_law_check(dag, "coc", eps_values=[0.2, 0.1], events_per_eps=60_000, seed=11,
                             keep_samples=True)
     assert len(rows) == 2
     assert rows[0].scaled_samples.shape[1] == 2
@@ -337,9 +330,10 @@ def test_scaled_law_check_follows_the_trajectory(n_model):
     from redundancy_ht.analytic import limit_law
 
     traj = TrajectorySpec(gamma=(F(3, 2), F(1, 2)), epsilon=F(1, 50))
-    law = limit_law(crp_components(n_model), traj)
+    dag = crp_components(n_model)
+    law = limit_law(dag, traj)
     assert [sum(row[t] for row in law.coeffs) for t in range(2)] == [F(1, 2), F(5, 2)]
-    rows = scaled_law_check(n_model, F(1), law, "coc", eps_values=[0.1, 0.05],
+    rows = scaled_law_check(dag, "coc", eps_values=[0.1, 0.05],
                             events_per_eps=[200_000, 400_000], seed=5, law_samples=1_000,
                             traj=traj)
     for row, eps in zip(rows, (F(1, 10), F(1, 20))):
@@ -354,14 +348,10 @@ def test_cos_scaled_waiting_vector_approaches_same_law(n_model):
     # the waiting-count vector under cancel-on-start obeys the identical
     # K = 2 limit law; at moderate eps the simulated scaled means must match
     # the exact pre-limit waiting means, and the law distance must shrink
-    from redundancy_ht.analytic import limit_law
-    from redundancy_ht.criticality import crp_components as components
-
     report = critical_rate_and_subsets_bruteforce(n_model)
-    dag = components(n_model, report.lambda_star)
-    rows = scaled_law_check(n_model, report.lambda_star, limit_law(dag), "cos",
-                            eps_values=[0.1, 0.05],
-                            events_per_eps=[600_000, 1_500_000], seed=17)
+    dag = crp_components(n_model, report.lambda_star)
+    rows = scaled_law_check(dag, "cos", eps_values=[0.1, 0.05],
+                            events_per_eps=[9_600_000, 24_000_000], seed=17)
     for row, eps_frac in zip(rows, (F(1, 10), F(1, 20))):
         pre = n_model.with_lambda((1 - eps_frac) * report.lambda_star)
         exact = [float(x * eps_frac) for x in expected_type_counts(pre, "cos")]
