@@ -204,8 +204,10 @@ def cmd_sample(args):
 
 def cmd_simulate(args):
     model, _ = load_model(args.model)
-    events, held = simulator.simulate_size(args.events, args.warmup, args.sample_every)
-    _refuse_above("--events plus warm-up", events, EVENT_CAP)
+    if args.sample_every < 1:
+        raise ModelError(f"--sample-every must be at least 1, got {args.sample_every}")
+    warmup, held = simulator.simulate_size(args.events, args.sample_every, args.warmup)
+    _refuse_above("--events plus warm-up", args.events + warmup, EVENT_CAP)
     _refuse_above("samples (--events / --sample-every + 1) times the number of types",
                   held * model.n_types, CELL_CAP)
     est = simulator.simulate(model, args.discipline, horizon_events=args.events,
@@ -223,7 +225,7 @@ def cmd_simulate(args):
         "type_labels": model.labels(),
     }
     _write_json(args, "simulate", payload)
-    rate = events / est.wall_seconds if est.wall_seconds > 0 else math.inf
+    rate = (args.events + warmup) / est.wall_seconds if est.wall_seconds > 0 else math.inf
     print(f"wall seconds: {est.wall_seconds:.2f}  kernel: {est.kernel}  events/s: {rate:.0f}")
     rows = ([epoch, t, int(c)] for epoch, counts in enumerate(est.samples)
             for t, c in enumerate(counts))
@@ -240,7 +242,7 @@ def cmd_verify_limit(args):
     eps_values = [float(e) for e in eps_values]
     events, held = simulator.scaled_law_size(args.events, len(eps_values), args.scatter)
     _refuse_above("--events plus warm-up, times the number of epsilons", events, EVENT_CAP)
-    _refuse_above("samples (--events / 100 + 1 per epsilon held) times the number of types",
+    _refuse_above("samples the check holds times the number of types",
                   held * model.n_types, CELL_CAP)
     rows = simulator.scaled_law_check(dag, args.discipline, eps_values, args.events,
                                       seed=args.seed, keep_samples=args.scatter, traj=traj)

@@ -111,11 +111,11 @@ def simulate(model: SystemModel, discipline: str, horizon_events: int,
     _check_discipline(discipline)
     if horizon_events < 1:
         raise DomainError("need at least one event")
-    warmup_events = simulate_size(horizon_events, warmup_events, sample_every)[0] - horizon_events
-    if warmup_events < 0:
-        raise DomainError(f"need a nonnegative warm-up, got {warmup_events} events")
     if sample_every < 1:
         raise DomainError(f"need sample_every >= 1, got {sample_every}")
+    warmup_events = simulate_size(horizon_events, sample_every, warmup_events)[0]
+    if warmup_events < 0:
+        raise DomainError(f"need a nonnegative warm-up, got {warmup_events} events")
     require_stable(model)
     fmodel = model.as_float()
     kernel, name = _kernel(discipline)
@@ -126,15 +126,12 @@ def simulate(model: SystemModel, discipline: str, horizon_events: int,
                      time.perf_counter() - start, name)
 
 
-def simulate_size(horizon_events: int, warmup_events: int = None,
-                  sample_every: int = 100) -> tuple:
-    """(events, rows) of a `simulate` run: the events it takes, warm-up (by
-    default horizon_events // 5) included, and the most sample rows it holds:
-    horizon_events // sample_every + 1, as the warm-up keeps none (0 for the
-    sample_every < 1 that `simulate` refuses)."""
+def simulate_size(horizon_events: int, sample_every: int, warmup_events: int = None) -> tuple:
+    """(warmup, rows) of a `simulate` run: its warm-up events (by default
+    horizon_events // 5) and the most sample rows it holds, horizon_events //
+    sample_every + 1, as the warm-up keeps none."""
     warmup = horizon_events // 5 if warmup_events is None else warmup_events
-    rows = horizon_events // sample_every + 1 if sample_every >= 1 else 0
-    return horizon_events + warmup, rows
+    return warmup, horizon_events // sample_every + 1
 
 
 def _kernel(discipline):
@@ -367,7 +364,7 @@ def _run_compiled(lib, discipline, fmodel, segments, seed, sample_every):
     width = 2 * s if discipline == "cos" else s
     # a period beyond the event count samples nothing either way
     sample_every = min(sample_every, sum(segments) + 1)
-    cap_samples = simulate_size(sum(segments[1:]), segments[0], sample_every)[1]
+    cap_samples = simulate_size(sum(segments[1:]), sample_every)[1]
     # new C-contiguous arrays of the kernel's C types, alive through the call
     arrivals = np.array(arrivals, dtype=np.float64)
     mu = np.array(fmodel.mu, dtype=np.float64)
@@ -475,9 +472,9 @@ def scaled_law_check(dag: ComponentDag, discipline, eps_values, events_per_eps, 
     return rows
 
 
-def scaled_law_size(events_per_eps: int, n_eps: int, keep_samples: bool = False) -> tuple:
+def scaled_law_size(events_per_eps: int, n_eps: int, keep_samples: bool) -> tuple:
     """(events, rows) of a `scaled_law_check` run: its n_eps simulations, default
     warm-ups included, and the most sample rows it holds, KS_MIN_SPACING or
     more departures apart, of one epsilon at a time (of all with keep_samples)."""
-    events, rows = simulate_size(events_per_eps, sample_every=KS_MIN_SPACING)
-    return events * n_eps, rows * (n_eps if keep_samples else 1)
+    warmup, rows = simulate_size(events_per_eps, KS_MIN_SPACING)
+    return (events_per_eps + warmup) * n_eps, rows * (n_eps if keep_samples else 1)
