@@ -38,6 +38,7 @@ GRID_CAP = 10_000  # laplace --t-grid refuses more steps
 # cell), so 5 * 10^6 cells stay near 0.1 GB.
 EVENT_CAP = 100_000_000
 CELL_CAP = 5_000_000
+CSV_CELLS = 1 << 14  # numbers the CSV emitter formats per write, which bounds its memory
 
 
 def _num(x):
@@ -72,18 +73,40 @@ def _write_json(args, name, payload):
         print(text)
 
 
-def _write_csv(args, name, header, rows):
+def _write_csv(args, name, header, chunks):
+    """Write the CSV artifact `name` as `csv.writer` would: the header, then the
+    rows of each chunk, given as equal-length columns of numbers (written as
+    str(), which is repr() for floats) or of strings that need no quoting."""
+    row = ",".join(["{}"] * len(header)) + "\r\n"
+
+    def emit(fh):
+        csv.writer(fh).writerow(header)
+        for columns in chunks:
+            fh.write("".join(map(row.format, *columns)))
+
     if args.out_dir:
         path = Path(args.out_dir) / f"{name}.csv"
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
+            emit(fh)
         print(f"wrote {path}")
     else:
-        w = csv.writer(sys.stdout)
-        w.writerow(header)
-        w.writerows(rows)
+        emit(sys.stdout)
+
+
+def _array_chunks(table, numbered=False, long=False):
+    """`_write_csv` chunks of about CSV_CELLS entries of a 2-D array: its rows,
+    led by the row number when `numbered`, or with `long` one row (row number,
+    column number, entry) per entry."""
+    n_rows, n_cols = table.shape
+    step = max(1, CSV_CELLS // n_cols)
+    for r0 in range(0, n_rows, step):
+        block = table[r0:r0 + step]
+        numbers = range(r0, r0 + len(block))
+        if long:
+            yield (np.repeat(numbers, n_cols).tolist(), list(range(n_cols)) * len(block),
+                   block.ravel().tolist())
+        else:
+            yield [numbers] * numbered + block.T.tolist()
 
 
 def _refuse_above(what, count, cap):
@@ -159,7 +182,7 @@ def cmd_laplace(args):
         tval = lo + (hi - lo) * i / max(steps - 1, 1)
         val = analytic.limiting_transform(dag, [tval] * model.n_types, traj)[0]
         rows.append([_num(tval), _num(val)])
-    _write_csv(args, "laplace_grid", ["t", "laplace"], rows)
+    _write_csv(args, "laplace_grid", ["t", "laplace"], [zip(*rows)])
     return 0
 
 
@@ -197,8 +220,7 @@ def cmd_sample(args):
     model, _ = load_model(args.model)
     _refuse_above("--n times the number of types", args.n * model.n_types, CELL_CAP)
     x = prelimit.sample_prelimit(model, args.discipline, args.n, args.seed)
-    rows = ([i] + list(map(int, row)) for i, row in enumerate(x))
-    _write_csv(args, "samples", ["sample"] + model.labels(), rows)
+    _write_csv(args, "samples", ["sample"] + model.labels(), _array_chunks(x, numbered=True))
     return 0
 
 
@@ -227,9 +249,8 @@ def cmd_simulate(args):
     _write_json(args, "simulate", payload)
     rate = (args.events + warmup) / est.wall_seconds if est.wall_seconds > 0 else math.inf
     print(f"wall seconds: {est.wall_seconds:.2f}  kernel: {est.kernel}  events/s: {rate:.0f}")
-    rows = ([epoch, t, int(c)] for epoch, counts in enumerate(est.samples)
-            for t, c in enumerate(counts))
-    _write_csv(args, "simulate_samples", ["epoch", "type_index", "count"], rows)
+    _write_csv(args, "simulate_samples", ["epoch", "type_index", "count"],
+               _array_chunks(est.samples, long=True))
     return 0
 
 
@@ -249,11 +270,10 @@ def cmd_verify_limit(args):
     header = ["epsilon", "ks_total", "ks_total_critical"] + \
         [f"ks_{lbl}" for lbl in model.labels()]
     csv_rows = [[r.eps, r.ks_total, r.ks_total_critical, *r.ks_per_type] for r in rows]
-    _write_csv(args, "ks_sequence", header, csv_rows)
+    _write_csv(args, "ks_sequence", header, [zip(*csv_rows)])
     if args.scatter:
-        scatter_rows = (row.tolist() for row in rows[-1].scaled_samples)
-        _write_csv(args, "scaled_scatter",
-                   [f"scaled_q_{lbl}" for lbl in model.labels()], scatter_rows)
+        _write_csv(args, "scaled_scatter", [f"scaled_q_{lbl}" for lbl in model.labels()],
+                   _array_chunks(rows[-1].scaled_samples))
     payload = [{"epsilon": r.eps, "ks_total": r.ks_total,
                 "ks_total_critical": r.ks_total_critical,
                 "ks_per_type": list(r.ks_per_type),

@@ -46,7 +46,10 @@ their differential oracle: for a fixed seed the outputs agree exactly.
 The module imports no scipy, so neither does the command line: batch-means
 half-widths read Student's t quantiles from a table (`T975`), and
 `ks_two_sample` computes the two-sample KS statistic as `scipy.stats.ks_2samp`
-does, to the bit. The truncated-CTMC oracle, `oracles.ctmc_oracle`, is the
+does, to the bit. The supremum of |F_a - F_b| is reached at a jump of either
+empirical CDF (Smirnov 1939; Hodges 1958), at or just before a point of the
+smaller sample, so a statistic of n simulated against m law draws costs
+O(n log m), not O(m log m). The truncated-CTMC oracle, `oracles.ctmc_oracle`, is the
 only code that imports `scipy.sparse`, when it is called.
 """
 from __future__ import annotations
@@ -404,12 +407,19 @@ def ks_two_sample(a, b):
 def _ks_sorted(a, b):
     """`ks_two_sample` of two sorted samples: the statistic bit for bit as
     `scipy.stats.ks_2samp(a, b).statistic`, including its exact-mode rounding
-    to a multiple of 1/lcm(n, m)."""
+    to a multiple of 1/lcm(n, m).
+
+    Between two jumps of the smaller sample's CDF only the larger one's moves,
+    and it only rises, so |F_a - F_b| peaks at a point of the smaller sample or
+    just before one: 4 searchsorted calls with min(n, m) keys each, O(n log m),
+    give the same integer counts as ks_2samp at those points."""
     n, m = len(a), len(b)
     if not n or not m:
         raise DomainError("the KS statistic needs two nonempty samples")
-    both = np.concatenate([a, b])
-    gaps = np.searchsorted(a, both, side="right") / n - np.searchsorted(b, both, side="right") / m
+    small, large = (a, b) if n <= m else (b, a)
+    gaps = np.concatenate([np.searchsorted(small, small, side) / len(small)
+                           - np.searchsorted(large, small, side) / len(large)
+                           for side in ("right", "left")])
     stat = float(np.abs(gaps).max())
     if max(n, m) <= KS_EXACT_N:
         lcm = n // math.gcd(n, m) * m

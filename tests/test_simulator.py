@@ -261,13 +261,15 @@ def test_t_table_is_scipy_quantile():
 
 def _ks_pairs():
     """Sample pairs for the KS differential test: continuous and tied (scaled
-    integer counts) values, n == m and n != m, sizes on both sides of the
-    10,000 where scipy stops rounding to a multiple of 1/lcm(n, m)."""
+    integer counts) values, n == m, n < m and n > m, sizes on both sides of the
+    10,000 where scipy stops rounding to a multiple of 1/lcm(n, m), and
+    verify-limit's shape: at most 200 tied scaled counts against many
+    continuous law draws, in both argument orders."""
     rng = np.random.default_rng(7)
     sizes = [(1, 1), (1, 7), (5, 5), (37, 91), (300, 300), (480, 2000), (999, 1000),
              (10_000, 10_000), (10_000, 9_999), (10_001, 10_000), (70, 100_000),
              (4_000, 12_000)]
-    for n, m in sizes:
+    for n, m in sizes + [(m, n) for n, m in sizes if n != m]:
         yield rng.exponential(1.0, n), rng.exponential(1.2, m)
         eps = rng.choice([0.02, 0.1, 1 / 3])
         yield rng.poisson(3.0, n) * eps, rng.geometric(0.3, m) * eps
@@ -275,6 +277,12 @@ def _ks_pairs():
     for _ in range(300):
         n, m = rng.integers(1, 200, 2)
         yield rng.normal(size=n).round(1), rng.normal(0.2, 1.0, m).round(1)
+    for m in (100_000, 10_000, 7_000, 999):
+        for _ in range(10):
+            n, eps = int(rng.integers(1, 201)), rng.choice([0.2, 0.1, 0.05])
+            counts, draws = rng.geometric(eps, n) * eps, rng.exponential(1.0, m)
+            yield counts, draws
+            yield draws, counts
 
 
 @pytest.mark.filterwarnings("ignore:ks_2samp:RuntimeWarning")  # scipy's exact p-value can give up
@@ -285,6 +293,19 @@ def test_ks_two_sample_is_scipy_statistic():
         want = float(scipy.stats.ks_2samp(a, b).statistic)
         assert ks_two_sample(a, b)[0] == want, (len(a), len(b))
         assert ks_two_sample(list(a), list(b))[0] == want
+
+
+@pytest.mark.parametrize("n, m", [(50, 100_000), (100_000, 50)])
+def test_ks_two_sample_searches_only_the_smaller_sample(n, m, monkeypatch):
+    """The statistic costs O(min(n, m) log max(n, m)): at most 4 min(n, m)
+    keys go through searchsorted, whichever argument is the smaller."""
+    keys = []
+    real = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda a, v, *args, **kw: keys.append(np.size(v)) or real(a, v, *args, **kw))
+    rng = np.random.default_rng(3)
+    ks_two_sample(rng.exponential(1.0, n), rng.exponential(1.0, m))
+    assert keys and sum(keys) <= 4 * min(n, m)
 
 
 def test_ks_two_sample_needs_two_samples():
