@@ -106,7 +106,7 @@ def _array_chunks(table, numbered=False, long=False):
             yield (np.repeat(numbers, n_cols).tolist(), list(range(n_cols)) * len(block),
                    block.ravel().tolist())
         else:
-            yield [numbers] * numbered + block.T.tolist()
+            yield ([numbers] if numbered else []) + block.T.tolist()
 
 
 def _refuse_above(what, count, cap):
