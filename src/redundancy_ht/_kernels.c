@@ -235,13 +235,14 @@ static inline void change(counts_t *c, int ch, int64_t delta)
     c->count[ch] += delta;
 }
 
-/* Append the first `width` counts as a row, or RHT_BAD_STATE when the
- * buffer has no room for it. */
-static int sample(counts_t *c, int width)
+/* Append the counts as a row, or RHT_BAD_STATE when the buffer has no room
+ * for it. */
+static int sample(counts_t *c)
 {
     if (c->n_samples == c->cap_samples)
         return RHT_BAD_STATE;
-    memcpy(c->samples + c->n_samples * width, c->count, (size_t)width * sizeof *c->count);
+    memcpy(c->samples + c->n_samples * c->channels, c->count,
+           (size_t)c->channels * sizeof *c->count);
     c->n_samples++;
     return RHT_OK;
 }
@@ -268,7 +269,7 @@ static void end_batch(const counts_t *c, double *area_row, double *duration)
  *   sample_every      departures between sampling epochs
  *   cap_samples       the rows that samples holds
  * Outputs:
- *   areas             (n_segments - 1) x channels batch areas
+ *   areas             (n_segments - 1) x s batch areas
  *   durations         n_segments - 1 batch durations
  *   samples           the sampled counts, s a row, flat; RHT_BAD_STATE
  *                     where they need more than cap_samples rows
@@ -339,7 +340,7 @@ int rht_run_coc(int s, int n, double lam_total, const double *arrivals, const do
             dirty |= queues[t].len == 0;
             if (!--countdown) {
                 countdown = sample_every;
-                if (seg && (status = sample(&c, s)) != RHT_OK)
+                if (seg && (status = sample(&c)) != RHT_OK)
                     break;
             }
         }
@@ -357,8 +358,8 @@ int rht_run_coc(int s, int n, double lam_total, const double *arrivals, const do
     return status;
 }
 
-/* Count channels 0..s-1 are the waiting jobs per type and s..2s-1 the jobs in
- * service; the samples hold the waiting counts. */
+/* The counts are the waiting jobs per type; a job that starts at once is
+ * never counted. */
 int rht_run_cos(int s, int n, double lam_total, const double *arrivals, const double *mu,
                 const int32_t *compat_start, const int32_t *compat, const uint32_t *mt_state,
                 int n_segments, const int64_t *segments, int64_t sample_every,
@@ -371,7 +372,6 @@ int rht_run_cos(int s, int n, double lam_total, const double *arrivals, const do
     ring_t *waiting = calloc((size_t)s, sizeof *waiting);
     char *is_busy = calloc((size_t)(n ? n : 1), 1);
     char *serves = calloc((size_t)n * (size_t)s + 1, 1);   /* serves[srv * s + t] */
-    int *serving = malloc((size_t)(n ? n : 1) * sizeof *serving); /* channel in service */
     int *idle = malloc((size_t)(n ? n : 1) * sizeof *idle);       /* longest idle first */
     int64_t next_id = 0, countdown = sample_every, i;
     int status, seg, dirty = 1, n_idle = n, t, srv;
@@ -380,15 +380,14 @@ int rht_run_cos(int s, int n, double lam_total, const double *arrivals, const do
     g.index = (int)mt_state[MT_N];
     status = rates_init(&r, s, n, lam_total, arrivals, mu);
     if (status == RHT_OK)
-        status = counts_init(&c, 2 * s, samples, cap_samples);
-    if (status == RHT_OK && (!waiting || !is_busy || !serves || !serving || !idle))
+        status = counts_init(&c, s, samples, cap_samples);
+    if (status == RHT_OK && (!waiting || !is_busy || !serves || !idle))
         status = RHT_NOMEM;
     if (status == RHT_OK)
         for (srv = 0; srv < n; srv++) {
             int32_t k;
             for (k = compat_start[srv]; k < compat_start[srv + 1]; k++)
                 serves[(size_t)srv * s + compat[k]] = 1;
-            serving[srv] = -1;
             idle[srv] = srv;
         }
     for (seg = 0; status == RHT_OK && seg < n_segments; seg++) {
@@ -406,46 +405,39 @@ int rht_run_cos(int s, int n, double lam_total, const double *arrivals, const do
                 break;
             }
             if (e < s) {
-                t = e;
-                for (pos = 0; pos < n_idle; pos++) {
-                    srv = idle[pos];
-                    if (serves[(size_t)srv * s + e]) {
-                        memmove(idle + pos, idle + pos + 1, (size_t)(n_idle - pos - 1) * sizeof *idle);
-                        n_idle--;
-                        serving[srv] = t = s + e;
-                        is_busy[srv] = 1;
-                        dirty = 1;
+                for (pos = 0; pos < n_idle && !serves[(size_t)idle[pos] * s + e]; pos++)
+                    ;
+                if (pos < n_idle) {
+                    is_busy[idle[pos]] = 1;
+                    dirty = 1;
+                    memmove(idle + pos, idle + pos + 1, (size_t)(n_idle - pos - 1) * sizeof *idle);
+                    n_idle--;
+                } else {
+                    if ((status = ring_push(&waiting[e], next_id)) != RHT_OK)
                         break;
-                    }
+                    change(&c, e, 1);
                 }
-                if (t == e && (status = ring_push(&waiting[e], next_id)) != RHT_OK)
-                    break;
                 next_id++;
-                change(&c, t, 1);
                 continue;
             }
             srv = r.busy[e - s];
-            change(&c, serving[srv], -1);
             t = earliest(waiting, compat + compat_start[srv], compat_start[srv + 1] - compat_start[srv]);
             if (t < 0) {
-                serving[srv] = -1;
                 is_busy[srv] = 0;
                 dirty = 1;
                 idle[n_idle++] = srv;
             } else {
                 ring_pop(&waiting[t]);
                 change(&c, t, -1);
-                serving[srv] = s + t;
-                change(&c, s + t, 1);
             }
             if (!--countdown) {
                 countdown = sample_every;
-                if (seg && (status = sample(&c, s)) != RHT_OK)
+                if (seg && (status = sample(&c)) != RHT_OK)
                     break;
             }
         }
         if (status == RHT_OK && seg)
-            end_batch(&c, areas + (int64_t)(seg - 1) * 2 * s, &durations[seg - 1]);
+            end_batch(&c, areas + (int64_t)(seg - 1) * s, &durations[seg - 1]);
     }
     *n_samples = c.n_samples;
     if (waiting)
@@ -454,7 +446,6 @@ int rht_run_cos(int s, int n, double lam_total, const double *arrivals, const do
     free(waiting);
     free(is_busy);
     free(serves);
-    free(serving);
     free(idle);
     rates_free(&r);
     counts_free(&c);

@@ -7,7 +7,7 @@ enumeration/size cap or a count cap (simulated events, held samples).
 Exact-backend outputs serialize all numbers as rational strings; the float
 backend (`--backend float`, read by pgf and laplace) emits plain floats.
 The environment variable RHT_SEED supplies the default `--seed` of sample,
-simulate and verify-limit.
+simulate and verify-limit; either must be an integer >= 0.
 """
 from __future__ import annotations
 
@@ -260,6 +260,9 @@ def cmd_verify_limit(args):
     eps_values = [parse_scalar(e) for e in args.eps.split(",")]
     if any(e <= 0 for e in eps_values):
         raise ModelError(f"--eps: every epsilon must be positive, got {args.eps!r}")
+    if not all(e <= sys.float_info.max and float(e) for e in eps_values):
+        raise ModelError(f"--eps: every epsilon must be nonzero and finite as a float, "
+                         f"got {args.eps!r}")
     eps_values = [float(e) for e in eps_values]
     events, held = simulator.scaled_law_size(args.events, len(eps_values), args.scatter)
     _refuse_above("--events plus warm-up, times the number of epsilons", events, EVENT_CAP)
@@ -300,19 +303,31 @@ def cmd_verify(args):
     return 1 if failures else 0
 
 
+def _seed(flag):
+    """The seed of a seeded command: --seed, else RHT_SEED, else 0; an integer >= 0."""
+    name, text = ("--seed", flag) if flag is not None else \
+        ("RHT_SEED", os.environ.get("RHT_SEED", "0"))
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ModelError(f"{name}: a seed is an integer >= 0, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rht", description=__doc__)
     parser.add_argument("--version", action="version",
                         version=f"rht {__version__} (model format {MODEL_FORMAT_VERSION})")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_default = int(os.environ.get("RHT_SEED", "0"))
 
     def common(p):
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--out-dir", default=None, help="write artifacts here instead of stdout")
 
     def seeded(p):
-        p.add_argument("--seed", type=int, default=seed_default)
+        p.add_argument("--seed", default=None)  # read by _seed
 
     def backend(p):
         p.add_argument("--backend", choices=("exact", "float"), default="exact")
@@ -385,6 +400,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "out_dir", None) and not Path(args.out_dir).is_dir():
             raise ModelError(f"--out-dir: {args.out_dir!r} is not a directory")
+        if "seed" in args:
+            args.seed = _seed(args.seed)
         return args.fn(args)
     except CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -1,12 +1,13 @@
 """Criticality analysis: stability, lambda*, critical subsets, CRP components and their DAG.
 
-The max-flow route is the production path for every criticality question:
-`critical_rate` finds lambda* by Dinkelbach iteration on max-flow min-cuts,
-`require_stable` decides lambda < lambda* from it, and `crp_components` finds
-the CRP components and their rooted subtrees by reachability searches in the
-residual graph of one maximum flow at lambda = lambda*; the down-sets of the
-component DAG give the critical subsets, and topological orders are listed on
-demand.
+Every criticality question is one residual test on one maximum flow
+(`_saturate`): which job types cannot reach the sink. At the model's lambda
+it decides stability (`require_stable`); in Dinkelbach iteration
+(`critical_rate`) their ratio is the next guess for lambda*; at lambda* they
+are the critical types, and `crp_components` reads the CRP components and
+their rooted subtrees from searches in that same residual graph. The
+down-sets of the component DAG give the critical subsets, and topological
+orders are listed on demand.
 
 The scans of all 2^|S|-1 nonempty type subsets (`check_stability`,
 `critical_rate_and_subsets_bruteforce`) are the literal definitions; they
@@ -142,7 +143,7 @@ def _classify(critical_subsets, n_types: int) -> CrpClass:
 
 
 # ---------------------------------------------------------------------------
-# Exact max flow (Edmonds-Karp on rational capacities)
+# Exact max flow (Edmonds-Karp on rational capacities) and its residual cut
 # ---------------------------------------------------------------------------
 
 _SRC, _SNK = "src", "snk"
@@ -151,7 +152,7 @@ _SRC, _SNK = "src", "snk"
 class _FlowNet:
     def __init__(self):
         self.adj = {}  # node -> list of neighbor nodes
-        self.cap = {}  # (u, v) -> residual capacity (None = infinite)
+        self.cap = {}  # (u, v) -> residual capacity
 
     def add_edge(self, u, v, capacity):
         self.adj.setdefault(u, []).append(v)
@@ -165,10 +166,7 @@ class _FlowNet:
         while queue:
             u = queue.popleft()
             for v in self.adj.get(u, ()):
-                if v in prev:
-                    continue
-                r = self.cap[(u, v)]
-                if r is None or r > 0:
+                if v not in prev and self.cap[(u, v)] > 0:
                     prev[v] = u
                     if v == _SNK:
                         path = []
@@ -185,15 +183,10 @@ class _FlowNet:
             path = self._bfs_path()
             if path is None:
                 return total
-            bottleneck = min((self.cap[e] for e in path if self.cap[e] is not None),
-                             default=None)
-            if bottleneck is None:
-                raise ConsistencyError("unbounded augmenting path")
+            bottleneck = min(self.cap[e] for e in path)
             for (u, v) in path:
-                if self.cap[(u, v)] is not None:
-                    self.cap[(u, v)] -= bottleneck
-                cv = self.cap[(v, u)]
-                self.cap[(v, u)] = (cv if cv is not None else Fraction(0)) + bottleneck
+                self.cap[(u, v)] -= bottleneck
+                self.cap[(v, u)] += bottleneck
             total += bottleneck
 
     def reachable(self, start, backward=False):
@@ -204,37 +197,44 @@ class _FlowNet:
         while queue:
             u = queue.popleft()
             for v in self.adj.get(u, ()):
-                if v in seen:
-                    continue
-                r = self.cap[(v, u) if backward else (u, v)]
-                if r is None or r:  # None is infinite; residuals are never negative
+                if v not in seen and self.cap[(v, u) if backward else (u, v)]:
                     seen.add(v)
                     queue.append(v)
         return seen
 
 
-def _build_net(model: SystemModel, lam: Scalar) -> _FlowNet:
+def _saturate(model: SystemModel, lam: Scalar):
+    """(net, routed, cut_off): a maximum flow at arrival rates N*lam*p_S, each
+    number through Fraction, whether it routes every arrival, and the job
+    types that cannot reach the sink in its residual graph.
+
+    A type->server arc holds more than all arrivals, so no minimum cut
+    crosses one. The cut-off types are the source side of the largest
+    minimum cut: the union of the T that maximise N*lam*p(T) - mu(T)
+    (Picard & Queyranne 1980). Unrouted, they have ratio mu(T)/(N p(T)) <
+    lam; routed, they are the largest T with N*lam*p(T) = mu(T), empty
+    exactly when lam < lambda*.
+    """
+    n, lam = model.n_servers, Fraction(lam)
+    rates = [n * lam * Fraction(p) for p in model.p]
+    total = sum(rates)
     net = _FlowNet()
-    n = model.n_servers
     for t in model.type_indices:
-        net.add_edge(_SRC, ("t", t), Fraction(n) * lam * Fraction(model.p[t]))
+        net.add_edge(_SRC, ("t", t), rates[t])
         for srv in model.job_types[t]:
-            net.add_edge(("t", t), ("s", srv), None)
+            net.add_edge(("t", t), ("s", srv), total + 1)
     for srv in range(1, n + 1):
         net.add_edge(("s", srv), _SNK, Fraction(model.mu[srv - 1]))
-    return net
+    routed = net.max_flow() == total
+    feeds_sink = net.reachable(_SNK, backward=True)
+    return net, routed, frozenset(t for t in model.type_indices if ("t", t) not in feeds_sink)
 
 
-def critical_rate(model: SystemModel) -> Fraction:
-    """Exact lambda* via Dinkelbach iteration on max-flow min-cuts.
-
-    Starts from the best singleton ratio and repeatedly replaces the guess
-    by the ratio of the min-cut's violating subset; terminates at the exact
-    minimum since successive ratios strictly decrease and stay >= lambda*.
-    Float models are taken exactly, each number through Fraction(x); their
-    p then need not sum to exactly 1, so the termination test compares the
-    flow with the whole arrival rate N*lam*p(S).
-    """
+def _dinkelbach(model: SystemModel):
+    """(lambda*, net, critical types): Dinkelbach iteration from the best
+    singleton ratio to the ratio of the cut-off types while the flow does not
+    route, ending on the `_saturate` at lambda*. The ratios strictly decrease
+    and stay >= lambda*, so the loop ends at the exact minimum."""
     n = model.n_servers
 
     def ratio(types):
@@ -242,65 +242,67 @@ def critical_rate(model: SystemModel) -> Fraction:
         return mu / (n * sum(Fraction(model.p[t]) for t in types))
 
     lam = min(ratio({t}) for t in model.type_indices)
-    total_p = sum(Fraction(x) for x in model.p)
     while True:
-        net = _build_net(model, lam)
-        value = net.max_flow()
-        if value == n * lam * total_p:
-            return lam
-        reachable = net.reachable(_SRC)
-        tight = frozenset(t for t in model.type_indices if ("t", t) in reachable)
-        if not tight:
-            raise ConsistencyError("min cut yielded no violating subset")
-        lam_next = ratio(tight)
-        if lam_next >= lam:
+        net, routed, cut_off = _saturate(model, lam)
+        if routed:
+            return lam, net, cut_off
+        if not cut_off or ratio(cut_off) >= lam:
             raise ConsistencyError("Dinkelbach iteration failed to decrease")
-        lam = lam_next
+        lam = ratio(cut_off)
+
+
+def critical_rate(model: SystemModel) -> Fraction:
+    """Exact lambda* (see `_dinkelbach`). Float models are taken exactly, each
+    number through Fraction(x); their p then need not sum to exactly 1, so a
+    flow routes when it carries the whole arrival rate N*lam*p(S)."""
+    return _dinkelbach(model)[0]
 
 
 def require_stable(model: SystemModel):
-    """Raise DomainError unless lambda < lambda*.
+    """Raise DomainError unless lambda < lambda*: one maximum flow at lambda
+    must route every arrival and cut off no type.
 
-    The comparison is exact for float models too (see critical_rate), so the
+    The test is exact for float models too (see critical_rate), so the
     decision never depends on floating-point rounding.
     """
-    lam_star = critical_rate(model)
-    if not Fraction(model.lam) < lam_star:
-        raise DomainError(f"model is unstable: lambda = {model.lam} >= lambda* = {lam_star}")
+    _, routed, cut_off = _saturate(model, model.lam)
+    if not routed or cut_off:
+        raise DomainError(f"model is unstable: lambda = {model.lam} >= "
+                          f"lambda* = {critical_rate(model)}")
 
 
 def crp_components(model: SystemModel, lam_star: Scalar = None) -> ComponentDag:
     """CRP components, their DAG and rooted subtrees at lambda = lambda*.
 
-    In the residual graph of a maximum flow at lambda*, the critical types
-    are those that cannot reach the sink. A type-server edge carries flow in
-    some maximum flow iff its two ends reach each other (Picard & Queyranne
-    1980), so a component is the types and servers of one strongly connected
-    piece around a critical type, and its rooted subtree is the types that
-    type reaches.
+    They are read from the residual graph of the maximum flow at lambda*
+    that `_dinkelbach` ends on, or, given lam_star, of one `_saturate` there.
+    The critical types are the cut-off ones. A type-server edge carries flow
+    in some maximum flow iff its two ends reach each other (Picard &
+    Queyranne 1980), so a component is the types and servers of one
+    strongly connected piece around a critical type, and its rooted subtree
+    is the types that type reaches.
     """
     _require_exact(model, "crp_components")
     if lam_star is None:
-        lam_star = critical_rate(model)
-    return _assemble_dag(model, lam_star, *_component_partition(model, lam_star))
+        lam_star, net, critical = _dinkelbach(model)
+    else:
+        net, routed, critical = _saturate(model, lam_star)
+        if not routed:
+            raise ConsistencyError("max flow at lambda* failed to route all arrivals")
+    if not critical:
+        raise ConsistencyError("no critical job types at lambda*")
+    return _assemble_dag(model, lam_star, *_component_partition(model, lam_star, net, critical))
 
 
-def _component_partition(model: SystemModel, lam_star):
-    """The components and their subtrees' types: 1 + 2K residual searches."""
+def _component_partition(model: SystemModel, lam_star, net, critical):
+    """The components and their subtrees' types: 2K residual searches."""
     n = model.n_servers
-    net = _build_net(model, lam_star)
-    if net.max_flow() != n * lam_star:
-        raise ConsistencyError("max flow at lambda* failed to route all arrivals")
 
     def types_in(nodes):
         return frozenset(t for t in model.type_indices if ("t", t) in nodes)
 
-    feeds_sink = net.reachable(_SNK, backward=True)
-    critical = [t for t in model.type_indices if ("t", t) not in feeds_sink]
-    if not critical:
-        raise ConsistencyError("no critical job types at lambda*")
     comps, subtrees, placed = [], [], set()
-    for t in critical:
+    for t in sorted(critical):
         if t in placed:
             continue
         down = net.reachable(("t", t))  # holds the source too, over t's reverse arc

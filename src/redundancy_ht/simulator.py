@@ -18,7 +18,7 @@ Python kernels run; no flag chooses, and `SimEstimate.kernel` says which ran.
   earliest compatible job it is.
 - `_run_cos`: cancel-on-start as FCFS-ALIS. An arriving job goes to the
   longest-idle compatible server, else it waits; a freed server takes the
-  earliest compatible waiting job.
+  earliest compatible waiting job. Its counts are the waiting jobs.
 
 Both simulate the jump chain and advance the clock by the expected holding
 time 1/q of each state, q being its total rate, in place of a sampled
@@ -94,7 +94,6 @@ class SimEstimate:
     samples: np.ndarray  # (k, |S|) per-type counts at sampling epochs
     events: int
     wall_seconds: float
-    time_avg_in_service: np.ndarray = None  # cos only: per-type in-service average
     kernel: str = "python"  # the event loop that ran: "c" (compiled) or "python"
 
     @property
@@ -153,7 +152,7 @@ def _estimate(fmodel, discipline, batches, samples, events, wall, kernel="python
     areas = np.array([area for area, _ in batches])
     durations = np.array([duration for _, duration in batches])
     time_avg = areas.sum(axis=0) / durations.sum()
-    bm = areas[:, :s] / durations[:, None]
+    bm = areas / durations[:, None]
     nb = bm.shape[0]
     if nb >= 2:
         half = T975[nb - 2] * bm.std(axis=0, ddof=1) / math.sqrt(nb)
@@ -161,12 +160,11 @@ def _estimate(fmodel, discipline, batches, samples, events, wall, kernel="python
         half = np.full(s, np.inf)
     return SimEstimate(
         discipline=discipline,
-        time_avg=time_avg[:s],
+        time_avg=time_avg,
         half_width=half,
         samples=np.frombuffer(samples, dtype=np.int64).reshape(-1, s),
         events=events,
         wall_seconds=wall,
-        time_avg_in_service=time_avg[s:] if discipline == "cos" else None,
         kernel=kernel,
     )
 
@@ -284,26 +282,25 @@ def _run_coc(fmodel, segments, seed, sample_every):
 
 
 def _run_cos(fmodel, segments, seed, sample_every):
-    """Cancel-on-start as FCFS-ALIS: returns what `_run_coc` does, with count
-    channels 0..S-1 for the waiting jobs per type and S..2S-1 for the jobs in
-    service; samples hold the waiting counts."""
+    """Cancel-on-start as FCFS-ALIS: returns what `_run_coc` does, with the
+    waiting jobs per type as the counts; a job that starts at once is never
+    counted."""
     s, n = fmodel.n_types, fmodel.n_servers
     rand = random.Random(seed).random
     compat = _compat(fmodel)
     compat_mask = [sum(1 << t for t in c) for c in compat]
     table = _EventTable(fmodel, [1 << srv for srv in range(n)])
     waiting = [deque() for _ in range(s)]
-    serving = [None] * n  # channel s + type in service, per server
     idle = list(range(n))  # longest idle first
-    count = [0] * (2 * s)
+    count = [0] * s
     busy_mask = 0
     next_id = 0
     countdown = sample_every
     batches, samples = [], array("q")
     for segment, n_events in enumerate(segments):
         now = 0.0
-        area = [0.0] * (2 * s)
-        since = [0.0] * (2 * s)
+        area = [0.0] * s
+        since = [0.0] * s
         for _ in itertools.repeat(None, n_events):
             hold, rate, cum, codes = table[busy_mask]
             now += hold
@@ -313,28 +310,22 @@ def _run_cos(fmodel, segments, seed, sample_every):
                 for pos, srv in enumerate(idle):
                     if compat_mask[srv] >> t & 1:
                         del idle[pos]
-                        serving[srv] = t = s + t
                         busy_mask |= 1 << srv
                         break
                 else:
                     waiting[t].append(next_id)
+                    area[t] += count[t] * (now - since[t])
+                    since[t] = now
+                    count[t] += 1
                 next_id += 1
-                area[t] += count[t] * (now - since[t])
-                since[t] = now
-                count[t] += 1
                 continue
             chosen = t - s
-            t = serving[chosen]
-            area[t] += count[t] * (now - since[t])
-            since[t] = now
-            count[t] -= 1
             best = None
             for c in compat[chosen]:
                 q = waiting[c]
                 if q and (best is None or q[0] < best):
                     best, t = q[0], c
             if best is None:
-                serving[chosen] = None
                 busy_mask &= ~(1 << chosen)
                 idle.append(chosen)
             else:
@@ -342,15 +333,11 @@ def _run_cos(fmodel, segments, seed, sample_every):
                 area[t] += count[t] * (now - since[t])
                 since[t] = now
                 count[t] -= 1
-                serving[chosen] = t = s + t
-                area[t] += count[t] * (now - since[t])
-                since[t] = now
-                count[t] += 1
             countdown -= 1
             if not countdown:
                 countdown = sample_every
                 if segment:
-                    samples.extend(count[:s])
+                    samples.extend(count)
         if segment:
             batches.append(([a + c * (now - t) for a, c, t in zip(area, count, since)], now))
     return batches, samples
@@ -364,7 +351,6 @@ def _run_compiled(lib, discipline, fmodel, segments, seed, sample_every):
     s, n = fmodel.n_types, fmodel.n_servers
     lam_total, arrivals = _arrival_rates(fmodel)
     compat = _compat(fmodel)
-    width = 2 * s if discipline == "cos" else s
     # a period beyond the event count samples nothing either way
     sample_every = min(sample_every, sum(segments) + 1)
     cap_samples = simulate_size(sum(segments[1:]), sample_every)[1]
@@ -375,7 +361,7 @@ def _run_compiled(lib, discipline, fmodel, segments, seed, sample_every):
     compat_types = np.array([t for types in compat for t in types], dtype=np.int32)
     mt_state = np.array(random.Random(seed).getstate()[1], dtype=np.uint32)
     counts = np.array(segments, dtype=np.int64)
-    areas = np.empty((len(segments) - 1, width))
+    areas = np.empty((len(segments) - 1, s))
     durations = np.empty(len(segments) - 1)
     samples = np.empty(cap_samples * s, dtype=np.int64)
     n_samples = np.zeros(1, dtype=np.int64)

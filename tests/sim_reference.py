@@ -82,7 +82,7 @@ def _run(policy, fmodel, horizon, warmup, seed, sample_every, debug_checks):
             finish(code - s)
             departures += 1
             if event >= 0 and departures % sample_every == 0:
-                samples.extend(acc.count[:s])
+                samples.extend(acc.count)
     acc.cut()
     return acc.batches, samples
 
@@ -198,18 +198,16 @@ class _CopyQueues:
 
 
 class _FcfsAlis:
-    """Cancel-on-start as FCFS-ALIS; accumulator channels 0..S-1 count the
-    waiting jobs per type and S..2S-1 the jobs in service."""
+    """Cancel-on-start as FCFS-ALIS; the accumulator counts the waiting jobs
+    per type."""
 
     def __init__(self, fmodel):
         n = fmodel.n_servers
-        self.n_types = fmodel.n_types
-        self.acc = _Integrals(2 * fmodel.n_types)
+        self.acc = _Integrals(fmodel.n_types)
         self.compat = _compat(fmodel)
         self.compat_mask = [sum(1 << t for t in c) for c in self.compat]
         self.rates = _EventTable(fmodel, [1 << srv for srv in range(n)])
         self.waiting = [deque() for _ in fmodel.type_indices]
-        self.serving = [None] * n  # type index in service per server
         self.idle = list(range(n))  # longest idle first
         self.busy_mask = 0
         self.next_id = 0
@@ -217,16 +215,11 @@ class _FcfsAlis:
     def busy(self):
         return self.rates[self.busy_mask]
 
-    def _start(self, srv, t):
-        self.serving[srv] = t
-        self.busy_mask |= 1 << srv
-        self.acc.change(self.n_types + t, 1)
-
     def arrive(self, t):
         for pos, srv in enumerate(self.idle):
             if self.compat_mask[srv] >> t & 1:
                 del self.idle[pos]
-                self._start(srv, t)
+                self.busy_mask |= 1 << srv
                 break
         else:
             self.waiting[t].append(self.next_id)
@@ -234,16 +227,13 @@ class _FcfsAlis:
         self.next_id += 1
 
     def finish(self, srv):
-        self.acc.change(self.n_types + self.serving[srv], -1)
         t = _earliest(self.waiting, self.compat[srv])
         if t is None:
-            self.serving[srv] = None
             self.busy_mask &= ~(1 << srv)
             self.idle.append(srv)
         else:
             self.waiting[t].popleft()
             self.acc.change(t, -1)
-            self._start(srv, t)
 
     def check(self):
         for srv in self.idle:

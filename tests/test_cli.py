@@ -309,6 +309,23 @@ def test_rht_seed_env(n_model_file, tmp_path, monkeypatch, capsys):
                  "--out-dir", str(out_flag)]) == 0
     capsys.readouterr()
     assert (out_env / "samples.csv").read_bytes() == (out_flag / "samples.csv").read_bytes()
+    # a seed is an integer >= 0; a malformed RHT_SEED stops only the seeded commands
+    for argv in (["sample", "--seed", "-5"], ["simulate", "--seed", "-5"],
+                 ["verify-limit", "--seed", "-1000"], ["sample", "--seed", "abc"]):
+        assert main([*argv, "--model", n_model_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed: ") and err.count("\n") == 1
+    for value in ("abc", "1.5", "-3"):
+        monkeypatch.setenv("RHT_SEED", value)
+        for command in ("sample", "simulate", "verify-limit"):
+            assert main([command, "--model", n_model_file]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: RHT_SEED: ") and err.count("\n") == 1
+        assert main(["analyze", "--model", n_model_file]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        capsys.readouterr()
 
 
 def test_verify_only_subset(capsys):
@@ -385,6 +402,14 @@ def test_malformed_model_exits_2(doc, argv, tmp_path, capsys):
     assert main([*argv, "--model", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("eps", ["1e400", "0.1,1e-400"])
+def test_eps_zero_or_infinite_as_a_float(eps, n_model_file, capsys):
+    # 1e400 overflows float(); 1e-400 is positive as a Fraction but 0.0 as a float
+    assert main(["verify-limit", "--model", n_model_file, "--eps", eps]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --eps: ") and err.count("\n") == 1
 
 
 def test_analyze_beyond_subset_scan_cap(tmp_path, capsys):

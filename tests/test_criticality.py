@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from redundancy_ht import SystemModel, generators
-from redundancy_ht.criticality import (CrpClass, _build_net, _FlowNet, critical_rate,
+from redundancy_ht.criticality import (CrpClass, _FlowNet, _saturate, critical_rate,
                                        critical_subsets_via_construction, crp_components,
                                        require_stable)
 from redundancy_ht.errors import CapExceeded, DomainError
@@ -215,9 +215,10 @@ def _relabelled(model, rng):
 
 def _flow_solution(model, lam):
     """Max flow at arrival rates N*lam*p_S: its value and positive type->server flows."""
-    net = _build_net(model, lam)
-    value = net.max_flow()
-    pushed = {(t, srv): net.cap[(("s", srv), ("t", t))]  # reverse capacity == pushed flow
+    net = _saturate(model, lam)[0]
+    # reverse capacity == pushed flow
+    value = sum(net.cap[(("t", t), "src")] for t in model.type_indices)
+    pushed = {(t, srv): net.cap[(("s", srv), ("t", t))]
               for t in model.type_indices for srv in model.job_types[t]}
     return value, {edge: f for edge, f in pushed.items() if f > 0}
 
@@ -333,3 +334,46 @@ def test_components_search_the_residual_graph_1_plus_2k_times(monkeypatch):
         assert len(calls) == 1 + 2 * dag.K
         shared += any(len(comp.types) > 1 for comp in dag.components)
     assert shared > 0  # one search per critical type would miss the count here
+
+
+def test_saturate_cuts_off_the_critical_types():
+    # the residual test against the subset scan: at lambda* the flow routes
+    # and cuts off the union of the critical subsets, just below it it cuts
+    # off nothing, and just above it it does not route
+    rng = random.Random(13)
+    models = [generators.random_stable_model(rng, max_servers=6, max_types=6)
+              for _ in range(60)] + [_tie_heavy_model(rng) for _ in range(60)]
+    for model in models:
+        report = critical_rate_and_subsets_bruteforce(model)
+        lam_star = report.lambda_star
+        _, routed, cut_off = _saturate(model, lam_star)
+        assert routed and cut_off == frozenset().union(*report.critical_subsets)
+        assert _saturate(model, lam_star * (1 - F(1, 1000)))[1:] == (True, frozenset())
+        assert not _saturate(model, lam_star * (1 + F(1, 1000)))[1]
+
+
+def _counting_flows(monkeypatch):
+    calls = []
+    real = _FlowNet.max_flow
+    monkeypatch.setattr(_FlowNet, "max_flow", lambda net: calls.append(net) or real(net))
+    return calls
+
+
+def test_one_max_flow_per_question(monkeypatch):
+    # crp_components reads the components from Dinkelbach's last flow, and
+    # require_stable decides a stable model with one flow
+    flows = _counting_flows(monkeypatch)
+    rng = random.Random(14)
+    iterations = []
+    for _ in range(80):
+        model = generators.random_stable_model(rng, max_servers=6, max_types=6)
+        del flows[:]
+        critical_rate(model)
+        iterations.append(len(flows))
+        del flows[:]
+        crp_components(model)
+        assert len(flows) == iterations[-1]
+        del flows[:]
+        require_stable(model)
+        assert len(flows) == 1
+    assert min(iterations) >= 1 and max(iterations) >= 2

@@ -42,10 +42,6 @@ def _assert_same(a, b):
     assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(a.time_avg, b.time_avg)
     assert np.array_equal(a.half_width, b.half_width, equal_nan=True)
-    if a.time_avg_in_service is None:
-        assert b.time_avg_in_service is None
-    else:
-        assert np.array_equal(a.time_avg_in_service, b.time_avg_in_service)
 
 
 def _both(lib, fmodel, discipline, horizon, warmup, seed, sample_every):

@@ -72,10 +72,6 @@ def _assert_same_run(a, b):
     assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(a.time_avg, b.time_avg)
     assert np.array_equal(a.half_width, b.half_width)
-    if a.time_avg_in_service is None:
-        assert b.time_avg_in_service is None
-    else:
-        assert np.array_equal(a.time_avg_in_service, b.time_avg_in_service)
 
 
 def test_literal_copies_follow_the_same_path():
@@ -192,9 +188,6 @@ def test_cos_waiting_matches_moment(n_model):
     est = simulate(n_model, "cos", horizon_events=600_000, seed=9)
     expected = float(moment_total(n_model, 1, "cos"))
     assert abs(est.time_avg_total - expected) < 3 * est.half_width.sum()
-    assert est.time_avg_in_service is not None
-    # servers are busy most of the time at this load
-    assert 1.0 < est.time_avg_in_service.sum() <= 2.0
 
 
 def test_unstable_model_is_refused():
