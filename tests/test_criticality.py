@@ -352,17 +352,12 @@ def test_saturate_cuts_off_the_critical_types():
         assert not _saturate(model, lam_star * (1 + F(1, 1000)))[1]
 
 
-def _counting_flows(monkeypatch):
-    calls = []
-    real = _FlowNet.max_flow
-    monkeypatch.setattr(_FlowNet, "max_flow", lambda net: calls.append(net) or real(net))
-    return calls
-
-
 def test_one_max_flow_per_question(monkeypatch):
     # crp_components reads the components from Dinkelbach's last flow, and
     # require_stable decides a stable model with one flow
-    flows = _counting_flows(monkeypatch)
+    flows = []
+    real = _FlowNet.max_flow
+    monkeypatch.setattr(_FlowNet, "max_flow", lambda net: flows.append(net) or real(net))
     rng = random.Random(14)
     iterations = []
     for _ in range(80):
@@ -376,4 +371,4 @@ def test_one_max_flow_per_question(monkeypatch):
         del flows[:]
         require_stable(model)
         assert len(flows) == 1
-    assert min(iterations) >= 1 and max(iterations) >= 2
+    assert max(iterations) >= 2  # so the count covers more than one Dinkelbach step
