@@ -27,10 +27,9 @@ p_star) and over topological orders (sigma_aggregate, beta_hat), are in
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .criticality import SUBSET_CAP, ComponentDag, require_stable
 from .errors import CapExceeded, DomainError, PoleError
@@ -341,10 +340,20 @@ def _laplace_denominator(row, t) -> Scalar:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def sample_limit(law, n: int, seed) -> np.ndarray:
+def _check_seed(seed) -> int:
+    """The seed of a sampler or simulation as an int: an integer >= 0, else DomainError."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"a seed is an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
+def sample_limit(law, n: int, seed) -> numpy.ndarray:
     """Monte-Carlo draws from a LimitLaw or MixtureLaw; returns (n, |S|) floats."""
     if n < 1:
         raise DomainError("need n >= 1 samples")
+    seed = _check_seed(seed)
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     pv = np.asarray([float(w) for (w, _, _) in law.atoms])
     counts = rng.multinomial(n, pv / pv.sum())

@@ -15,12 +15,11 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, analytic, criticality, moments, prelimit, simulator
 from .errors import CapExceeded, DomainError, ModelError, PoleError
@@ -44,7 +43,7 @@ CSV_CELLS = 1 << 14  # numbers the CSV emitter formats per write, which bounds i
 def _num(x):
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):
         return str(int(x))
     return repr(float(x))
 
@@ -97,6 +96,8 @@ def _array_chunks(table, numbered=False, long=False):
     """`_write_csv` chunks of about CSV_CELLS entries of a 2-D array: its rows,
     led by the row number when `numbered`, or with `long` one row (row number,
     column number, entry) per entry."""
+    import numpy as np
+
     n_rows, n_cols = table.shape
     step = max(1, CSV_CELLS // n_cols)
     for r0 in range(0, n_rows, step):
@@ -316,8 +317,15 @@ def _seed(flag):
     return seed
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors in one stderr line and exit 2; the subcommand parsers share the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rht", description=__doc__)
+    parser = _Parser(prog="rht", description=__doc__)
     parser.add_argument("--version", action="version",
                         version=f"rht {__version__} (model format {MODEL_FORMAT_VERSION})")
     sub = parser.add_subparsers(dest="command", required=True)

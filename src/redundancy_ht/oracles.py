@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .analytic import MixtureLaw, _direction, _free_idle_sum
 from .criticality import ComponentDag, CriticalityReport, _classify, _require_exact
 from .errors import CapExceeded, ConsistencyError, DomainError, PoleError
@@ -163,13 +161,15 @@ class RepresentationMatrices:
     """
 
     entries: tuple
-    P: np.ndarray
+    P: numpy.ndarray
     W: tuple
-    indicator: np.ndarray
+    indicator: numpy.ndarray
 
 
 def representation_matrices(model: SystemModel, report: CriticalityReport,
                             entries) -> RepresentationMatrices:
+    import numpy as np
+
     entries = tuple(entries)
     vec = ordered_vector(model, entries, report.critical_subsets)
     s = model.n_types
@@ -602,9 +602,11 @@ def ctmc_oracle(model: SystemModel, discipline: str = "coc", truncation_len: int
     Truncation rejects arrivals once the list holds `truncation_len` jobs.
     Returns (pi_solve, pi_product, tv_distance) where both distributions are
     dicts over type-label tuples. Only cancel-on-completion has a central-
-    queue product form; requesting "cos" raises DomainError. scipy.sparse is
-    imported here, when called, so that importing the package loads no scipy.
+    queue product form; requesting "cos" raises DomainError. numpy and
+    scipy.sparse are imported here, when called, so that importing the
+    package loads neither.
     """
+    import numpy as np
     import scipy.sparse
     import scipy.sparse.linalg
 

@@ -22,9 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .analytic import _bits, _idle_sums, _prefix_series, _prefix_table, _set_weights
+from .analytic import _bits, _check_seed, _idle_sums, _prefix_series, _prefix_table, _set_weights
 from .criticality import require_stable
 from .errors import DomainError
 from .model import Scalar, SystemModel
@@ -103,6 +101,8 @@ def _last_type_weights(model: SystemModel, f: dict, a: int):
 
 def _draw_counts(rng, n, weights):
     """Split n draws multinomially, in proportion to the exact weights."""
+    import numpy as np
+
     fw = np.asarray([float(w) for w in weights])
     return rng.multinomial(n, fw / fw.sum())
 
@@ -124,6 +124,9 @@ def sample_prelimit(model: SystemModel, discipline: str, n: int, seed,
     """
     if n < 1:
         raise DomainError("need n >= 1 samples")
+    seed = _check_seed(seed)
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     f, final = _peeling_weights(model, discipline)
     groups = {(a, ()): m for a, m in zip(f, _draw_counts(rng, n, final)) if m}

@@ -43,7 +43,8 @@ in one int64 array. The policy-object loop these kernels replaced, with its
 literal per-copy queues and invariant checks, lives on in the tests as
 their differential oracle: for a fixed seed the outputs agree exactly.
 
-The module imports no scipy, so neither does the command line: batch-means
+The module imports no scipy, so neither does the command line, and imports
+numpy only in the functions that run or read a simulation: batch-means
 half-widths read Student's t quantiles from a table (`T975`), and
 `ks_two_sample` computes the two-sample KS statistic as `scipy.stats.ks_2samp`
 does, to the bit. The supremum of |F_a - F_b| is reached at a jump of either
@@ -65,9 +66,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import _kernels
+from .analytic import _check_seed
 from .criticality import ComponentDag, require_stable
 from .errors import DomainError
 from .model import SystemModel, TrajectorySpec, model_at_trajectory
@@ -89,9 +89,9 @@ T975 = (12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.77644510519
 @dataclass
 class SimEstimate:
     discipline: str
-    time_avg: np.ndarray  # per-type time-average queue length (waiting counts for cos)
-    half_width: np.ndarray  # batch-means 95% half-widths, per type
-    samples: np.ndarray  # (k, |S|) per-type counts at sampling epochs
+    time_avg: numpy.ndarray  # per-type time-average queue length (waiting counts for cos)
+    half_width: numpy.ndarray  # batch-means 95% half-widths, per type
+    samples: numpy.ndarray  # (k, |S|) per-type counts at sampling epochs
     events: int
     wall_seconds: float
     kernel: str = "python"  # the event loop that ran: "c" (compiled) or "python"
@@ -111,6 +111,7 @@ def simulate(model: SystemModel, discipline: str, horizon_events: int,
     the warm-up keeps none. Deterministic for a fixed seed; an unstable model raises DomainError.
     """
     _check_discipline(discipline)
+    seed = _check_seed(seed)
     if horizon_events < 1:
         raise DomainError("need at least one event")
     if sample_every < 1:
@@ -148,6 +149,8 @@ def _kernel(discipline):
 def _estimate(fmodel, discipline, batches, samples, events, wall, kernel="python"):
     """Time averages and batch-means half-widths from the per-batch
     (areas, duration) pairs of a run."""
+    import numpy as np
+
     s = fmodel.n_types
     areas = np.array([area for area, _ in batches])
     durations = np.array([duration for _, duration in batches])
@@ -348,6 +351,8 @@ def _run_compiled(lib, discipline, fmodel, segments, seed, sample_every):
     samples to the bit. The samples go into an int64 buffer allocated here,
     one row per sampling epoch after the warm-up, as many as `simulate_size`
     bounds; pages the kernel never writes take no memory."""
+    import numpy as np
+
     s, n = fmodel.n_types, fmodel.n_servers
     lam_total, arrivals = _arrival_rates(fmodel)
     compat = _compat(fmodel)
@@ -387,6 +392,8 @@ KS_MIN_SPACING = 100  # the fewest departures between scaled_law_check's samplin
 
 def ks_two_sample(a, b):
     """Two-sample KS statistic plus the alpha=0.01 asymptotic critical value."""
+    import numpy as np
+
     return _ks_sorted(np.sort(a), np.sort(b))
 
 
@@ -399,6 +406,8 @@ def _ks_sorted(a, b):
     and it only rises, so |F_a - F_b| peaks at a point of the smaller sample or
     just before one: 4 searchsorted calls with min(n, m) keys each, O(n log m),
     give the same integer counts as ks_2samp at those points."""
+    import numpy as np
+
     n, m = len(a), len(b)
     if not n or not m:
         raise DomainError("the KS statistic needs two nonempty samples")
@@ -421,7 +430,7 @@ class ScaledLawRow:
     ks_total: float
     ks_total_critical: float
     mean_scaled: tuple
-    scaled_samples: np.ndarray = None
+    scaled_samples: numpy.ndarray = None
 
 
 def scaled_law_check(dag: ComponentDag, discipline, eps_values, events_per_eps, seed: int = 0,
@@ -436,6 +445,8 @@ def scaled_law_check(dag: ComponentDag, discipline, eps_values, events_per_eps, 
     draws from the law. Sampling epochs are every max(KS_MIN_SPACING, 8 eps^-2)-th
     departure counted from the first event, so that the KS samples are
     effectively independent at every eps on the grid."""
+    import numpy as np
+
     from .analytic import _direction, limit_law, sample_limit, sigma_mixture
 
     model, lam_star = dag.model, dag.lambda_star

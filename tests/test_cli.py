@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -577,6 +578,28 @@ def test_flags_only_where_read(argv, n_model_file, capsys):
         main([*argv, "--model", n_model_file])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_usage_errors_are_one_line(n_model_file, capsys):
+    model = ["--model", n_model_file]
+    for argv in (["sample", "--n", "abc", *model], ["simulate", "--events", "1e5", *model],
+                 ["simulate", "--warmup", "x", *model],
+                 ["simulate", "--sample-every", "1.5", *model],
+                 ["verify-limit", "--events", "many", *model], ["analyze"],
+                 ["sample", "--n", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err == "error: the following arguments are required: --model\n"
+
+
+def test_num_prints_every_integer_type_as_an_integer():
+    assert [cli._num(x) for x in (np.int64(3), np.int32(-2), np.uint8(7), 12, -4, True, False)] \
+        == ["3", "-2", "7", "12", "-4", "1", "0"]
+    assert cli._num(np.float64(0.5)) == cli._num(0.5) == repr(0.5)
+    assert cli._num(Fraction(-3, 4)) == "-3/4"
 
 
 def test_laplace_grid_float_backend(n_model_file, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import os
 import random
@@ -12,13 +13,14 @@ import numpy as np
 import pytest
 
 from redundancy_ht import SystemModel, generators
+from redundancy_ht.analytic import LimitLaw, sample_limit
 from redundancy_ht.criticality import crp_components
 from redundancy_ht.errors import CapExceeded, DomainError
-from redundancy_ht.model import TrajectorySpec, model_at_trajectory
+from redundancy_ht.model import TrajectorySpec, dump_model, model_at_trajectory
 from redundancy_ht.moments import moment_total
 from redundancy_ht.oracles import (config_distribution, config_marginals_from_oracle,
                                    critical_rate_and_subsets_bruteforce, ctmc_oracle)
-from redundancy_ht.prelimit import expected_type_counts
+from redundancy_ht.prelimit import expected_type_counts, sample_prelimit
 from redundancy_ht.simulator import (MIN_BATCHES, T975, _compat, _EventTable, _run_coc, _run_cos,
                                     _segments, ks_two_sample, scaled_law_check, simulate)
 
@@ -196,6 +198,21 @@ def test_unstable_model_is_refused():
         simulate(model, "coc", horizon_events=100)
 
 
+def test_a_seed_is_an_integer_at_least_zero(n_model):
+    # the three seeded functions share one check, made before any draw
+    draws = {"simulate": lambda seed: simulate(n_model, "coc", horizon_events=300, seed=seed,
+                                               sample_every=3).samples,
+             "sample_prelimit": lambda seed: sample_prelimit(n_model, "coc", 20, seed),
+             "sample_limit": lambda seed: sample_limit(LimitLaw(((1, 0), (0, 1))), 20, seed)}
+    for name, draw in draws.items():
+        for seed in (-5, -1, 1.5, "3", None):
+            with pytest.raises(DomainError, match=r"^a seed is an integer >= 0, got "):
+                draw(seed)
+        # a numpy integer seed runs the stream of the equal int
+        assert np.array_equal(draw(np.int64(7)), draw(7)), name
+        assert not np.array_equal(draw(5), draw(7)), name
+
+
 def test_oracle_mm1_geometric(mm1):
     pi, pf, tv = ctmc_oracle(mm1, "coc", truncation_len=50)
     assert tv < 1e-10
@@ -306,19 +323,43 @@ def test_ks_two_sample_needs_two_samples():
         ks_two_sample([], [1.0])
 
 
-def _modules_loaded_by_cli_import():
-    """The module names a fresh interpreter holds after `import redundancy_ht.cli`."""
+def _modules_loaded_by_cli_import(then=""):
+    """The module names a fresh interpreter holds after `import redundancy_ht.cli`
+    and then the statements `then`."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, redundancy_ht.cli; print(' '.join(sorted(sys.modules)))"
+    code = f"import sys, redundancy_ht.cli\n{then}\nprint(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return proc.stdout.split()
+    return proc.stdout.splitlines()[-1].split()
 
 
 def test_cli_import_loads_no_scipy():
     assert [k for k in _modules_loaded_by_cli_import() if k.startswith("scipy")] == []
+
+
+def _numpy_modules(loaded):
+    return [k for k in loaded if k.split(".")[0] == "numpy"]
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy loads in the functions that draw, simulate or write arrays; every
+    # layer module loads, as perfbench's tracer looks them up in sys.modules
+    loaded = _modules_loaded_by_cli_import()
+    assert _numpy_modules(loaded) == []
+    layers = ("criticality", "analytic", "prelimit", "moments", "simulator", "model", "cli")
+    assert {f"redundancy_ht.{layer}" for layer in layers} <= set(loaded)
+
+
+def test_exact_commands_load_no_numpy(n_model, tmp_path):
+    path = tmp_path / "n_model.json"
+    path.write_text(json.dumps(dump_model(n_model)))
+    commands = (["analyze"], ["pgf", "--z", "1/2,1/3"], ["laplace", "--t", "1,2"],
+                ["limit-law"], ["moments", "--n", "2"])
+    then = "\n".join(f"assert redundancy_ht.cli.main({[*argv, '--model', str(path)]!r}) == 0"
+                     for argv in commands)
+    assert _numpy_modules(_modules_loaded_by_cli_import(then)) == []
 
 
 def test_cli_import_loads_no_acceptance_battery():
