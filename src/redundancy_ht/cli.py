@@ -11,15 +11,17 @@ simulate and verify-limit; either must be an integer >= 0.
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
 import numbers
 import os
+import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__, analytic, criticality, moments, prelimit, simulator
 from .errors import CapExceeded, DomainError, ModelError, PoleError
@@ -317,100 +319,216 @@ def _seed(flag):
     return seed
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors in one stderr line and exit 2; the subcommand parsers share the class."""
+# One flag of a command. `kind` is str or int for a flag that takes a value,
+# the tuple of values it allows, or bool for a switch (default False).
+Flag = namedtuple("Flag", "help kind default required", defaults=(str, None, False))
 
-    def error(self, message):
-        self.exit(2, f"error: {message}\n")
+_COMMON = {"--model": Flag("model JSON file", required=True),
+           "--out-dir": Flag("write artifacts here instead of stdout")}
+_BACKEND = {"--backend": Flag("exact rationals or floats", ("exact", "float"), "exact")}
+_DISCIPLINE = {"--discipline": Flag("cancel-on-completion or cancel-on-start",
+                                    ("coc", "cos"), "coc")}
+_SEED = {"--seed": Flag("integer >= 0; defaults to RHT_SEED, else 0")}
+
+# command -> (function, one-line help, flags), the flags in the order `-h` lists
+# them. parse_args reads argv against this table by argparse's rules.
+COMMANDS = {
+    "analyze": (cmd_analyze, "criticality report, components, DAG", _COMMON),
+    "pgf": (cmd_pgf, "evaluate the exact pre-limit PGF at a point", {
+        **_COMMON, **_BACKEND,
+        "--z": Flag("comma-separated z per type", required=True), **_DISCIPLINE}),
+    "laplace": (cmd_laplace, "limiting Laplace transform (product and mixture forms)", {
+        **_COMMON, **_BACKEND,
+        "--t": Flag("comma-separated t per type"),
+        "--t-grid": Flag("lo:hi:steps for a diagonal grid CSV", default="0:4:17"),
+        "--cos": Flag("also evaluate the c.o.s. general form", bool, False)}),
+    "limit-law": (cmd_limit_law, "K-exponential coefficient matrix and sigma mixture",
+                  _COMMON),
+    "moments": (cmd_moments, "pre-limit or limiting moments", {
+        **_COMMON,
+        "--n": Flag("moment order", int, required=True),
+        "--target": Flag("total or type:<index>", default="total"), **_DISCIPLINE,
+        "--limit": Flag("the scaled limit's moment", bool, False)}),
+    "sample": (cmd_sample, "exact stationary samples of the queue vector", {
+        **_COMMON, **_SEED, **_DISCIPLINE,
+        "--n": Flag("number of samples", int, 1000)}),
+    "simulate": (cmd_simulate, "event-driven simulation", {
+        **_COMMON, **_SEED, **_DISCIPLINE,
+        "--events": Flag("events after the warm-up", int, 100_000),
+        "--warmup": Flag("warm-up events; defaults to a fifth of --events", int),
+        "--sample-every": Flag("departures between sampled queue vectors", int, 100)}),
+    "verify-limit": (cmd_verify_limit, "simulation vs limit law over an epsilon grid", {
+        **_COMMON, **_SEED, **_DISCIPLINE,
+        "--eps": Flag("comma-separated epsilons", default="0.1,0.05,0.02"),
+        "--events": Flag("events per epsilon", int, 200_000),
+        "--scatter": Flag("also write the scaled samples of the last epsilon", bool, False)}),
+    "verify": (cmd_verify, "run the acceptance battery", {
+        "--only": Flag("comma-separated criterion names")}),
+}
+_HELP = ("-h", "--help")
+_TOP = (*_HELP, "--version")
+# a word that starts with "-" is still a value when it matches this or holds a space
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="rht", description=__doc__)
-    parser.add_argument("--version", action="version",
-                        version=f"rht {__version__} (model format {MODEL_FORMAT_VERSION})")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage_error(message):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    def common(p):
-        p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--out-dir", default=None, help="write artifacts here instead of stdout")
 
-    def seeded(p):
-        p.add_argument("--seed", default=None)  # read by _seed
+def _explicit_error(name, value):
+    """A flag that takes no value was given one after `=`."""
+    _usage_error(f"argument {'/'.join(_HELP) if name in _HELP else name}: "
+                 f"ignored explicit argument {value!r}")
 
-    def backend(p):
-        p.add_argument("--backend", choices=("exact", "float"), default="exact")
 
-    p = sub.add_parser("analyze", help="criticality report, components, DAG")
-    common(p)
-    p.set_defaults(fn=cmd_analyze)
+def _print_and_exit(text):
+    print(text)
+    raise SystemExit(0)
 
-    p = sub.add_parser("pgf", help="evaluate the exact pre-limit PGF at a point")
-    common(p)
-    backend(p)
-    p.add_argument("--z", required=True, help="comma-separated z per type")
-    p.add_argument("--discipline", choices=("coc", "cos"), default="coc")
-    p.set_defaults(fn=cmd_pgf)
 
-    p = sub.add_parser("laplace", help="limiting Laplace transform (product and mixture forms)")
-    common(p)
-    backend(p)
-    p.add_argument("--t", default=None, help="comma-separated t per type")
-    p.add_argument("--t-grid", default="0:4:17", help="lo:hi:steps for a diagonal grid CSV")
-    p.add_argument("--cos", action="store_true", help="also evaluate the c.o.s. general form")
-    p.set_defaults(fn=cmd_laplace)
+def _metavar(name, flag):
+    if flag.kind is bool:
+        return name
+    value = "{" + ",".join(flag.kind) + "}" if isinstance(flag.kind, tuple) else \
+        name[2:].upper().replace("-", "_")
+    return f"{name} {value}"
 
-    p = sub.add_parser("limit-law", help="K-exponential coefficient matrix and sigma mixture")
-    common(p)
-    p.set_defaults(fn=cmd_limit_law)
 
-    p = sub.add_parser("moments", help="pre-limit or limiting moments")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--target", default="total", help="total or type:<index>")
-    p.add_argument("--discipline", choices=("coc", "cos"), default="coc")
-    p.add_argument("--limit", action="store_true")
-    p.set_defaults(fn=cmd_moments)
+def _help(command):
+    """`rht -h` (command None) or `rht COMMAND -h`, from the command table."""
+    if command is None:
+        rows = [(name, text) for name, (_, text, _) in COMMANDS.items()]
+        rows += [("-h, --help", "show this help and exit"),
+                 ("--version", "show the version and exit")]
+        head = f"usage: rht [-h] [--version] COMMAND [FLAG ...]\n\n{__doc__.strip()}\n\n" \
+            "Every command lists its flags with `rht COMMAND -h`. A flag's value follows\n" \
+            "it or an `=`; a unique prefix of a flag's name stands for it."
+    else:
+        _, text, flags = COMMANDS[command]
+        rows = [("-h, --help", "show this help and exit")]
+        for name, flag in flags.items():
+            note = " (required)" if flag.required else \
+                "" if flag.default in (None, False) else f" (default {flag.default})"
+            rows.append((_metavar(name, flag), flag.help + note))
+        usage = "".join(f"{_metavar(name, flag)} "
+                        for name, flag in flags.items() if flag.required)
+        head = f"usage: rht {command} [-h] {usage}[FLAG ...]\n\n{text}"
+    width = max(len(left) for left, _ in rows) + 2
+    return head + "\n\n" + "\n".join(f"  {left:<{width}}{right}" for left, right in rows)
 
-    p = sub.add_parser("sample", help="exact stationary samples of the queue vector")
-    common(p)
-    seeded(p)
-    p.add_argument("--discipline", choices=("coc", "cos"), default="coc")
-    p.add_argument("--n", type=int, default=1000)
-    p.set_defaults(fn=cmd_sample)
 
-    p = sub.add_parser("simulate", help="event-driven simulation")
-    common(p)
-    seeded(p)
-    p.add_argument("--discipline", choices=("coc", "cos"), default="coc")
-    p.add_argument("--events", type=int, default=100_000)
-    p.add_argument("--warmup", type=int, default=None)
-    p.add_argument("--sample-every", type=int, default=100)
-    p.set_defaults(fn=cmd_simulate)
+def _read_flag(arg, names):
+    """How argparse reads `arg` among the option strings `names`: None for a
+    value, else (name, the value after its `=` or None); name None for an
+    unknown flag. A unique prefix of a name stands for it."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in names:
+        return arg, None
+    head, eq, tail = arg.partition("=")
+    if eq and head in names:
+        return head, tail
+    if arg[1] == "-":
+        found = [(n, tail if eq else None) for n in names if n.startswith(head)]
+    else:  # a one-dash name is one letter, which the rest of arg may follow
+        found = [(n, arg[2:]) if n == arg[:2] else (n, None)
+                 for n in names if n == arg[:2] or n.startswith(arg)]
+    if len(found) > 1:
+        _usage_error(f"ambiguous option: {arg} could match {', '.join(n for n, _ in found)}")
+    if found:
+        return found[0]
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None
+    return None, None
 
-    p = sub.add_parser("verify-limit", help="simulation vs limit law over an epsilon grid")
-    common(p)
-    seeded(p)
-    p.add_argument("--discipline", choices=("coc", "cos"), default="coc")
-    p.add_argument("--eps", default="0.1,0.05,0.02")
-    p.add_argument("--events", type=int, default=200_000)
-    p.add_argument("--scatter", action="store_true")
-    p.set_defaults(fn=cmd_verify_limit)
 
-    p = sub.add_parser("verify", help="run the acceptance battery")
-    p.add_argument("--only", default=None, help="comma-separated criterion names")
-    p.set_defaults(fn=cmd_verify)
-    return parser
+def _read_all(args, names):
+    """_read_flag of each argument before the first `--`; all after it are values."""
+    reads = []
+    for arg in args:
+        if arg == "--":
+            break
+        reads.append(_read_flag(arg, names))
+    return reads
+
+
+def parse_args(argv):
+    """The command and flag values `argv` asks for, as a namespace with one
+    attribute per flag of the command (its default where not given) and
+    `command`. A usage error prints one `error: ...` line and exits 2; `-h`
+    and `--version` print and exit 0, as argparse does."""
+    # argparse reads every argument against the top-level flags, and then those
+    # after the command against the command's: an ambiguous prefix stops either
+    top = _read_all(argv, _TOP)
+    i = next((i for i, read in enumerate(top) if read is None), len(top))  # the command
+    for name, value in top[:i]:  # the first known flag before it acts
+        if name is not None:
+            if value is not None:
+                _explicit_error(name, value)
+            _print_and_exit(f"rht {__version__} (model format {MODEL_FORMAT_VERSION})"
+                            if name == "--version" else _help(None))
+    if i == len(argv):
+        _usage_error("the following arguments are required: command")
+    command, rest = argv[i], argv[i + 1:]
+    if command not in COMMANDS:
+        _usage_error(f"argument command: invalid choice: {command!r} "
+                     f"(choose from {', '.join(map(repr, COMMANDS))})")
+    unknown = argv[:i]
+    flags = COMMANDS[command][2]
+    reads = _read_all(rest, (*_HELP, *flags))
+    values = {name: flag.default for name, flag in flags.items()}
+    given = set()
+    j = 0
+    while j < len(rest):
+        read = reads[j] if j < len(reads) else None
+        if read is None or read[0] is None:
+            unknown.append(rest[j])
+            j += 1
+            continue
+        name, value = read
+        flag = flags.get(name)  # None for -h and --help
+        if (flag is None or flag.kind is bool) and value is not None:
+            _explicit_error(name, value)
+        if flag is None:
+            _print_and_exit(_help(command))
+        if flag.kind is bool:
+            value = True
+        elif value is None:
+            if j + 1 >= len(reads) or reads[j + 1] is not None:
+                _usage_error(f"argument {name}: expected one argument")
+            j += 1
+            value = rest[j]
+        if flag.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument {name}: invalid int value: {value!r}")
+        elif isinstance(flag.kind, tuple) and value not in flag.kind:
+            _usage_error(f"argument {name}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, flag.kind))})")
+        values[name] = value
+        given.add(name)
+        j += 1
+    missing = [name for name, flag in flags.items() if flag.required and name not in given]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _usage_error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = SimpleNamespace(command=command)
+    for name, value in values.items():
+        setattr(args, name[2:].replace("-", "_"), value)
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         if getattr(args, "out_dir", None) and not Path(args.out_dir).is_dir():
             raise ModelError(f"--out-dir: {args.out_dir!r} is not a directory")
-        if "seed" in args:
+        if hasattr(args, "seed"):
             args.seed = _seed(args.seed)
-        return args.fn(args)
+        return COMMANDS[args.command][0](args)
     except CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

@@ -83,6 +83,19 @@ def segment_law(model: SystemModel, entries) -> SegmentLaw:
                       type_params=tuple(typ), split_fractions=tuple(split))
 
 
+def _segment(model: SystemModel, prefix: int):
+    """The segment after the first occurrences of the type set `prefix` (a
+    bitmask), as the sampler draws it: 1 - p^{T,j} and each type's split
+    fraction p_t / p(T,j), as floats; segment_law's values for any T whose
+    first j entries make up the set."""
+    types = _bits(prefix)
+    p_j = model.p_of(types)
+    b = model.n_servers * model.lam * p_j / model.mu_of(types)
+    if not 0 < b < 1:
+        raise DomainError(f"segment parameter {b} outside (0,1); model unstable?")
+    return 1.0 - float(b), {t: float(model.p[t] / p_j) for t in types}
+
+
 def _peeling_weights(model: SystemModel, discipline: str):
     """The exact sampler's weights: F(A) for every set A of job types, keyed
     by bitmask, and the weight F(B) * kappa(free(B)) of each B as the final
@@ -117,10 +130,11 @@ def sample_prelimit(model: SystemModel, discipline: str, n: int, seed,
     probability proportional to F(B) * kappa(free(B)), then the last type t
     of the remaining set A with probability proportional to p_t F(A - {t}),
     down to the empty set, splitting the sample counts multinomially. Then
-    come independent geometric segment totals and multinomial splits; the
-    per-type counts are 1{S in T} plus the split sums. With return_configs
-    the drawn vectors (by length, then lexicographically) and each sample's
-    index into them are returned as well.
+    come independent geometric segment totals and multinomial splits, their
+    parameters computed once per prefix set (_segment); the per-type counts
+    are 1{S in T} plus the split sums. With return_configs the drawn vectors
+    (by length, then lexicographically) and each sample's index into them
+    are returned as well.
     """
     if n < 1:
         raise DomainError("need n >= 1 samples")
@@ -145,6 +159,7 @@ def sample_prelimit(model: SystemModel, discipline: str, n: int, seed,
     entries_list = sorted(drawn, key=lambda e: (len(e), e))
     out = np.zeros((n, model.n_types), dtype=np.int64)
     config_idx = np.zeros(n, dtype=np.int64)
+    segments = {}  # prefix set -> _segment of it
     row = 0
     for idx, entries in enumerate(entries_list):
         m = drawn[entries]
@@ -152,14 +167,17 @@ def sample_prelimit(model: SystemModel, discipline: str, n: int, seed,
         config_idx[block] = idx
         for t in entries:
             out[block, t] += 1
-        if entries:
-            law = segment_law(model, entries)
-            for j, b in enumerate(law.segment_params, start=1):
-                totals = rng.geometric(1.0 - float(b), size=m) - 1
-                fracs = np.asarray([float(x) for x in law.split_fractions[j - 1]])
-                splits = rng.multinomial(totals, fracs / fracs.sum())
-                for i, t in enumerate(entries[:j]):
-                    out[block, t] += splits[:, i]
+        prefix = 0
+        for j, t in enumerate(entries, start=1):
+            prefix |= 1 << t
+            if prefix not in segments:
+                segments[prefix] = _segment(model, prefix)
+            q, fraction = segments[prefix]
+            totals = rng.geometric(q, size=m) - 1
+            fracs = np.asarray([fraction[u] for u in entries[:j]])
+            splits = rng.multinomial(totals, fracs / fracs.sum())
+            for i, u in enumerate(entries[:j]):
+                out[block, u] += splits[:, i]
         row += m
     if return_configs:
         return out, config_idx, entries_list

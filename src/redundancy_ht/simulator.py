@@ -445,6 +445,7 @@ def scaled_law_check(dag: ComponentDag, discipline, eps_values, events_per_eps, 
     draws from the law. Sampling epochs are every max(KS_MIN_SPACING, 8 eps^-2)-th
     departure counted from the first event, so that the KS samples are
     effectively independent at every eps on the grid."""
+    seed = _check_seed(seed)
     import numpy as np
 
     from .analytic import _direction, limit_law, sample_limit, sigma_mixture

@@ -1,16 +1,18 @@
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from redundancy_ht import SystemModel
+from redundancy_ht import SystemModel, generators
 from redundancy_ht.errors import DomainError
 from redundancy_ht.oracles import (config_distribution, config_prob,
                                    critical_rate_and_subsets_bruteforce, enumerate_k_critical,
                                    mixture_law, ordered_vector, p_star, representation_matrices)
-from redundancy_ht.prelimit import expected_type_counts, sample_prelimit, segment_law
+from redundancy_ht.prelimit import (_draw_counts, _last_type_weights, _peeling_weights,
+                                    expected_type_counts, sample_prelimit, segment_law)
 
 T_EXAMPLE = (0, 2, 3, 1)  # [{1}, {3}, {3,4}, {1,2,3}] in the four-server system
 
@@ -215,3 +217,58 @@ def test_unstable_model_rejected():
         config_distribution(bad)
     with pytest.raises(DomainError):
         sample_prelimit(bad, "coc", 10, seed=0)
+
+
+def _sample_per_vector(model, discipline, n, seed):
+    """sample_prelimit as it was written first: the segment law of every drawn
+    vector from segment_law, one vector at a time."""
+    rng = np.random.default_rng(seed)
+    f, final = _peeling_weights(model, discipline)
+    groups = {(a, ()): m for a, m in zip(f, _draw_counts(rng, n, final)) if m}
+    drawn = {}
+    while groups:
+        peeled = {}
+        for (a, tail), m in groups.items():
+            if a == 0:
+                drawn[tail] = m
+                continue
+            types, weights = _last_type_weights(model, f, a)
+            for t, k in zip(types, _draw_counts(rng, m, weights)):
+                if k:
+                    peeled[a ^ 1 << t, (t,) + tail] = k
+        groups = peeled
+    entries_list = sorted(drawn, key=lambda e: (len(e), e))
+    out = np.zeros((n, model.n_types), dtype=np.int64)
+    config_idx = np.zeros(n, dtype=np.int64)
+    row = 0
+    for idx, entries in enumerate(entries_list):
+        m = drawn[entries]
+        block = slice(row, row + m)
+        config_idx[block] = idx
+        for t in entries:
+            out[block, t] += 1
+        if entries:
+            law = segment_law(model, entries)
+            for j, b in enumerate(law.segment_params, start=1):
+                totals = rng.geometric(1.0 - float(b), size=m) - 1
+                fracs = np.asarray([float(x) for x in law.split_fractions[j - 1]])
+                splits = rng.multinomial(totals, fracs / fracs.sum())
+                for i, t in enumerate(entries[:j]):
+                    out[block, t] += splits[:, i]
+        row += m
+    return out, config_idx, entries_list
+
+
+def test_sampler_equals_per_vector_segment_laws(mm1, n_model, four_server, diamond):
+    """Segment parameters computed once per prefix set draw the same arrays,
+    seed for seed, as segment_law computed for every drawn vector."""
+    rng = random.Random(7)
+    models = [mm1, n_model, four_server, diamond, four_server.as_float()]
+    models += [generators.random_stable_model(rng, max_servers=5, max_types=5,
+                                              cover_all_servers=True) for _ in range(12)]
+    for k, model in enumerate(models):
+        for discipline in ("coc", "cos"):
+            got = sample_prelimit(model, discipline, 3000, seed=k, return_configs=True)
+            want = _sample_per_vector(model, discipline, 3000, k)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert got[2] == want[2]

@@ -348,6 +348,7 @@ def test_cli_import_loads_no_numpy():
     # layer module loads, as perfbench's tracer looks them up in sys.modules
     loaded = _modules_loaded_by_cli_import()
     assert _numpy_modules(loaded) == []
+    assert not {"argparse", "gettext"} & set(loaded)
     layers = ("criticality", "analytic", "prelimit", "moments", "simulator", "model", "cli")
     assert {f"redundancy_ht.{layer}" for layer in layers} <= set(loaded)
 
@@ -359,7 +360,10 @@ def test_exact_commands_load_no_numpy(n_model, tmp_path):
                 ["limit-law"], ["moments", "--n", "2"])
     then = "\n".join(f"assert redundancy_ht.cli.main({[*argv, '--model', str(path)]!r}) == 0"
                      for argv in commands)
-    assert _numpy_modules(_modules_loaded_by_cli_import(then)) == []
+    loaded = _modules_loaded_by_cli_import(then)
+    assert _numpy_modules(loaded) == []
+    # nor argparse and the gettext it loads: the command table's parser needs neither
+    assert not {"argparse", "gettext"} & set(loaded)
 
 
 def test_cli_import_loads_no_acceptance_battery():
@@ -367,6 +371,19 @@ def test_cli_import_loads_no_acceptance_battery():
     loaded = set(_modules_loaded_by_cli_import())
     assert "redundancy_ht.cli" in loaded
     assert not loaded & {"redundancy_ht.acceptance", "redundancy_ht.generators"}
+
+
+def test_scaled_law_check_checks_its_seed_first(n_model, monkeypatch):
+    from redundancy_ht import analytic
+
+    def never(*args, **kwargs):
+        raise AssertionError("the limit law was sampled before the seed was checked")
+
+    monkeypatch.setattr(analytic, "sample_limit", never)
+    dag = crp_components(n_model)
+    for seed in (-5, -1000, 1.5, "3"):
+        with pytest.raises(DomainError):
+            scaled_law_check(dag, "coc", eps_values=[0.2], events_per_eps=1000, seed=seed)
 
 
 def test_scaled_law_check_runs(n_model):
