@@ -12,8 +12,8 @@ from .criticality import (ComponentDag, CriticalityReport, CrpClass, CrpComponen
 from .analytic import (LimitLaw, MixtureLaw, limit_law, limiting_laplace,
                        limiting_transform, pgf_coc, pgf_cos, sample_limit, sigma_mixture)
 from .prelimit import SegmentLaw, linear_moment, sample_prelimit, segment_law
-from .moments import (MomentRequest, limit_moment_total, limit_response_time, moment,
-                      moment_total, scaled_total_moment)
+from .moments import (limit_moment_total, limit_response_time, moment, moment_total,
+                      scaled_total_moment)
 from .simulator import SimEstimate, ks_two_sample, scaled_law_check, simulate
 from .oracles import (OrderedTypeVector, RepresentationMatrices, beta_hat, beta_hat_sigma_k,
                       beta_weight, check_stability, config_distribution, config_prob,

@@ -347,6 +347,14 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
+def _draw_counts(rng, n, weights):
+    """Split n draws multinomially, in proportion to the exact weights."""
+    import numpy as np
+
+    fw = np.asarray([float(w) for w in weights])
+    return rng.multinomial(n, fw / fw.sum())
+
+
 def sample_limit(law, n: int, seed) -> numpy.ndarray:
     """Monte-Carlo draws from a LimitLaw or MixtureLaw; returns (n, |S|) floats."""
     if n < 1:
@@ -355,8 +363,7 @@ def sample_limit(law, n: int, seed) -> numpy.ndarray:
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    pv = np.asarray([float(w) for (w, _, _) in law.atoms])
-    counts = rng.multinomial(n, pv / pv.sum())
+    counts = _draw_counts(rng, n, [w for (w, _, _) in law.atoms])
     out = []
     for (count, (_, coeffs, _)) in zip(counts, law.atoms):
         if count == 0:

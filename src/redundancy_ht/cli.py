@@ -64,14 +64,23 @@ def _parse_vector(text: str, n: int, exact: bool, sep: str = ","):
         raise ModelError(f"a value is out of float range: {text!r}") from None
 
 
+def _emit(args, filename, write):
+    """Hand write() the artifact file `filename` in --out-dir, or stdout."""
+    if not args.out_dir:
+        write(sys.stdout)
+        return
+    path = Path(args.out_dir) / filename
+    try:
+        with open(path, "w", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ModelError(f"--out-dir: cannot write {filename}: {exc.strerror or exc}") from None
+    print(f"wrote {path}")
+
+
 def _write_json(args, name, payload):
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out_dir:
-        path = Path(args.out_dir) / f"{name}.json"
-        path.write_text(text + "\n")
-        print(f"wrote {path}")
-    else:
-        print(text)
+    _emit(args, f"{name}.json", lambda fh: fh.write(text + "\n"))
 
 
 def _write_csv(args, name, header, chunks):
@@ -80,18 +89,12 @@ def _write_csv(args, name, header, chunks):
     str(), which is repr() for floats) or of strings that need no quoting."""
     row = ",".join(["{}"] * len(header)) + "\r\n"
 
-    def emit(fh):
+    def write(fh):
         csv.writer(fh).writerow(header)
         for columns in chunks:
             fh.write("".join(map(row.format, *columns)))
 
-    if args.out_dir:
-        path = Path(args.out_dir) / f"{name}.csv"
-        with open(path, "w", newline="") as fh:
-            emit(fh)
-        print(f"wrote {path}")
-    else:
-        emit(sys.stdout)
+    _emit(args, f"{name}.csv", write)
 
 
 def _array_chunks(table, numbered=False, long=False):
@@ -209,13 +212,11 @@ def cmd_limit_law(args):
 
 def cmd_moments(args):
     model, traj = load_model(args.model)
-    req = moments.MomentRequest(n=args.n, target=args.target,
-                                discipline=args.discipline, limit=args.limit)
-    dag = criticality.crp_components(model) if req.limit else None
-    val = moments.moment(model, req, dag, traj)
+    dag = criticality.crp_components(model) if args.limit else None
+    val = moments.moment(model, args.n, args.target, args.discipline, args.limit, dag, traj)
     _write_json(args, "moments", {
-        "n": req.n, "target": req.target, "discipline": req.discipline,
-        "limit": req.limit, "value": _num(val)})
+        "n": args.n, "target": args.target, "discipline": args.discipline,
+        "limit": args.limit, "value": _num(val)})
     return 0
 
 

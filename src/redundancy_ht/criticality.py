@@ -5,9 +5,10 @@ Every criticality question is one residual test on one maximum flow
 it decides stability (`require_stable`); in Dinkelbach iteration
 (`critical_rate`) their ratio is the next guess for lambda*; at lambda* they
 are the critical types, and `crp_components` reads the CRP components and
-their rooted subtrees from searches in that same residual graph. The
-down-sets of the component DAG give the critical subsets, and topological
-orders are listed on demand.
+their rooted subtrees from searches in that same residual graph. One
+breadth-first search (`_FlowNet._search`) finds both the flow's augmenting
+paths and those reachable sets. The down-sets of the component DAG give the
+critical subsets, and topological orders are listed on demand.
 
 The scans of all 2^|S|-1 nonempty type subsets (`check_stability`,
 `critical_rate_and_subsets_bruteforce`) are the literal definitions; they
@@ -160,29 +161,31 @@ class _FlowNet:
         self.cap[(u, v)] = capacity
         self.cap[(v, u)] = Fraction(0)
 
-    def _bfs_path(self):
-        prev = {_SRC: None}
-        queue = deque([_SRC])
+    def _search(self, start, backward=False):
+        """The breadth-first tree, child -> parent, of the nodes reachable from
+        start over arcs of positive residual capacity (backward=True: of the
+        nodes from which start is reachable)."""
+        tree = {start: None}
+        queue = deque([start])
         while queue:
             u = queue.popleft()
             for v in self.adj.get(u, ()):
-                if v not in prev and self.cap[(u, v)] > 0:
-                    prev[v] = u
-                    if v == _SNK:
-                        path = []
-                        while v != _SRC:
-                            path.append((prev[v], v))
-                            v = prev[v]
-                        return path[::-1]
+                if v not in tree and self.cap[(v, u) if backward else (u, v)]:
+                    tree[v] = u
                     queue.append(v)
-        return None
+        return tree
 
     def max_flow(self):
+        """Edmonds-Karp: augment along the tree's source-sink path while there is one."""
         total = Fraction(0)
         while True:
-            path = self._bfs_path()
-            if path is None:
+            tree = self._search(_SRC)
+            if _SNK not in tree:
                 return total
+            path, v = [], _SNK
+            while v != _SRC:
+                path.append((tree[v], v))
+                v = tree[v]
             bottleneck = min(self.cap[e] for e in path)
             for (u, v) in path:
                 self.cap[(u, v)] -= bottleneck
@@ -190,17 +193,8 @@ class _FlowNet:
             total += bottleneck
 
     def reachable(self, start, backward=False):
-        """The nodes reachable from start over arcs of positive residual
-        capacity; backward=True gives the nodes from which start is reachable."""
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in self.adj.get(u, ()):
-                if v not in seen and self.cap[(v, u) if backward else (u, v)]:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+        """The nodes of the search tree from start."""
+        return set(self._search(start, backward))
 
 
 def _saturate(model: SystemModel, lam: Scalar):
@@ -318,34 +312,24 @@ def _component_partition(model: SystemModel, lam_star, net, critical):
 
 
 def _assemble_dag(model: SystemModel, lam_star, comps, subtrees) -> ComponentDag:
-    k = len(comps)
-    edges = set()
-    for i, ci in enumerate(comps):
-        for j, cj in enumerate(comps):
-            if i == j:
-                continue
-            if any(model.job_types[t] & cj.servers for t in ci.types):
-                edges.add((i, j))
-    # rooted subtree of i = the components whose types i's types reach
-    comp_of = {t: i for i, comp in enumerate(comps) for t in comp.types}
-    reach = [frozenset(comp_of[t] for t in types) for types in subtrees]
-
-    order = sorted(range(k), key=lambda i: (len(reach[i]), min(comps[i].types)))
-    rank = {old: new for new, old in enumerate(order)}
-    comps2 = tuple(comps[old] for old in order)
-    edges2 = frozenset((rank[a], rank[b]) for (a, b) in edges)
-    reach2 = tuple(frozenset(rank[x] for x in reach[old]) for old in order)
-    for (a, b) in edges2:
-        if not b < a:
-            raise ConsistencyError("canonical component order is not topological")
+    """The DAG with its components in canonical order, ascending by (the
+    number of components in the rooted subtree, the smallest type)."""
+    comps, subtrees = zip(*sorted(zip(comps, subtrees), key=lambda cv: (
+        sum(c.types <= cv[1] for c in comps), min(cv[0].types))))
+    edges = frozenset((i, j) for i, ci in enumerate(comps) for j, cj in enumerate(comps)
+                      if i != j and any(model.job_types[t] & cj.servers for t in ci.types))
+    if any(not j < i for (i, j) in edges):
+        raise ConsistencyError("canonical component order is not topological")
     return ComponentDag(
         model=model,
         lambda_star=lam_star,
-        components=comps2,
-        edges=edges2,
-        before=tuple(sum(1 << j for (a, j) in edges2 if a == i) for i in range(k)),
-        subtree_nodes=reach2,
-        subtree_types=tuple(subtrees[old] for old in order),
+        components=comps,
+        edges=edges,
+        before=tuple(sum(1 << j for (a, j) in edges if a == i) for i in range(len(comps))),
+        # rooted subtree of i = the components whose types i's types reach
+        subtree_nodes=tuple(frozenset(j for j, c in enumerate(comps) if c.types <= v)
+                            for v in subtrees),
+        subtree_types=subtrees,
     )
 
 

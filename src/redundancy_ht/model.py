@@ -305,6 +305,8 @@ def load_model(path) -> tuple:
         raise ModelError(f"cannot read model file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ModelError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep, too many digits
+        raise ModelError(f"{path}: unreadable model file: {exc}") from None
     return parse_model(raw, where=str(path))
 
 

@@ -17,7 +17,6 @@ to 1 and the total has the closed form (n+K-1)!/(K-1)!.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .analytic import limiting_transform
 from .criticality import ComponentDag, CriticalityReport
@@ -26,47 +25,35 @@ from .model import Scalar, SystemModel, TrajectorySpec
 from .prelimit import MOMENT_ORDER_CAP, linear_moment
 
 
-@dataclass(frozen=True)
-class MomentRequest:
-    """What to compute: order n, total or a single type, and the discipline."""
-
-    n: int
-    target: str = "total"  # "total" or "type:<index>"
-    discipline: str = "coc"
-    limit: bool = False
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MOMENT_ORDER_CAP:
-            raise DomainError(f"moment order must be in 1..{MOMENT_ORDER_CAP}")
-        kind, _, index = self.target.partition(":")
-        if self.target != "total" and (kind != "type" or not index.isdecimal()):
-            raise DomainError(f"target must be 'total' or 'type:<index>', got {self.target!r}")
-
-
-def moment(model: SystemModel, req: MomentRequest, dag: ComponentDag = None,
-           traj: TrajectorySpec = None) -> Scalar:
-    """E[(c.Q)^n] for the request's c, 1 for the total and the indicator of
-    the type for type:<index>: pre-limit, or its limit along the trajectory
-    traj (the default one when None), which needs the dag.
+def moment(model: SystemModel, n: int, target: str = "total", discipline: str = "coc",
+           limit: bool = False, dag: ComponentDag = None, traj: TrajectorySpec = None) -> Scalar:
+    """E[(c.Q)^n] for c = 1 (target "total") or the indicator of one type
+    ("type:<index>"): pre-limit under the discipline, or with limit its limit
+    along the trajectory traj (the default one when None), which needs the dag.
 
     In the limit the total on the default trajectory takes its closed form,
     and a c that vanishes on every critical type gives 0.
     """
+    if not 1 <= n <= MOMENT_ORDER_CAP:
+        raise DomainError(f"moment order must be in 1..{MOMENT_ORDER_CAP}")
     c = [1] * model.n_types
-    if req.target != "total":
-        index = int(req.target.split(":", 1)[1])
+    if target != "total":
+        kind, _, index = target.partition(":")
+        if kind != "type" or not index.isdecimal():
+            raise DomainError(f"target must be 'total' or 'type:<index>', got {target!r}")
+        index = int(index)
         if index not in model.type_indices:
             raise DomainError(f"unknown type index {index}")
         c = [int(t == index) for t in model.type_indices]
-    if not req.limit:
-        return linear_moment(model, c, req.n, req.discipline)
+    if not limit:
+        return linear_moment(model, c, n, discipline)
     if dag is None:
         raise DomainError("a limit moment needs the dag argument")
-    if req.target == "total" and traj is None:
-        return limit_moment_total(dag.K, req.n)
+    if target == "total" and traj is None:
+        return limit_moment_total(dag.K, n)
     if not any(c[t] for comp in dag.components for t in comp.types):
         return 0
-    return _mixture_moment(dag, traj, req.n, c)
+    return _mixture_moment(dag, traj, n, c)
 
 
 def moment_total(model: SystemModel, n: int, discipline: str = "coc") -> Scalar:

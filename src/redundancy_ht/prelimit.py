@@ -4,8 +4,10 @@ sampling of the queue vector, and its exact moments along any direction.
 Conditionally on the ordered vector T of first type occurrences, the jobs
 between consecutive first occurrences form independent geometric segments
 (support {0, 1, ...}, P(X = n) = (1-p) p^n), each split multinomially over
-the types seen so far. Scaling by the distance to criticality, segments at
-critical prefixes become unit exponentials and all others vanish.
+the types seen so far. Its law depends on the set of the first j entries
+alone (_segment, which segment_law and the sampler read). Scaling by the
+distance to criticality, segments at critical prefixes become unit
+exponentials and all others vanish.
 
 The configuration T itself is drawn by peeling: its set from the
 prefix-set table of analytic._prefix_table, then its types from last to
@@ -22,7 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytic import _bits, _check_seed, _idle_sums, _prefix_series, _prefix_table, _set_weights
+from .analytic import (_bits, _check_seed, _draw_counts, _idle_sums, _prefix_series,
+                       _prefix_table, _set_weights)
 from .criticality import require_stable
 from .errors import DomainError
 from .model import Scalar, SystemModel
@@ -59,6 +62,16 @@ class SegmentLaw:
     split_fractions: tuple
 
 
+def _segment(model: SystemModel, types):
+    """p^{T,j} = N lam p(T,j)/mu(T,j), p(T,j) and mu(T,j) for the set `types`
+    of the first j entries of T; DomainError unless 0 < p^{T,j} < 1."""
+    p_j, mu_j = model.p_of(types), model.mu_of(types)
+    b = model.n_servers * model.lam * p_j / mu_j
+    if not 0 < b < 1:
+        raise DomainError(f"segment parameter {b} outside (0,1); model unstable?")
+    return b, p_j, mu_j
+
+
 def segment_law(model: SystemModel, entries) -> SegmentLaw:
     entries = tuple(entries)
     if len(set(entries)) != len(entries):
@@ -67,33 +80,13 @@ def segment_law(model: SystemModel, entries) -> SegmentLaw:
     seg, typ, split, prefix = [], [], [], set()
     for j, t in enumerate(entries, start=1):
         prefix.add(t)
-        p_j, mu_j = model.p_of(prefix), model.mu_of(prefix)
-        b = n * lam * p_j / mu_j
-        if not 0 < b < 1:
-            raise DomainError(f"segment parameter {b} outside (0,1); model unstable?")
+        b, p_j, mu_j = _segment(model, prefix)
         seg.append(b)
-        row_t, row_s = [], []
-        for i in range(1, j + 1):
-            a = n * lam * model.p[entries[i - 1]] / mu_j
-            row_t.append(a / (1 - b + a))
-            row_s.append(model.p[entries[i - 1]] / p_j)
-        typ.append(tuple(row_t))
-        split.append(tuple(row_s))
+        marginal = [n * lam * model.p[u] / mu_j for u in entries[:j]]
+        typ.append(tuple(a / (1 - b + a) for a in marginal))
+        split.append(tuple(model.p[u] / p_j for u in entries[:j]))
     return SegmentLaw(entries=entries, segment_params=tuple(seg),
                       type_params=tuple(typ), split_fractions=tuple(split))
-
-
-def _segment(model: SystemModel, prefix: int):
-    """The segment after the first occurrences of the type set `prefix` (a
-    bitmask), as the sampler draws it: 1 - p^{T,j} and each type's split
-    fraction p_t / p(T,j), as floats; segment_law's values for any T whose
-    first j entries make up the set."""
-    types = _bits(prefix)
-    p_j = model.p_of(types)
-    b = model.n_servers * model.lam * p_j / model.mu_of(types)
-    if not 0 < b < 1:
-        raise DomainError(f"segment parameter {b} outside (0,1); model unstable?")
-    return 1.0 - float(b), {t: float(model.p[t] / p_j) for t in types}
 
 
 def _peeling_weights(model: SystemModel, discipline: str):
@@ -110,14 +103,6 @@ def _last_type_weights(model: SystemModel, f: dict, a: int):
     """The types of the set a and their weights p_t F(a - {t}) of coming last."""
     types = _bits(a)
     return types, [model.p[t] * f[a ^ 1 << t] for t in types]
-
-
-def _draw_counts(rng, n, weights):
-    """Split n draws multinomially, in proportion to the exact weights."""
-    import numpy as np
-
-    fw = np.asarray([float(w) for w in weights])
-    return rng.multinomial(n, fw / fw.sum())
 
 
 def sample_prelimit(model: SystemModel, discipline: str, n: int, seed,
@@ -159,7 +144,7 @@ def sample_prelimit(model: SystemModel, discipline: str, n: int, seed,
     entries_list = sorted(drawn, key=lambda e: (len(e), e))
     out = np.zeros((n, model.n_types), dtype=np.int64)
     config_idx = np.zeros(n, dtype=np.int64)
-    segments = {}  # prefix set -> _segment of it
+    segments = {}  # prefix set -> 1 - p^{T,j} and the split fractions, as floats
     row = 0
     for idx, entries in enumerate(entries_list):
         m = drawn[entries]
@@ -171,7 +156,9 @@ def sample_prelimit(model: SystemModel, discipline: str, n: int, seed,
         for j, t in enumerate(entries, start=1):
             prefix |= 1 << t
             if prefix not in segments:
-                segments[prefix] = _segment(model, prefix)
+                types = _bits(prefix)
+                b, p_j, _ = _segment(model, types)
+                segments[prefix] = 1.0 - float(b), {u: float(model.p[u] / p_j) for u in types}
             q, fraction = segments[prefix]
             totals = rng.geometric(q, size=m) - 1
             fracs = np.asarray([fraction[u] for u in entries[:j]])

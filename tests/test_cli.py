@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -8,6 +9,7 @@ import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +193,33 @@ def test_exit_code_validation_error(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["analyze", "--model", str(missing)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("content", [
+    json.dumps(N_MODEL_DOC).replace('"4/5"', '"4/5\xff"').encode("latin-1"),
+    b"[" * 200_000,
+    json.dumps(N_MODEL_DOC).replace('"4/5"', "1" * 5000).encode(),
+], ids=["not-utf-8", "nested-too-deep", "too-many-digits"])
+def test_unreadable_model_file_exits_2(content, tmp_path, capsys):
+    """A file json cannot decode (bad UTF-8, nesting beyond the recursion
+    limit, an integer beyond the digit limit) is a one-line model error."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["analyze", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, artifact", [
+    (["analyze"], "analysis.json"), (["laplace"], "laplace_grid.csv")])
+def test_unwritable_artifact_exits_2(argv, artifact, n_model_file, tmp_path, capsys):
+    """An artifact path that cannot be opened for writing is a one-line error."""
+    (tmp_path / artifact).mkdir()
+    assert main([*argv, "--model", n_model_file, "--out-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --out-dir: cannot write {artifact}: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def _subsets_doc(n_servers, n_types):
@@ -760,3 +789,70 @@ def test_fuzz_documents_and_arguments_never_crash(data):
             except SystemExit as exc:  # argparse rejects a flag with exit 2
                 code = exc.code
     assert code in (0, 2, 3), (doc, argv, out)
+
+
+# sha256 of the artifact each exact command writes on three of the benchmark
+# models; "{ones}" and "{halves}" stand for one 1 or one 1/2 per job type.
+# Refactors of the exact layers keep every artifact byte for byte.
+ARTIFACT_ARGV = {
+    "analyze": ["analyze"], "limit-law": ["limit-law"],
+    "laplace": ["laplace", "--t", "{ones}", "--cos"],
+    "laplace-grid": ["laplace", "--t-grid", "0:2:5"],
+    "moments": ["moments", "--n", "2"],
+    "moments-cos-type": ["moments", "--n", "1", "--target", "type:0", "--discipline", "cos"],
+    "moments-limit": ["moments", "--n", "2", "--limit", "--target", "type:0"],
+    "pgf": ["pgf", "--z", "{halves}"],
+    "pgf-cos": ["pgf", "--z", "{halves}", "--discipline", "cos"],
+}
+ARTIFACT_PINS = {
+    ("n-model", "analyze"): "4377663ab356f9a40a6ab5b77fe36bc3a33011fdf8fc6d4bb5a0745ea5d11db0",
+    ("n-model", "limit-law"): "a2168ea0526c3b5bfc673edc2d0399934dfa59d491476517e86a1f69de435c37",
+    ("n-model", "laplace"): "b83ea037821e39ecf209b04e7716ad3adb643d90328215b67188ed958c576d5d",
+    ("n-model", "laplace-grid"):
+        "7aeb10bdd8eb3a408fff6feefa8016cb5a320406e297a93bbc3b4fd8a0ec0c43",
+    ("n-model", "moments"): "721c4768c91a298e09b52a8e3621bc9add7ccda47f3465e59f0fcf7c97b526be",
+    ("n-model", "moments-cos-type"):
+        "b0b66ac36ea63abfef91491f8a9db96c7fe5fc7b02434f8e3c6ccac1f9aebc17",
+    ("n-model", "moments-limit"):
+        "b1fa2ca086a821703a7f6ca38b57e984dba40736f67523e9655fde7802c4da41",
+    ("n-model", "pgf"): "6ee53ff5dbaf755e5ba142efcea694275cce128382caf533bf577c4eb25e4f19",
+    ("n-model", "pgf-cos"): "43bb8595cced0fafca39d9ea11f017ac2d2cbc1dc92a6180a32a9817032f563f",
+    ("four-server", "analyze"): "f322a20f7e37aec70a75dd1cc1270c004a9caeba67ab6dcec79d039d4e69a23f",
+    ("four-server", "limit-law"):
+        "fd808f18f1058ea49626822b2db25fdd798d40684c6f2535dc56ae3567079239",
+    ("four-server", "laplace"): "c6561ba0b0857d15276fce0f42d0b7df37d871524a87c9844f6f46f3379c2fe3",
+    ("four-server", "laplace-grid"):
+        "9a234cbee26346fe62005a2b5acdbb091be3fbed43e4d0177bf99b26cc713a7f",
+    ("four-server", "moments"): "b46240ac87f739c9d69684d69923841b5f09cb5174ae2b3699db73507cdbc757",
+    ("four-server", "moments-cos-type"):
+        "dbb236dfe9b9f12645fdf4b8a6057bbe604a245f9fc59b265760c27f908a38ef",
+    ("four-server", "moments-limit"):
+        "46a03b7ccb71d9b0089c4c876bab1bf694b889632b2f977f58dcf02984979665",
+    ("four-server", "pgf"): "1beabc1640015d3ceb654357ca3e5e42fd1c8043dce620d2c3f1d4580a3a9ab5",
+    ("four-server", "pgf-cos"): "b7a5ad4bcef3eb340b8b53706e67e719e3156d100692e926310179954efb4bc7",
+    ("diamond", "analyze"): "57eca6fd5aaf4055919768796fa717847a067d8cdf462d81e6ff416a88e629ba",
+    ("diamond", "limit-law"): "c3892e41c633eaf480314f2d0edd850c7fbcd94e7d002e5cbe48345b14472620",
+    ("diamond", "laplace"): "701aab3acae46bca87e3a0e03d2115ccc86608d27e47f555cd9eebde602f35c3",
+    ("diamond", "laplace-grid"):
+        "9a234cbee26346fe62005a2b5acdbb091be3fbed43e4d0177bf99b26cc713a7f",
+    ("diamond", "moments"): "a3529e62da216bfda61db058f215e17e0a0e3bcd09d9c75da162247c713befea",
+    ("diamond", "moments-cos-type"):
+        "05841c758da52e8437a4b9fd5e77b4ad33a0bd8db810c1a9055bd6acb24804da",
+    ("diamond", "moments-limit"):
+        "ce6d75ceb68800052d3d7bcee486718f4cce667cc8968ef636da587556c7afcf",
+    ("diamond", "pgf"): "d3b0300242075a14ff82a7cdf372ad4b1c147333e14b5b99f7cea620275b7c6f",
+    ("diamond", "pgf-cos"): "a5d9ee3f6ed7c85f7cc03612b4503121a66300fdc06d75234871f7528c929a35",
+}
+BENCH_MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+
+
+@pytest.mark.parametrize("name, kind", sorted(ARTIFACT_PINS))
+def test_exact_artifacts_are_pinned(name, kind, tmp_path, capsys):
+    path = BENCH_MODELS / f"{name}.json"
+    n_types = len(json.loads(path.read_text())["types"])
+    argv = [a.format(ones=",".join(["1"] * n_types), halves=",".join(["1/2"] * n_types))
+            for a in ARTIFACT_ARGV[kind]]
+    assert main([*argv, "--model", str(path), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    (artifact,) = tmp_path.iterdir()
+    assert hashlib.sha256(artifact.read_bytes()).hexdigest() == ARTIFACT_PINS[name, kind]

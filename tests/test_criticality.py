@@ -319,6 +319,28 @@ def test_components_match_critical_subset_definition():
     assert several >= 100  # 103 of these 300 models have K >= 2
 
 
+def test_dag_fields_match_their_definitions():
+    # on the same 300 models: edges are the type-to-server compatibility
+    # relation between components, before[i] the edges out of i, subtree_nodes
+    # the components inside subtree_types, and the components ascend by
+    # (subtree size, smallest type)
+    rng = random.Random(11)
+    for _ in range(300):
+        model = _tie_heavy_model(rng)
+        dag = crp_components(model, critical_rate(model))
+        comps = dag.components
+        assert dag.edges == {(i, j) for i, ci in enumerate(comps) for j, cj in enumerate(comps)
+                             if i != j and model.servers_of(ci.types) & cj.servers}
+        assert dag.before == tuple(sum(1 << j for j in range(dag.K) if (i, j) in dag.edges)
+                                   for i in range(dag.K))
+        assert dag.subtree_nodes == tuple(
+            frozenset(j for j, cj in enumerate(comps) if cj.types <= v) for v in dag.subtree_types)
+        assert all(frozenset().union(*(comps[j].types for j in nodes)) == v
+                   for nodes, v in zip(dag.subtree_nodes, dag.subtree_types))
+        keys = [(len(nodes), min(comp.types)) for nodes, comp in zip(dag.subtree_nodes, comps)]
+        assert keys == sorted(keys)
+
+
 def test_components_search_the_residual_graph_1_plus_2k_times(monkeypatch):
     calls = []
     real = _FlowNet.reachable

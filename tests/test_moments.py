@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from redundancy_ht import SystemModel, generators
 from redundancy_ht.criticality import crp_components
 from redundancy_ht.errors import DomainError
-from redundancy_ht.moments import (MomentRequest, limit_moment_total, limit_response_time, moment,
+from redundancy_ht.moments import (limit_moment_total, limit_response_time, moment,
                                    moment_total, scaled_total_moment)
 from redundancy_ht.oracles import (critical_rate_and_subsets_bruteforce, eulerian,
                                    linear_exponential_moment, moment_total_alt, moments_identity)
@@ -20,7 +20,7 @@ def _ctx(model):
 
 
 def _limit_type(model, dag, t, n):
-    return moment(model, MomentRequest(n=n, target=f"type:{t}", limit=True), dag)
+    return moment(model, n, f"type:{t}", limit=True, dag=dag)
 
 
 def test_mm1_first_moment(mm1):
@@ -192,15 +192,13 @@ def test_moment_order_cap(n_model):
 
 
 def test_moment_request_dispatch(n_model, four_server):
-    assert moment(n_model, MomentRequest(n=1)) == moment_total(n_model, 1)
-    assert moment(n_model, MomentRequest(n=1, discipline="cos")) == \
-        moment_total(n_model, 1, "cos")
+    assert moment(n_model, 1) == moment_total(n_model, 1)
+    assert moment(n_model, 1, discipline="cos") == moment_total(n_model, 1, "cos")
     _, dag = _ctx(four_server)
-    assert moment(four_server, MomentRequest(n=1, target="type:1", limit=True),
-                  dag) == F(1, 4)
-    assert moment(n_model, MomentRequest(n=1, target="type:0")) == 2
+    assert moment(four_server, 1, "type:1", limit=True, dag=dag) == F(1, 4)
+    assert moment(n_model, 1, "type:0") == 2
     for limit in (False, True):
         with pytest.raises(DomainError, match="unknown type index 2"):
-            moment(n_model, MomentRequest(n=1, target="type:2", limit=limit), _ctx(n_model)[1])
+            moment(n_model, 1, "type:2", limit=limit, dag=_ctx(n_model)[1])
     with pytest.raises(DomainError):
-        MomentRequest(n=0)
+        moment(n_model, 0)

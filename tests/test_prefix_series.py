@@ -21,7 +21,7 @@ from redundancy_ht import (SystemModel, TrajectorySpec, default_trajectory, gene
 from redundancy_ht.analytic import limiting_transform, pgf_coc, pgf_cos, sigma_mixture
 from redundancy_ht.criticality import crp_components
 from redundancy_ht.errors import DomainError
-from redundancy_ht.moments import MomentRequest, _mixture_moment, moment, moment_total
+from redundancy_ht.moments import _mixture_moment, moment, moment_total
 from redundancy_ht.oracles import (_compositions, config_distribution,
                                    critical_rate_and_subsets_bruteforce, enumerate_k_critical,
                                    geometric_moment_factor, h_term, iter_ordered_type_tuples,
@@ -316,7 +316,7 @@ def test_lattice_moments_match_sigma_listing(diamond):
                 want = sum(w * linear_exponential_moment([sum(a * b for a, b in zip(c, row))
                                                           for row in rows], n)
                            for w, rows, _ in atoms)
-                got = moment(model, MomentRequest(n=n, target=target, limit=True), dag, traj)
+                got = moment(model, n, target, limit=True, dag=dag, traj=traj)
                 assert got == want, (target, n)
     assert laminar == {True, False}
 
