@@ -20,8 +20,6 @@ from __future__ import annotations
 import functools
 import importlib
 import os
-import tempfile
-from importlib import resources
 
 _CC = "cc"  # the compiler command
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -30,6 +28,8 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 @functools.cache
 def library():
     """The compiled kernels with their argument types declared, or None."""
+    from importlib import resources
+
     source = resources.files(__package__).joinpath("_kernels.c").read_bytes()
     digest = _sha256(source)
     folder = _cache_dir()
@@ -73,6 +73,8 @@ def _sha256(data):
 def _cache_dir():
     """The first cache directory that is this user's and writable, created if
     missing, or None."""
+    import tempfile
+
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     uid = os.getuid() if hasattr(os, "getuid") else None
     candidates = [os.path.join(base, "redundancy-ht"),
@@ -94,6 +96,7 @@ def _build(source, folder, digest):
     """Compile `source` to `<digest>.so` in `folder`; on failure leave
     `<digest>.failed` there instead. Returns whether the library was built."""
     import subprocess
+    import tempfile
 
     try:
         fd, tmp = tempfile.mkstemp(dir=folder, suffix=".so.tmp")

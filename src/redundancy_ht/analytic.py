@@ -28,12 +28,11 @@ p_star) and over topological orders (sigma_aggregate, beta_hat), are in
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .criticality import SUBSET_CAP, ComponentDag, require_stable
 from .errors import CapExceeded, DomainError, PoleError
-from .model import Scalar, SystemModel, TrajectorySpec, default_trajectory
+from .model import Record, Scalar, SystemModel, TrajectorySpec, default_trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +189,7 @@ def _direction(model: SystemModel, lam_star: Scalar, traj: TrajectorySpec) -> Tr
     return default_trajectory(model.with_lambda(lam_star), lam_star)
 
 
-@dataclass(frozen=True)
-class LimitLaw:
+class LimitLaw(Record):
     """Y_S = sum_k coeffs[k][S] * U_k with U_k i.i.d. unit-mean exponential."""
 
     coeffs: tuple  # K rows, one per component, each a tuple over job types
@@ -206,8 +204,7 @@ class LimitLaw:
         return ((1, self.coeffs, None),)
 
 
-@dataclass(frozen=True)
-class MixtureLaw:
+class MixtureLaw(Record):
     """Atoms (weight, coeffs, label); conditionally on an atom the law is
     sum_k coeffs[k][S] * U_k. Labels identify the source vector or sigma."""
 

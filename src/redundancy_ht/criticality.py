@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import CapExceeded, ConsistencyError, DomainError, ModelError
-from .model import Scalar, SystemModel
+from .model import Record, Scalar, SystemModel
 
 ORDER_CAP = 10_000  # refuse listing more topological orders of the component DAG
 SUBSET_CAP = 14  # refuse lattices of more than 2^SUBSET_CAP type, server or down-sets
@@ -41,22 +40,19 @@ class CrpClass(Enum):
     NON_CRP = "NonCRP"
 
 
-@dataclass(frozen=True)
-class CriticalityReport:
+class CriticalityReport(Record):
     lambda_star: Scalar
     critical_subsets: frozenset  # frozenset of frozensets of type indices
     depth_K: int
     crp_class: CrpClass
 
 
-@dataclass(frozen=True)
-class CrpComponent:
+class CrpComponent(Record):
     types: frozenset  # job-type indices C_k
     servers: frozenset  # server ids Z_k
 
 
-@dataclass(frozen=True)
-class ComponentDag:
+class ComponentDag(Record):
     """CRP components with overflow edges, precedence masks and rooted subtrees.
 
     Components are canonically ordered ascending by (subtree size, min type

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -54,8 +54,62 @@ def type_label(servers: Iterable[int]) -> str:
     return ",".join(str(n) for n in sorted(servers))
 
 
-@dataclass(frozen=True)
-class SystemModel:
+class Record:
+    """A value class whose fields are its own annotated class attributes, in
+    order; a field with a class-level value defaults to it.
+
+    Gives what `@dataclass(frozen=True)` gives, without compiling methods at
+    import: `__init__` by position or keyword, then `__post_init__` when
+    defined; equality, hash and repr by field value; `replace`. A subclass
+    declared with `frozen=False` accepts assignment and is unhashable.
+    """
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+        get = operator.attrgetter(*fields)  # the field values as one tuple, read in C
+        cls._values = property(get if len(fields) > 1 else lambda self: (get(self),))
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._refuse
+        else:
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        given = dict(zip(fields, args))
+        if len(args) > len(fields) or given.keys() & kwargs or not kwargs.keys() <= set(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {fields}, "
+                            f"got {len(args)} positional and {sorted(kwargs)}")
+        values = {**self._defaults, **given, **kwargs}
+        if len(values) < len(fields):
+            raise TypeError(f"{type(self).__name__}() missing "
+                            f"{[name for name in fields if name not in values]}")
+        self.__dict__.update(values)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def _refuse(self, name, *value):
+        raise AttributeError(f"cannot change field {name!r} of a frozen {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, checked by __post_init__ again."""
+        return type(self)(**{**dict(zip(self._fields, self._values)), **changes})
+
+
+class SystemModel(Record):
     """Immutable system description.
 
     Attributes
@@ -148,7 +202,7 @@ class SystemModel:
         return [type_label(s) for s in self.job_types]
 
     def with_lambda(self, lam: Scalar) -> "SystemModel":
-        return replace(self, lam=lam)
+        return self.replace(lam=lam)
 
     def as_float(self) -> "SystemModel":
         try:
@@ -175,8 +229,7 @@ def aggregate(model: SystemModel, type_set: Iterable[int]):
     return model.p_of(type_set), model.mu_of(type_set)
 
 
-@dataclass(frozen=True)
-class TrajectorySpec:
+class TrajectorySpec(Record):
     """Direction and position on a heavy-traffic trajectory.
 
     The arrival-rate vector is lambda_S(eps) = N*lambda* p_S - eps*gamma_S

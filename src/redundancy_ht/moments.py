@@ -41,7 +41,10 @@ def moment(model: SystemModel, n: int, target: str = "total", discipline: str = 
         kind, _, index = target.partition(":")
         if kind != "type" or not index.isdecimal():
             raise DomainError(f"target must be 'total' or 'type:<index>', got {target!r}")
-        index = int(index)
+        digits = index.lstrip("0") or "0"
+        if len(digits) > len(str(model.n_types)):  # int() refuses beyond 4,300 digits
+            raise DomainError(f"unknown type index of {len(digits)} digits")
+        index = int(digits)
         if index not in model.type_indices:
             raise DomainError(f"unknown type index {index}")
         c = [int(t == index) for t in model.type_indices]

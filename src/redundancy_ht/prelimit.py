@@ -21,14 +21,13 @@ total moments of `moments` take c = 1, the per-type means c = e_S.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .analytic import (_bits, _check_seed, _draw_counts, _idle_sums, _prefix_series,
                        _prefix_table, _set_weights)
 from .criticality import require_stable
 from .errors import DomainError
-from .model import Scalar, SystemModel
+from .model import Record, Scalar, SystemModel
 
 DISCIPLINES = ("coc", "cos")
 MOMENT_ORDER_CAP = 12
@@ -47,8 +46,7 @@ def _kappa(model: SystemModel, discipline: str):
     return _idle_sums(model) if discipline == "cos" else None
 
 
-@dataclass(frozen=True)
-class SegmentLaw:
+class SegmentLaw(Record):
     """Geometric parameters for one ordered vector T.
 
     segment_params[j-1] is p^{T,j} = N lam p(T,j)/mu(T,j); type_params[j-1][i-1]

@@ -101,6 +101,9 @@ def test_moments_subcommand(n_model_file, capsys):
         code, out = _run(["moments", "--model", n_model_file, "--n", "1", "--target", "type:1",
                           "--discipline", discipline], capsys)
         assert code == 0 and json.loads(out)["value"] == want
+    code, out = _run(["moments", "--model", n_model_file, "--n", "1",
+                      "--target", "type:" + "0" * 5000 + "1"], capsys)
+    assert code == 0 and json.loads(out)["value"] == "16/3"
 
 
 def test_sample_csv_deterministic(n_model_file, tmp_path, capsys):
@@ -414,6 +417,7 @@ def _n_model_with(section, index, key, value=None):
     ["verify-limit", "--eps", "0.2", "--events", "50"],
     ["pgf", "--z", "5/2,1"],
     ["moments", "--n", "1", "--limit", "--target", "type:x"],
+    ["moments", "--n", "1", "--target", "type:" + "9" * 5000],  # past int()'s 4,300 digits
 )] + [(_n_model_with("servers", 0, "mu", "1e400"), ["verify-limit", "--events", "2000"]),
        (dict(N_MODEL_DOC, **{"lambda": 0.25}), ["pgf", "--z", "1e400,1"]),
        (N_MODEL_DOC, ["verify-limit", "--eps", "1e-200", "--events", "300"])],
@@ -424,6 +428,7 @@ def _n_model_with(section, index, key, value=None):
          "t-grid-two-fields", "t-grid-fractional-steps", "t-grid-zero-steps",
          "t-divergent-zero", "t-divergent-negative", "t-divergent-float", "t-grid-divergent",
          "eps-zero", "no-sample-at-eps", "z-at-a-pole", "target-not-an-integer",
+         "target-beyond-int-digits",
          "mu-beyond-float-range", "exact-z-beyond-float-model", "eps-squared-underflows"])
 def test_malformed_model_exits_2(doc, argv, tmp_path, capsys):
     """A malformed model file or argument exits 2 with a one-line message."""

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 from fractions import Fraction as F
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redundancy_ht import SystemModel, TrajectorySpec, aggregate, effective_rates
+from redundancy_ht import (SimEstimate, SystemModel, TrajectorySpec, aggregate, analytic,
+                           criticality, effective_rates, prelimit, simulator)
 from redundancy_ht.errors import DomainError, ModelError
 from redundancy_ht.model import dump_model, load_model, model_at_trajectory, parse_model
 
@@ -100,6 +102,71 @@ def test_model_validation():
         SystemModel(mu=(F(1),), lam=F(1, 2), job_types=(frozenset({1}),), p=(F(1, 2),))
     with pytest.raises(ModelError):
         SystemModel(mu=(F(0),), lam=F(1, 2), job_types=(frozenset({1}),), p=(F(1),))
+
+
+# one value of each record class, built from the diamond model
+RECORDS = {
+    "SystemModel": lambda m: m,
+    "TrajectorySpec": lambda m: TrajectorySpec(gamma=(F(1), F(2), F(3)), epsilon=F(1, 10)),
+    "CriticalityReport": lambda m: criticality.report_from_construction(
+        m, criticality.crp_components(m)),
+    "CrpComponent": lambda m: criticality.crp_components(m).components[0],
+    "ComponentDag": criticality.crp_components,
+    "LimitLaw": lambda m: analytic.limit_law(criticality.crp_components(m)),
+    "MixtureLaw": lambda m: analytic.sigma_mixture(criticality.crp_components(m)),
+    "SegmentLaw": lambda m: prelimit.segment_law(m, (2, 0)),
+    "SimEstimate": lambda m: SimEstimate("coc", (0.5, 1.5), (0.1, 0.2), (), 1000, 0.01),
+    "ScaledLawRow": lambda m: simulator.ScaledLawRow(0.1, (0.02, 0.03), 0.04, 0.05, (1.0, 1.0)),
+}
+MUTABLE = {"SimEstimate", "ScaledLawRow"}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_compares_by_field_value(name, diamond):
+    first = RECORDS[name](diamond)
+    second = copy.deepcopy(first)
+    assert type(first).__name__ == name
+    assert second is not first and second == first and first != object()
+    field = type(first)._fields[0]
+    assert repr(first).startswith(f"{name}({field}=")
+    if name in MUTABLE:
+        with pytest.raises(TypeError):
+            hash(first)
+        setattr(second, field, None)
+        assert second != first
+    else:
+        assert hash(second) == hash(first)
+        with pytest.raises(AttributeError):
+            setattr(first, field, None)
+        with pytest.raises(AttributeError):
+            delattr(first, field)
+        assert copy.deepcopy(first) == first
+
+
+def test_record_init_by_position_or_keyword(n_model):
+    fields = (n_model.mu, n_model.lam, n_model.job_types, n_model.p)
+    assert SystemModel(*fields) == n_model
+    assert SystemModel(*fields[:2], job_types=fields[2], p=fields[3]) == n_model
+    for args, kwargs in [(fields[:3], {}), (fields, {"mu": fields[0]}), (fields + (1,), {}),
+                         (fields, {"bogus": 1})]:
+        with pytest.raises(TypeError):
+            SystemModel(*args, **kwargs)
+    est = SimEstimate("coc", (0.5,), (0.1,), (), 10, 0.01)
+    assert est.kernel == "python" and SimEstimate(**vars(est)) == est
+    with pytest.raises(ModelError):  # __post_init__ runs on replace too
+        n_model.replace(lam=F(-1))
+    assert n_model.with_lambda(F(1, 2)) == SystemModel(n_model.mu, F(1, 2), n_model.job_types,
+                                                       n_model.p)
+
+
+def test_lattice_cache_hits_for_equal_dags(diamond):
+    first, second = criticality.crp_components(diamond), criticality.crp_components(diamond)
+    assert first is not second and first == second
+    analytic._lattice.cache_clear()
+    analytic.sigma_mixture(first)
+    analytic.sigma_mixture(second)
+    info = analytic._lattice.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_mu_bar_is_derived(four_server):

@@ -8,12 +8,14 @@ import pytest
 import scipy.stats
 
 from redundancy_ht import SystemModel, generators
+from redundancy_ht.analytic import _bits
 from redundancy_ht.errors import DomainError
 from redundancy_ht.oracles import (config_distribution, config_prob,
                                    critical_rate_and_subsets_bruteforce, enumerate_k_critical,
                                    mixture_law, ordered_vector, p_star, representation_matrices)
 from redundancy_ht.prelimit import (_draw_counts, _last_type_weights, _peeling_weights,
-                                    expected_type_counts, sample_prelimit, segment_law)
+                                    _segment, expected_type_counts, sample_prelimit,
+                                    segment_law)
 
 T_EXAMPLE = (0, 2, 3, 1)  # [{1}, {3}, {3,4}, {1,2,3}] in the four-server system
 
@@ -63,6 +65,24 @@ def test_segment_law_example_values(four_server):
     assert law.type_params[2][0] == F(1, 4)  # lam / (3 mu - 2 lam)
     assert law.type_params[0][0] == law.segment_params[0]  # j=1 degenerate case
     assert all(0 < p < 1 for p in law.segment_params)
+
+
+# _segment's (p^{T,j}, p(T,j), mu(T,j)) per prefix-set mask on a float model
+# where N*lam*p/mu and N*(lam*p)/mu round apart (at mask 4), so that a
+# reordered product shows
+SEGMENT_FLOATS = {1: (0.045, 0.1, 2.0), 2: (0.09, 0.2, 2.0),
+                  3: (0.09000000000000001, 0.30000000000000004, 3.0),
+                  4: (0.6299999999999999, 0.7, 1.0),
+                  5: (0.35999999999999993, 0.7999999999999999, 2.0),
+                  6: (0.4049999999999999, 0.8999999999999999, 2.0), 7: (0.3, 1.0, 3.0)}
+
+
+def test_segment_floats_are_pinned(diamond):
+    model = SystemModel(mu=(1.0, 1.0, 1.0), lam=0.3, job_types=diamond.job_types,
+                        p=(0.1, 0.2, 0.7))
+    got = {mask: _segment(model, _bits(mask)) for mask in SEGMENT_FLOATS}
+    assert got == SEGMENT_FLOATS
+    assert 3 * (0.3 * 0.7) / 1.0 != SEGMENT_FLOATS[4][0]
 
 
 def test_segment_marginal_consistency(four_server):

@@ -343,12 +343,17 @@ def _numpy_modules(loaded):
     return [k for k in loaded if k.split(".")[0] == "numpy"]
 
 
+# the oracles load on first access and no command module builds a dataclass
+LAZY = {"redundancy_ht.oracles", "dataclasses", "inspect"}
+
+
 def test_cli_import_loads_no_numpy():
     # numpy loads in the functions that draw, simulate or write arrays; every
     # layer module loads, as perfbench's tracer looks them up in sys.modules
     loaded = _modules_loaded_by_cli_import()
     assert _numpy_modules(loaded) == []
     assert not {"argparse", "gettext"} & set(loaded)
+    assert not LAZY & set(loaded)
     layers = ("criticality", "analytic", "prelimit", "moments", "simulator", "model", "cli")
     assert {f"redundancy_ht.{layer}" for layer in layers} <= set(loaded)
 
@@ -364,6 +369,38 @@ def test_exact_commands_load_no_numpy(n_model, tmp_path):
     assert _numpy_modules(loaded) == []
     # nor argparse and the gettext it loads: the command table's parser needs neither
     assert not {"argparse", "gettext"} & set(loaded)
+    assert not LAZY & set(loaded)
+
+
+ORACLE_EXPORTS = (
+    "OrderedTypeVector", "RepresentationMatrices", "beta_hat", "beta_hat_sigma_k", "beta_weight",
+    "check_stability", "config_distribution", "config_prob",
+    "critical_rate_and_subsets_bruteforce", "ctmc_oracle", "enumerate_k_critical", "eulerian",
+    "h_term", "laplace_of_mixture", "linear_exponential_moment", "mixture_law",
+    "moment_total_alt", "moments_identity", "nested_sum_identity", "omega_weight",
+    "ordered_vector", "p_star", "representation_matrices", "sigma_aggregate",
+    "sigma_weight_formula")
+
+
+def test_oracle_names_resolve_from_the_package():
+    import redundancy_ht
+    from redundancy_ht import oracles, simulator
+
+    assert len(set(ORACLE_EXPORTS)) == 25
+    for name in ORACLE_EXPORTS:
+        assert getattr(redundancy_ht, name) is getattr(oracles, name), name
+    assert set(ORACLE_EXPORTS) <= set(dir(redundancy_ht))
+    assert simulator.config_marginals_from_oracle is oracles.config_marginals_from_oracle
+    for module in (redundancy_ht, simulator):
+        with pytest.raises(AttributeError):
+            module.no_such_name  # noqa: B018
+
+
+def test_first_oracle_access_loads_the_oracles():
+    loaded = _modules_loaded_by_cli_import(
+        "from redundancy_ht import h_term\nfrom redundancy_ht.simulator import "
+        "config_marginals_from_oracle")
+    assert "redundancy_ht.oracles" in loaded
 
 
 def test_cli_import_loads_no_acceptance_battery():
