@@ -7,8 +7,8 @@ brute-force oracles and discrete-event simulation.
 The oracle names below load `oracles` on first access, since no command
 but `verify` runs them.
 """
-from .model import (SystemModel, TrajectorySpec, aggregate, default_trajectory,
-                    effective_rates, load_model, model_at_trajectory, parse_model)
+from .model import (SystemModel, TrajectorySpec, default_trajectory, effective_rates,
+                    load_model, model_at_trajectory, parse_model)
 from .criticality import (ComponentDag, CriticalityReport, CrpClass, CrpComponent,
                           critical_rate, require_stable, crp_components,
                           critical_subsets_via_construction, report_from_construction)

@@ -93,7 +93,8 @@ def _prefix_table(model: SystemModel, z, base: int = 0, top: int = None,
     F_base(A) = (N lam / mu(A)) / (1 - N lam pz(A) / mu(A)) * sum_{t in A - base} p_t z_t F_base(A - {t}),
     so that F_0(A) sums oracles.h_term over the orderings of A. With open_top the
     entry at top leaves out its stay factor 1 / (1 - N lam pz(top) / mu(top)),
-    which diverges where top is critical at lambda.
+    which diverges where top is critical at lambda; any other stay factor
+    with a denominator <= 0 raises PoleError.
     """
     if model.n_types > SUBSET_CAP:
         raise CapExceeded(
@@ -123,8 +124,9 @@ def _prefix_table(model: SystemModel, z, base: int = 0, top: int = None,
             f[a] = [rate * x for x in arrivals]
             continue
         stay = 1 - rate * pz_sum[a][0]
-        if stay == 0:
-            raise PoleError(f"PGF pole at the set of type indices {_bits(a)}")
+        if stay <= 0:
+            raise PoleError(f"z is at or beyond a pole of the PGF (outside its domain) "
+                            f"at the set of type indices {_bits(a)}")
         # F (1 - rate pz(A)) = rate sum_t p_t z_t F(A - {t}), solved degree by degree
         fa = []
         for k in degrees:
@@ -156,6 +158,10 @@ def _prefix_series(model: SystemModel, z, kappa: list = None) -> list:
 
 
 def _pgf(model: SystemModel, z, kappa) -> Scalar:
+    # E[prod z_t^Q_t] converges absolutely where the series in |z| does: where
+    # every stay factor at |z| is positive, as stability gives when all |z_t| <= 1
+    if any(abs(x) > 1 for x in z):
+        _prefix_table(model, [[abs(x)] for x in z])
     one = [[1]] * model.n_types
     return _prefix_series(model, [[x] for x in z], kappa)[0] / _prefix_series(model, one, kappa)[0]
 
@@ -209,10 +215,6 @@ class MixtureLaw(Record):
     sum_k coeffs[k][S] * U_k. Labels identify the source vector or sigma."""
 
     atoms: tuple
-
-    @property
-    def K(self) -> int:
-        return len(self.atoms[0][1])
 
 
 def limit_law(dag: ComponentDag, traj: TrajectorySpec = None) -> LimitLaw:

@@ -72,11 +72,6 @@ class ComponentDag(Record):
     def K(self) -> int:
         return len(self.components)
 
-    @property
-    def non_critical_types(self) -> frozenset:
-        critical = frozenset().union(*(comp.types for comp in self.components))
-        return frozenset(self.model.type_indices) - critical
-
     def p_subtree(self, k: int) -> Scalar:
         return self.model.p_of(self.subtree_types[k])
 

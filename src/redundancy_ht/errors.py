@@ -14,7 +14,7 @@ class CapExceeded(RuntimeError):
 
 
 class PoleError(ArithmeticError):
-    """A generating-function denominator vanished (evaluation at a pole)."""
+    """A generating-function denominator reached zero (evaluation at or beyond a pole)."""
 
 
 class ConsistencyError(AssertionError):

@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DomainError, ModelError
 
-Scalar = Union[Fraction, int, float]
+Scalar = Fraction | int | float
 
 PROB_TOL = 1e-12  # |sum p_S - 1| tolerance for float inputs
 MODEL_FORMAT_VERSION = 1
@@ -60,20 +60,16 @@ class Record:
 
     Gives what `@dataclass(frozen=True)` gives, without compiling methods at
     import: `__init__` by position or keyword, then `__post_init__` when
-    defined; equality, hash and repr by field value; `replace`. A subclass
-    declared with `frozen=False` accepts assignment and is unhashable.
+    defined; equality, hash and repr by field value; `replace`. Assigning to
+    or deleting a field raises AttributeError.
     """
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
         get = operator.attrgetter(*fields)  # the field values as one tuple, read in C
         cls._values = property(get if len(fields) > 1 else lambda self: (get(self),))
-        if frozen:
-            cls.__setattr__ = cls.__delattr__ = Record._refuse
-        else:
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -89,8 +85,10 @@ class Record:
         if hasattr(self, "__post_init__"):
             self.__post_init__()
 
-    def _refuse(self, name, *value):
+    def __setattr__(self, name, *value):
         raise AttributeError(f"cannot change field {name!r} of a frozen {type(self).__name__}")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -176,14 +174,6 @@ class SystemModel(Record):
     def type_indices(self) -> range:
         return range(len(self.job_types))
 
-    @property
-    def mu_bar(self) -> Scalar:
-        """Average service speed (1/N) * sum mu_n; derived, never stored."""
-        total = sum(self.mu)
-        if is_exact(total):
-            return Fraction(total, len(self.mu))
-        return total / len(self.mu)
-
     def servers_of(self, type_set: Iterable[int]) -> frozenset:
         """Union of compatible servers over the given type indices."""
         servers = set()
@@ -216,19 +206,6 @@ class SystemModel(Record):
             raise ModelError("a model number is out of float range") from None
 
 
-def aggregate(model: SystemModel, type_set: Iterable[int]):
-    """Return (p(T), mu(T)) for a nonempty subset T of job-type indices.
-
-    mu(T) counts each compatible server exactly once.
-    """
-    type_set = frozenset(type_set)
-    if not type_set:
-        raise DomainError("aggregate of an empty set of job types")
-    if not type_set <= set(model.type_indices):
-        raise DomainError(f"unknown type indices {sorted(type_set - set(model.type_indices))}")
-    return model.p_of(type_set), model.mu_of(type_set)
-
-
 class TrajectorySpec(Record):
     """Direction and position on a heavy-traffic trajectory.
 
@@ -257,15 +234,11 @@ def default_trajectory(model: SystemModel, lam_star: Scalar) -> TrajectorySpec:
     return TrajectorySpec(gamma=gamma, epsilon=1 - model.lam / lam_star)
 
 
-def effective_rates(model: SystemModel, traj: TrajectorySpec, lam_star: Scalar = None) -> tuple:
+def effective_rates(model: SystemModel, traj: TrajectorySpec, lam_star: Scalar) -> tuple:
     """Per-type arrival rates lambda_S(eps) = N*lambda* p_S - eps*gamma_S.
 
     Raises DomainError naming the offending type if any rate is nonpositive.
     """
-    if lam_star is None:
-        from .criticality import critical_rate
-
-        lam_star = critical_rate(model)
     if len(traj.gamma) != model.n_types:
         raise ModelError("gamma length does not match the number of job types")
     n = model.n_servers
@@ -280,7 +253,7 @@ def effective_rates(model: SystemModel, traj: TrajectorySpec, lam_star: Scalar =
     return tuple(rates)
 
 
-def model_at_trajectory(model: SystemModel, traj: TrajectorySpec, lam_star: Scalar = None) -> SystemModel:
+def model_at_trajectory(model: SystemModel, traj: TrajectorySpec, lam_star: Scalar) -> SystemModel:
     """The pre-limit system with arrival rates lambda_S(eps): new lambda and p vector."""
     rates = effective_rates(model, traj, lam_star)
     total = sum(rates)

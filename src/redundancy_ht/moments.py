@@ -56,7 +56,8 @@ def moment(model: SystemModel, n: int, target: str = "total", discipline: str = 
         return limit_moment_total(dag.K, n)
     if not any(c[t] for comp in dag.components for t in comp.types):
         return 0
-    return _mixture_moment(dag, traj, n, c)
+    # E[(c.Y)^n] for Y the limit law on traj: n! [s^n] E[exp(s c.Y)]
+    return math.factorial(n) * limiting_transform(dag, [0] * len(c), traj, c, n)[n]
 
 
 def moment_total(model: SystemModel, n: int, discipline: str = "coc") -> Scalar:
@@ -76,11 +77,6 @@ def scaled_total_moment(model: SystemModel, lam_star: Scalar, eps: Scalar, n: in
     """((1 - lam/lam*)^n) E[Q^n] evaluated at lam = (1-eps) lam*."""
     pre = model.with_lambda((1 - eps) * lam_star)
     return eps ** n * moment_total(pre, n, discipline)
-
-
-def _mixture_moment(dag: ComponentDag, traj: TrajectorySpec, n: int, c) -> Scalar:
-    """E[(c.Y)^n] for Y the limit law on traj: n! [s^n] E[exp(s c.Y)]."""
-    return math.factorial(n) * limiting_transform(dag, [0] * len(c), traj, c, n)[n]
 
 
 def limit_response_time(report: CriticalityReport, model: SystemModel) -> Scalar:

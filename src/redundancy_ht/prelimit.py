@@ -141,13 +141,11 @@ def sample_prelimit(model: SystemModel, discipline: str, n: int, seed,
         groups = peeled
     entries_list = sorted(drawn, key=lambda e: (len(e), e))
     out = np.zeros((n, model.n_types), dtype=np.int64)
-    config_idx = np.zeros(n, dtype=np.int64)
     segments = {}  # prefix set -> 1 - p^{T,j} and the split fractions, as floats
     row = 0
-    for idx, entries in enumerate(entries_list):
+    for entries in entries_list:
         m = drawn[entries]
         block = slice(row, row + m)
-        config_idx[block] = idx
         for t in entries:
             out[block, t] += 1
         prefix = 0
@@ -165,7 +163,8 @@ def sample_prelimit(model: SystemModel, discipline: str, n: int, seed,
                 out[block, u] += splits[:, i]
         row += m
     if return_configs:
-        return out, config_idx, entries_list
+        counts = [drawn[entries] for entries in entries_list]
+        return out, np.repeat(np.arange(len(entries_list), dtype=np.int64), counts), entries_list
     return out
 
 

@@ -93,7 +93,7 @@ T975 = (12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.77644510519
         2.1098155778333156, 2.1009220402410382, 2.0930240544083087)
 
 
-class SimEstimate(Record, frozen=False):
+class SimEstimate(Record):
     discipline: str
     time_avg: numpy.ndarray  # per-type time-average queue length (waiting counts for cos)
     half_width: numpy.ndarray  # batch-means 95% half-widths, per type
@@ -429,7 +429,7 @@ def _ks_sorted(a, b):
     return stat, crit
 
 
-class ScaledLawRow(Record, frozen=False):
+class ScaledLawRow(Record):
     eps: float
     ks_per_type: tuple
     ks_total: float

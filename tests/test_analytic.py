@@ -60,6 +60,21 @@ def test_pgf_rejects_unstable():
         pgf_coc(model, [F(1, 2)])
 
 
+@pytest.mark.parametrize("pgf", [pgf_coc, pgf_cos])
+def test_pgf_refuses_z_outside_its_domain(pgf, n_model):
+    # E[prod z_t^Q_t] is finite iff N lam sum_{t in A} p_t |z_t| < mu(A) for
+    # every type set A; here N lam = 8/5 and mu = 2, 1, 2 on {0}, {1}, {0, 1}
+    outside = [(10, 10), (-1, 2), (3, 1), (F(5, 2), 1), (-3, 1), (2, 1), (-2, 1)]
+    for z in outside:
+        with pytest.raises(PoleError, match="beyond a pole"):
+            pgf(n_model, [F(x) for x in z])
+    with pytest.raises(PoleError):
+        pgf(n_model.as_float(), [2.0, 1.0])
+    for z in [(F(5, 4), 1), (F(6, 5), F(6, 5)), (F(-1, 2), F(1, 2))]:
+        assert 0 < abs(pgf(n_model, [F(x) for x in z])) < math.inf
+    assert pgf_coc(n_model, [F(5, 4), F(1)]) == 2
+
+
 def test_pgf_first_moment_cross_module(n_model):
     from redundancy_ht.moments import moment_total
 

@@ -416,6 +416,9 @@ def _n_model_with(section, index, key, value=None):
     ["verify-limit", "--eps", "0.1,0"],
     ["verify-limit", "--eps", "0.2", "--events", "50"],
     ["pgf", "--z", "5/2,1"],
+    ["pgf", "--z", "10,10"],
+    ["pgf", "--z=-1,2"],
+    ["pgf", "--z", "3,1", "--discipline", "cos"],
     ["moments", "--n", "1", "--limit", "--target", "type:x"],
     ["moments", "--n", "1", "--target", "type:" + "9" * 5000],  # past int()'s 4,300 digits
 )] + [(_n_model_with("servers", 0, "mu", "1e400"), ["verify-limit", "--events", "2000"]),
@@ -427,7 +430,8 @@ def _n_model_with(section, index, key, value=None):
          "z-not-a-number", "z-zero-denominator", "z-float-overflow", "t-not-finite",
          "t-grid-two-fields", "t-grid-fractional-steps", "t-grid-zero-steps",
          "t-divergent-zero", "t-divergent-negative", "t-divergent-float", "t-grid-divergent",
-         "eps-zero", "no-sample-at-eps", "z-at-a-pole", "target-not-an-integer",
+         "eps-zero", "no-sample-at-eps", "z-at-a-pole", "z-beyond-a-pole",
+         "z-negative-beyond-a-pole", "z-beyond-a-pole-cos", "target-not-an-integer",
          "target-beyond-int-digits",
          "mu-beyond-float-range", "exact-z-beyond-float-model", "eps-squared-underflows"])
 def test_malformed_model_exits_2(doc, argv, tmp_path, capsys):

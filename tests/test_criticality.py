@@ -245,7 +245,7 @@ def test_flow_choice_invariance(rng):
     assert flows_differ > 0
 
 
-def test_non_critical_types_excluded():
+def test_non_critical_type_joins_no_component():
     # weak CRP: only the {2}-singleton is critical; type {1,2} joins no component
     model = SystemModel(mu=(F(1), F(1)), lam=F(1, 2),
                         job_types=(frozenset({1, 2}), frozenset({2})), p=(F(1, 4), F(3, 4)))
@@ -253,7 +253,6 @@ def test_non_critical_types_excluded():
     assert report.crp_class is CrpClass.WEAK_CRP
     assert dag.K == 1
     assert dag.components[0].types == frozenset({1})
-    assert dag.non_critical_types == frozenset({0})
     assert all(0 not in v for v in dag.subtree_types)
 
 

@@ -44,6 +44,24 @@ def _oracle_imports(tree):
                         if alias.name == "redundancy_ht.oracles")
 
 
+def _package_imports(tree):
+    """The package modules a module imports, at module level or in a function body."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            if not node.level:
+                if path[0] != "redundancy_ht":
+                    continue
+                path = path[1:]
+            if path and path[0]:
+                yield path[0]
+            else:  # from . import name
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[1] for alias in node.names
+                        if alias.name.startswith("redundancy_ht."))
+
+
 def _defined(tree):
     """Names bound at module level by a def, a class or an assignment."""
     out = set()
@@ -63,6 +81,16 @@ def test_production_modules_import_no_oracle():
     found = {(name, imported) for name in sorted(production)
              for imported in _oracle_imports(modules[name])}
     assert found == ALLOWED
+
+
+def test_model_imports_no_package_module_but_errors():
+    # every layer builds on model, so an import back from it closes a cycle
+    modules = _modules()
+    assert set(_package_imports(modules["moments"])) == {
+        "analytic", "criticality", "errors", "model", "prelimit"}
+    # simulator imports oracles in a function body only
+    assert set(_package_imports(modules["simulator"])) >= {"_kernels", "oracles"}
+    assert set(_package_imports(modules["model"])) == {"errors"}
 
 
 def test_oracles_are_defined_in_the_oracles_module_only():

@@ -21,7 +21,7 @@ from redundancy_ht import (SystemModel, TrajectorySpec, default_trajectory, gene
 from redundancy_ht.analytic import limiting_transform, pgf_coc, pgf_cos, sigma_mixture
 from redundancy_ht.criticality import crp_components
 from redundancy_ht.errors import DomainError
-from redundancy_ht.moments import _mixture_moment, moment, moment_total
+from redundancy_ht.moments import moment, moment_total
 from redundancy_ht.oracles import (_compositions, config_distribution,
                                    critical_rate_and_subsets_bruteforce, enumerate_k_critical,
                                    geometric_moment_factor, h_term, iter_ordered_type_tuples,
@@ -335,7 +335,8 @@ def test_linear_moments_converge_to_the_limit(n_model, four_server, diamond):
         gamma = tuple(nlam * p * F(rng.randint(2, 8), 4) for p in model.p)
         c = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in model.type_indices]
         for n in (1, 2):
-            limit = _mixture_moment(dag, TrajectorySpec(gamma, F(0)), n, c)
+            limit = math.factorial(n) * limiting_transform(dag, [0] * len(c),
+                                                           TrajectorySpec(gamma, F(0)), c, n)[n]
             for discipline in ("coc", "cos"):
                 errors = []
                 for eps in (F(1, 10), F(1, 100), F(1, 1000)):

@@ -323,13 +323,14 @@ def test_ks_two_sample_needs_two_samples():
         ks_two_sample([], [1.0])
 
 
-def _modules_loaded_by_cli_import(then=""):
+def _modules_loaded_by_cli_import(then="", site=True):
     """The module names a fresh interpreter holds after `import redundancy_ht.cli`
-    and then the statements `then`."""
+    and then the statements `then`; with site=False it starts with -S."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = f"import sys, redundancy_ht.cli\n{then}\nprint(' '.join(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    flags = [] if site else ["-S"]
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
                           timeout=120, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout.splitlines()[-1].split()
@@ -356,6 +357,11 @@ def test_cli_import_loads_no_numpy():
     assert not LAZY & set(loaded)
     layers = ("criticality", "analytic", "prelimit", "moments", "simulator", "model", "cli")
     assert {f"redundancy_ht.{layer}" for layer in layers} <= set(loaded)
+
+
+def test_cli_import_loads_no_typing():
+    # without site, whose .pth files may load typing before the package does
+    assert "typing" not in _modules_loaded_by_cli_import(site=False)
 
 
 def test_exact_commands_load_no_numpy(n_model, tmp_path):
