@@ -35,10 +35,9 @@ for name, model in systems.items():
           sorted(sorted(s) for s in report.critical_subsets))
 
     dag = crp_components(model, report.lambda_star)
-    for k, comp in enumerate(dag.components):
+    for k, (comp, v) in enumerate(zip(dag.components, dag.subtree_types)):
         print(f"  component {k}: types {sorted(comp.types)} <-> servers {sorted(comp.servers)}"
-              f"   subtree V_{k} = {sorted(dag.subtree_types[k])}"
-              f" (p(V_{k}) = {dag.p_subtree(k)})")
+              f"   subtree V_{k} = {sorted(v)} (p(V_{k}) = {model.p_of(v)})")
     print("overflow edges:", sorted(dag.edges))
     print("topological orders:", dag.topo_orders)
     built = critical_subsets_via_construction(dag)

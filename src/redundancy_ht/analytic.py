@@ -7,7 +7,9 @@ factor of a product depends only on a prefix set and its newest element,
 so one recursion over the subsets of types (_prefix_table), weighted by
 one over the subsets of servers (_idle_sums), computes these sums as power
 series in s; the PGFs, the pre-limit moments and the exact sampler read
-it.
+it. _kappa alone decides a discipline's weights (none for c.o.c., the
+idle-server sums for c.o.s.), after checking the discipline's name and the
+model's stability; prelimit, simulator and oracles take it from here.
 
 Limit: as the arrival-rate vector approaches the stability boundary along
 a trajectory lambda_S(eps) = N*lambda* p_S - eps*gamma_S, the scaled queue
@@ -74,6 +76,22 @@ def _idle_sums(model: SystemModel) -> list:
             if idle >> u & 1:
                 kappa[idle] = kappa[idle] + kappa[idle ^ 1 << u]
     return kappa
+
+
+DISCIPLINES = ("coc", "cos")
+
+
+def _check_discipline(discipline: str):
+    if discipline not in DISCIPLINES:
+        raise DomainError(f"unknown discipline {discipline!r}; expected one of {DISCIPLINES}")
+
+
+def _kappa(model: SystemModel, discipline: str):
+    """The idle-server sums the discipline weighs with (None for c.o.c.),
+    once the discipline is known and the model stable."""
+    _check_discipline(discipline)
+    require_stable(model)
+    return _idle_sums(model) if discipline == "cos" else None
 
 
 def _free_idle_sum(model: SystemModel, kappa: list, types) -> Scalar:
@@ -169,8 +187,7 @@ def _pgf(model: SystemModel, z, kappa) -> Scalar:
 def pgf_coc(model: SystemModel, z) -> Scalar:
     """Joint PGF of per-type job counts under cancel-on-completion: f(z)/f(1),
     with f(z) the sum of oracles.h_term over all ordered vectors of distinct types."""
-    require_stable(model)
-    return _pgf(model, z, None)
+    return _pgf(model, z, _kappa(model, "coc"))
 
 
 def pgf_cos(model: SystemModel, z) -> Scalar:
@@ -179,8 +196,7 @@ def pgf_cos(model: SystemModel, z) -> Scalar:
     g(z) sums oracles.h_term(T, z) times the ordered-idle-server weights of the
     servers compatible with no type in T.
     """
-    require_stable(model)
-    return _pgf(model, z, _idle_sums(model))
+    return _pgf(model, z, _kappa(model, "cos"))
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +215,6 @@ class LimitLaw(Record):
     """Y_S = sum_k coeffs[k][S] * U_k with U_k i.i.d. unit-mean exponential."""
 
     coeffs: tuple  # K rows, one per component, each a tuple over job types
-
-    @property
-    def K(self) -> int:
-        return len(self.coeffs)
 
     @property
     def atoms(self) -> tuple:
@@ -229,12 +241,10 @@ def limit_law(dag: ComponentDag, traj: TrajectorySpec = None) -> LimitLaw:
     n = model.n_servers
     traj = _direction(model, dag.lambda_star, traj)
     rows = []
-    for k in range(dag.K):
-        gv = dag.gamma_subtree(k, traj)
-        row = tuple(
-            (n * dag.lambda_star * model.p[t] / gv) if t in dag.subtree_types[k] else 0
-            for t in model.type_indices)
-        rows.append(row)
+    for v in dag.subtree_types:
+        gv = traj.gamma_of(v)
+        rows.append(tuple((n * dag.lambda_star * model.p[t] / gv) if t in v else 0
+                          for t in model.type_indices))
     return LimitLaw(coeffs=tuple(rows))
 
 

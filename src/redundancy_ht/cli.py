@@ -198,7 +198,7 @@ def cmd_limit_law(args):
     law = analytic.limit_law(dag, traj)
     mix = analytic.sigma_mixture(dag, traj)
     payload = {
-        "K": law.K,
+        "K": dag.K,
         "type_labels": model.labels(),
         "coefficients": [[_num(a) for a in row] for row in law.coeffs],
         "subtrees_laminar": dag.subtrees_laminar,

@@ -53,7 +53,7 @@ class CrpComponent(Record):
 
 
 class ComponentDag(Record):
-    """CRP components with overflow edges, precedence masks and rooted subtrees.
+    """CRP components with their overflow edges and rooted subtrees.
 
     Components are canonically ordered ascending by (subtree size, min type
     index), which is itself a valid reverse-topological order: every edge
@@ -64,29 +64,22 @@ class ComponentDag(Record):
     lambda_star: Scalar
     components: tuple  # tuple of CrpComponent
     edges: frozenset  # (i, j): some type in C_i is compatible with a server in Z_j
-    before: tuple  # per component i: bitmask of the j with (i, j) in edges, which sigma puts first
-    subtree_nodes: tuple  # per component: frozenset of component indices in its rooted subtree
     subtree_types: tuple  # per component: V_k as frozenset of type indices
 
     @property
     def K(self) -> int:
         return len(self.components)
 
-    def p_subtree(self, k: int) -> Scalar:
-        return self.model.p_of(self.subtree_types[k])
-
-    def gamma_subtree(self, k: int, traj) -> Scalar:
-        return traj.gamma_of(self.subtree_types[k])
-
     @cached_property
     def down_sets(self) -> tuple:
-        """Every down-set (holding before[i] for each of its i), the sets of
-        components some sigma places first, as bitmasks by size then value;
-        breadth-first, refusing beyond 2^SUBSET_CAP sets."""
+        """Every down-set (holding each j with (i, j) in edges for each of its
+        i), the sets of components some sigma places first, as bitmasks by
+        size then value; breadth-first, refusing beyond 2^SUBSET_CAP sets."""
+        before = [sum(1 << j for a, j in self.edges if a == i) for i in range(self.K)]
         level, out = [0], [0]
         while level:
             level = sorted({d | 1 << i for d in level for i in range(self.K)
-                            if not d >> i & 1 and self.before[i] & ~d == 0})
+                            if not d >> i & 1 and before[i] & ~d == 0})
             out += level
             if len(out) > 1 << SUBSET_CAP:
                 raise CapExceeded(f"K={self.K} components have more than 2^{SUBSET_CAP} down-sets")
@@ -112,10 +105,10 @@ class ComponentDag(Record):
 
         The subtree product form of the limit law (and the nested-sum
         identity behind it) is valid exactly in this case; two incomparable
-        components sharing a descendant break it.
+        components sharing a descendant break it. Subtrees are unions of whole
+        components, so type sets decide it as component sets would.
         """
-        sets = self.subtree_nodes
-        for a, b in itertools.combinations(sets, 2):
+        for a, b in itertools.combinations(self.subtree_types, 2):
             inter = a & b
             if inter and inter != a and inter != b:
                 return False
@@ -316,10 +309,6 @@ def _assemble_dag(model: SystemModel, lam_star, comps, subtrees) -> ComponentDag
         lambda_star=lam_star,
         components=comps,
         edges=edges,
-        before=tuple(sum(1 << j for (a, j) in edges if a == i) for i in range(len(comps))),
-        # rooted subtree of i = the components whose types i's types reach
-        subtree_nodes=tuple(frozenset(j for j, c in enumerate(comps) if c.types <= v)
-                            for v in subtrees),
         subtree_types=subtrees,
     )
 

@@ -156,6 +156,14 @@ class SystemModel(Record):
                 raise ModelError(f"p_S must sum to 1 exactly, got {total}")
         elif abs(total - 1) > PROB_TOL:
             raise ModelError(f"p_S must sum to 1, got {total!r}")
+        if not self.exact:  # the simulator draws events at this total rate, in floats
+            try:
+                rate = float(n * self.lam + sum(self.mu))
+            except OverflowError:
+                rate = math.inf
+            if not math.isfinite(rate):
+                raise ModelError("the total event rate N*lambda + sum(mu) is beyond the "
+                                 "float range")
 
     @property
     def exact(self) -> bool:

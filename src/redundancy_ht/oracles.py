@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .analytic import MixtureLaw, _direction, _free_idle_sum
+from .analytic import MixtureLaw, _check_discipline, _direction, _free_idle_sum, _kappa
 from .criticality import ComponentDag, CriticalityReport, _classify, _require_exact
 from .errors import CapExceeded, ConsistencyError, DomainError, PoleError
-from .model import Scalar, SystemModel, TrajectorySpec
-from .prelimit import MOMENT_ORDER_CAP, _check_discipline, _kappa
+from .model import Record, Scalar, SystemModel, TrajectorySpec
+from .prelimit import MOMENT_ORDER_CAP
 
 ENUM_CAP = 8  # listing ordered type vectors refuses beyond this many types
 BRUTEFORCE_CAP = 20  # refuse 2^|S| scans beyond this many job types
@@ -30,8 +29,7 @@ STATE_CAP = 2_000_000
 # Ordered type vectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrderedTypeVector:
+class OrderedTypeVector(Record):
     """An ordered vector of distinct job types with its prefix aggregates.
 
     cr_indices holds the 1-based positions j at which the prefix
@@ -150,8 +148,7 @@ def config_prob(model: SystemModel, entries, discipline: str = "coc") -> Scalar:
         raise DomainError(f"{entries} is not an ordered vector of distinct types") from None
 
 
-@dataclass(frozen=True)
-class RepresentationMatrices:
+class RepresentationMatrices(Record):
     """P(T), W(T) and the indicator vector of the queue-vector representation.
 
     P is the |S| x |S| permutation aligning T-order rows to type order
@@ -326,8 +323,8 @@ def beta_hat(dag: ComponentDag, sigma) -> Scalar:
 def beta_hat_sigma_k(dag: ComponentDag) -> Scalar:
     """prod_k 1 / p(V_k)."""
     val = 1
-    for k in range(dag.K):
-        val = val / dag.p_subtree(k)
+    for v in dag.subtree_types:
+        val = val / dag.model.p_of(v)
     return val
 
 
@@ -344,8 +341,8 @@ def sigma_weight_formula(dag: ComponentDag, sigma, traj: TrajectorySpec = None) 
     for i in sigma:
         acc |= dag.components[i].types
         val = val / traj.gamma_of(acc)
-    for k in range(dag.K):
-        val = val * dag.gamma_subtree(k, traj)
+    for v in dag.subtree_types:
+        val = val * traj.gamma_of(v)
     return val
 
 
@@ -369,8 +366,8 @@ def nested_sum_identity(c, dag: ComponentDag):
             term = term / acc
         lhs = lhs + term
     rhs = 1
-    for k in range(dag.K):
-        rhs = rhs / sum(c[j] for j in dag.subtree_nodes[k])
+    for v in dag.subtree_types:
+        rhs = rhs / sum(c[j] for j, comp in enumerate(dag.components) if comp.types <= v)
     return lhs, rhs
 
 

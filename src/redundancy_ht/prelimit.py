@@ -16,34 +16,21 @@ those probabilities.
 
 Every moment reads one prefix-set series: E[(c.Q)^n] is n! times the
 coefficient of s^n in the PGF at z_t = e^{c_t s} (linear_moment). The
-total moments of `moments` take c = 1, the per-type means c = e_S.
+total moments of `moments` take c = 1, the per-type means c = e_S. The
+sampler and the moments weigh by the discipline's idle-server sums from
+analytic._kappa, as the PGFs do.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .analytic import (_bits, _check_seed, _draw_counts, _idle_sums, _prefix_series,
-                       _prefix_table, _set_weights)
-from .criticality import require_stable
+from .analytic import (_bits, _check_seed, _draw_counts, _kappa, _prefix_series, _prefix_table,
+                       _set_weights)
 from .errors import DomainError
 from .model import Record, Scalar, SystemModel
 
-DISCIPLINES = ("coc", "cos")
 MOMENT_ORDER_CAP = 12
-
-
-def _check_discipline(discipline: str):
-    if discipline not in DISCIPLINES:
-        raise DomainError(f"unknown discipline {discipline!r}; expected one of {DISCIPLINES}")
-
-
-def _kappa(model: SystemModel, discipline: str):
-    """The idle-server sums the discipline weighs with (None for c.o.c.),
-    once the discipline is known and the model stable."""
-    _check_discipline(discipline)
-    require_stable(model)
-    return _idle_sums(model) if discipline == "cos" else None
 
 
 class SegmentLaw(Record):

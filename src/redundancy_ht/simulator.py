@@ -66,11 +66,10 @@ from collections import deque
 from fractions import Fraction
 
 from . import _kernels
-from .analytic import _check_seed
+from .analytic import _check_discipline, _check_seed
 from .criticality import ComponentDag, require_stable
 from .errors import DomainError
 from .model import Record, SystemModel, TrajectorySpec, model_at_trajectory
-from .prelimit import _check_discipline
 
 
 def __getattr__(name):
@@ -160,7 +159,12 @@ def _estimate(fmodel, discipline, batches, samples, events, wall, kernel="python
     s = fmodel.n_types
     areas = np.array([area for area, _ in batches])
     durations = np.array([duration for _, duration in batches])
-    time_avg = areas.sum(axis=0) / durations.sum()
+    with np.errstate(all="ignore"):  # refused below when the clock overflowed
+        area_total, time_total = areas.sum(axis=0), durations.sum()
+    if not (np.isfinite(area_total).all() and np.isfinite(time_total)):
+        raise DomainError("the time averages are not finite: the simulated time or a "
+                          "count's time integral is beyond the float range")
+    time_avg = area_total / time_total
     bm = areas / durations[:, None]
     nb = bm.shape[0]
     if nb >= 2:
@@ -462,14 +466,22 @@ def scaled_law_check(dag: ComponentDag, discipline, eps_values, events_per_eps, 
     ref_total = np.sort(ref.sum(axis=1))
     ref_cols = [np.sort(ref[:, t]) for t in range(model.n_types)]
     gamma = _direction(model, lam_star, traj).gamma
+    runs = []  # (horizon, spacing) per eps, all checked before the first simulation
     for i, eps in enumerate(eps_values):
-        pre = model_at_trajectory(model, TrajectorySpec(gamma, Fraction(eps)), lam_star)
         horizon = events_per_eps if isinstance(events_per_eps, int) else events_per_eps[i]
         try:
             spacing = max(KS_MIN_SPACING, int(8.0 / eps ** 2))
         except (ZeroDivisionError, OverflowError):  # eps^-2 beyond the float range
             raise DomainError(f"{horizon} events give no sample ~eps^-2 events apart "
                               f"at eps={eps}") from None
+        # an epoch needs `spacing` departures; a run starts empty, so each
+        # departure follows its job's arrival and at most half the events,
+        # warm-up included, are departures (simulate refuses a horizon < 1)
+        if 0 < horizon and spacing > (simulate_size(horizon, spacing)[0] + horizon) // 2:
+            raise DomainError(f"{horizon} events give no sample {spacing} events apart at eps={eps}")
+        runs.append((horizon, spacing))
+    for i, (eps, (horizon, spacing)) in enumerate(zip(eps_values, runs)):
+        pre = model_at_trajectory(model, TrajectorySpec(gamma, Fraction(eps)), lam_star)
         est = simulate(pre, discipline, horizon_events=horizon, seed=seed + i,
                        sample_every=spacing)
         if not len(est.samples):

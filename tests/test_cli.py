@@ -389,6 +389,15 @@ def _n_model_with(section, index, key, value=None):
     return doc
 
 
+def _two_servers(mu, lam):
+    """The N-model's types on two servers of speed mu at lambda, its p in the
+    backend of mu: exact for strings, floats for bare numbers."""
+    half = "1/2" if isinstance(mu, str) else 0.5
+    return {"servers": [{"id": i, "mu": mu} for i in (1, 2)],
+            "types": [{"servers": [1, 2], "p": half}, {"servers": [2], "p": half}],
+            "lambda": lam}
+
+
 @pytest.mark.parametrize("doc, argv", [(doc, ["analyze"]) for doc in (
     _n_model_with("servers", 0, "mu"),
     _n_model_with("servers", 0, "mu", "x"),
@@ -423,7 +432,17 @@ def _n_model_with(section, index, key, value=None):
     ["moments", "--n", "1", "--target", "type:" + "9" * 5000],  # past int()'s 4,300 digits
 )] + [(_n_model_with("servers", 0, "mu", "1e400"), ["verify-limit", "--events", "2000"]),
        (dict(N_MODEL_DOC, **{"lambda": 0.25}), ["pgf", "--z", "1e400,1"]),
-       (N_MODEL_DOC, ["verify-limit", "--eps", "1e-200", "--events", "300"])],
+       (N_MODEL_DOC, ["verify-limit", "--eps", "1e-200", "--events", "300"])] + [
+    # event rates beyond the float range: refused as exact values meet the
+    # simulator and as bare numbers are read
+    (_two_servers("1.7e308", "1e308"), ["simulate", "--events", "1000"]),
+    (_two_servers("1.7e308", "1e308"), ["verify-limit", "--events", "2000", "--eps", "0.2"]),
+    (_two_servers(1.7e308, 1e308), ["pgf", "--z", "1/2,1/2"]),
+    (_two_servers(1.7e308, 1e308), ["sample", "--n", "10"]),
+    (_two_servers(1.7e308, 1e308), ["moments", "--n", "1"]),
+    # holding times near 1e305 carry the clock past the float range
+    (_two_servers("1e-305", "1e-306"), ["simulate", "--events", "10000"]),
+    (_two_servers("1e-305", "1e-306"), ["verify-limit", "--events", "20000", "--eps", "0.2"])],
     ids=["missing-mu", "bad-mu", "p-zero-denominator", "type-without-servers",
          "string-server-id", "string-type-server", "servers-not-a-list", "not-an-object",
          "trajectory-without-epsilon", "sample-every-zero", "negative-warmup",
@@ -433,7 +452,11 @@ def _n_model_with(section, index, key, value=None):
          "eps-zero", "no-sample-at-eps", "z-at-a-pole", "z-beyond-a-pole",
          "z-negative-beyond-a-pole", "z-beyond-a-pole-cos", "target-not-an-integer",
          "target-beyond-int-digits",
-         "mu-beyond-float-range", "exact-z-beyond-float-model", "eps-squared-underflows"])
+         "mu-beyond-float-range", "exact-z-beyond-float-model", "eps-squared-underflows",
+         "rate-beyond-float-simulate", "rate-beyond-float-verify-limit",
+         "float-rate-beyond-float-pgf", "float-rate-beyond-float-sample",
+         "float-rate-beyond-float-moments", "clock-overflow-simulate",
+         "clock-overflow-verify-limit"])
 def test_malformed_model_exits_2(doc, argv, tmp_path, capsys):
     """A malformed model file or argument exits 2 with a one-line message."""
     path = tmp_path / "bad.json"

@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from redundancy_ht import SystemModel, generators
-from redundancy_ht.criticality import (CrpClass, _FlowNet, _saturate, critical_rate,
-                                       critical_subsets_via_construction, crp_components,
-                                       require_stable)
+from redundancy_ht.criticality import (ComponentDag, CrpClass, _FlowNet, _saturate,
+                                       critical_rate, critical_subsets_via_construction,
+                                       crp_components, require_stable)
 from redundancy_ht.errors import CapExceeded, DomainError
 from redundancy_ht.oracles import check_stability, critical_rate_and_subsets_bruteforce
 
@@ -320,9 +320,9 @@ def test_components_match_critical_subset_definition():
 
 def test_dag_fields_match_their_definitions():
     # on the same 300 models: edges are the type-to-server compatibility
-    # relation between components, before[i] the edges out of i, subtree_nodes
-    # the components inside subtree_types, and the components ascend by
-    # (subtree size, smallest type)
+    # relation between components, each subtree_types entry is the union of
+    # the components inside it, and the components ascend by (subtree size,
+    # smallest type)
     rng = random.Random(11)
     for _ in range(300):
         model = _tie_heavy_model(rng)
@@ -330,14 +330,17 @@ def test_dag_fields_match_their_definitions():
         comps = dag.components
         assert dag.edges == {(i, j) for i, ci in enumerate(comps) for j, cj in enumerate(comps)
                              if i != j and model.servers_of(ci.types) & cj.servers}
-        assert dag.before == tuple(sum(1 << j for j in range(dag.K) if (i, j) in dag.edges)
-                                   for i in range(dag.K))
-        assert dag.subtree_nodes == tuple(
-            frozenset(j for j, cj in enumerate(comps) if cj.types <= v) for v in dag.subtree_types)
-        assert all(frozenset().union(*(comps[j].types for j in nodes)) == v
-                   for nodes, v in zip(dag.subtree_nodes, dag.subtree_types))
-        keys = [(len(nodes), min(comp.types)) for nodes, comp in zip(dag.subtree_nodes, comps)]
+        inside = [[c for c in comps if c.types <= v] for v in dag.subtree_types]
+        assert all(frozenset().union(*(c.types for c in cs)) == v
+                   for cs, v in zip(inside, dag.subtree_types))
+        keys = [(len(cs), min(comp.types)) for cs, comp in zip(inside, comps)]
         assert keys == sorted(keys)
+
+
+def test_dag_stores_edges_and_subtree_types_only():
+    # precedence masks and subtree component sets are derived from these
+    assert ComponentDag._fields == ("model", "lambda_star", "components", "edges",
+                                    "subtree_types")
 
 
 def test_components_search_the_residual_graph_1_plus_2k_times(monkeypatch):

@@ -93,6 +93,15 @@ def test_model_imports_no_package_module_but_errors():
     assert set(_package_imports(modules["model"])) == {"errors"}
 
 
+def test_disciplines_are_weighed_in_analytic_only():
+    # analytic alone decides which idle-server weights a discipline takes
+    modules = _modules()
+    names = {"DISCIPLINES", "_check_discipline", "_kappa"}
+    assert names <= _defined(modules["analytic"])
+    assert not names & _defined(modules["prelimit"])
+    assert "prelimit" not in set(_package_imports(modules["simulator"]))
+
+
 def test_oracles_are_defined_in_the_oracles_module_only():
     modules = _modules()
     assert set(ORACLES) <= _defined(modules["oracles"])

@@ -16,8 +16,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from redundancy_ht import (SystemModel, TrajectorySpec, default_trajectory, generators,
-                           model_at_trajectory, prelimit)
+from redundancy_ht import (SystemModel, TrajectorySpec, analytic, default_trajectory,
+                           generators, model_at_trajectory)
 from redundancy_ht.analytic import limiting_transform, pgf_coc, pgf_cos, sigma_mixture
 from redundancy_ht.criticality import crp_components
 from redundancy_ht.errors import DomainError
@@ -167,8 +167,8 @@ def test_means_match_segment_sums():
 
 def test_means_sum_idle_servers_once(monkeypatch):
     calls = []
-    real = prelimit._idle_sums
-    monkeypatch.setattr(prelimit, "_idle_sums", lambda model: calls.append(model) or real(model))
+    real = analytic._idle_sums
+    monkeypatch.setattr(analytic, "_idle_sums", lambda model: calls.append(model) or real(model))
     for _, model in _models(412, 6):
         for discipline in ("coc", "cos"):
             per_type = tuple(linear_moment(model, [int(u == t) for u in model.type_indices], 1,

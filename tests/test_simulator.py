@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from redundancy_ht import SystemModel, generators
+from redundancy_ht import SystemModel, _kernels, generators, simulator
 from redundancy_ht.analytic import LimitLaw, sample_limit
 from redundancy_ht.criticality import crp_components
 from redundancy_ht.errors import CapExceeded, DomainError
@@ -196,6 +196,36 @@ def test_unstable_model_is_refused():
     model = SystemModel(mu=(F(1),), lam=F(2), job_types=(frozenset({1}),), p=(F(1),))
     with pytest.raises(DomainError, match=r"^model is unstable: lambda = 2 >= lambda\* = 1$"):
         simulate(model, "coc", horizon_events=100)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["default-kernel", "python-kernel"])
+def test_clock_beyond_float_range_is_refused(compiled, monkeypatch):
+    # every holding time is at least 1/(N lambda + sum mu) ~ 4.5e304, so the
+    # 10,000 events of the batches take more time than the largest float
+    if not compiled:
+        monkeypatch.setattr(_kernels, "library", lambda: None)
+    model = SystemModel(mu=(F(1, 10 ** 305),) * 2, lam=F(1, 10 ** 306),
+                        job_types=(frozenset({1, 2}), frozenset({2})), p=(F(1, 2),) * 2)
+    for discipline in ("coc", "cos"):
+        with pytest.raises(DomainError, match=r"^the time averages are not finite"):
+            simulate(model, discipline, horizon_events=10_000)
+
+
+@pytest.mark.parametrize("eps, events, spacing", [(0.0001, 10_000_000, 800_000_000),
+                                                   (0.01, 70_000, 80_000)])
+def test_scaled_law_check_refuses_a_spacing_beyond_the_run_first(eps, events, spacing, n_model,
+                                                                  monkeypatch):
+    # a run of events plus a fifth in warm-up departs at most half as often:
+    # 6e6 and 42,000 times here, fewer than one spacing; the refusal comes
+    # before the eps = 0.2 run
+    def never(*args, **kwargs):
+        raise AssertionError("a simulation ran before the spacing was checked")
+
+    monkeypatch.setattr(simulator, "simulate", never)
+    with pytest.raises(DomainError, match=f"^{events} events give no sample {spacing} events "
+                                          f"apart at eps={eps}$"):
+        scaled_law_check(crp_components(n_model), "coc", eps_values=[0.2, eps],
+                         events_per_eps=events)
 
 
 def test_a_seed_is_an_integer_at_least_zero(n_model):
@@ -386,6 +416,13 @@ ORACLE_EXPORTS = (
     "moment_total_alt", "moments_identity", "nested_sum_identity", "omega_weight",
     "ordered_vector", "p_star", "representation_matrices", "sigma_aggregate",
     "sigma_weight_formula")
+
+
+def test_oracles_import_loads_no_dataclasses():
+    # the oracles' records derive from model.Record, as every other record does
+    loaded = _modules_loaded_by_cli_import("import redundancy_ht.oracles")
+    assert "redundancy_ht.oracles" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 def test_oracle_names_resolve_from_the_package():
