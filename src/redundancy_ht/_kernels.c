@@ -8,13 +8,17 @@
  * - The random stream is CPython's MT19937, started from the state that
  *   `random.Random(seed)` holds after seeding (`init_by_array` over the
  *   32-bit words of abs(seed)); each uniform is `genrand_res53`, and each
- *   event draws and discards one uniform before the one that picks it.
+ *   event passes over the two words of one discarded uniform, neither
+ *   tempered nor converted, before it draws the one that picks it.
  * - The event rates of the current busy set are the left folds of
  *   `_EventTable`: the arrival boundaries (given), then lam_total and the
  *   running sums of the busy servers' speeds in server order, the last entry
  *   inf; q = lam_total + (the busy speeds folded from 0.0), and the clock
  *   advances by 1/q. They are refolded whenever the busy set changes, so no
  *   table over state masks is kept and the number of types is not capped.
+ *   Under c.o.c. a server is busy while a queue it serves is nonempty: each
+ *   server counts those queues, and the counts change only when a queue
+ *   fills or empties.
  * - The event is `bisect_right` of u*q into those rates, as CPython runs it.
  * - FCFS picks the compatible queue whose head has the smallest job id, in
  *   the server's type order; c.o.s. scans the idle servers longest idle
@@ -44,26 +48,32 @@ typedef struct {
     int index;
 } mt_t;
 
-static uint32_t genrand_uint32(mt_t *g)
+/* The next MT_N words, once the last ones are used. */
+static void mt_twist(mt_t *g)
 {
     static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
     uint32_t *mt = g->state;
     uint32_t y;
-    if (g->index >= MT_N) {
-        int kk;
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        g->index = 0;
+    int kk;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
     }
-    y = mt[g->index++];
+    for (; kk < MT_N - 1; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+    }
+    y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+    g->index = 0;
+}
+
+static uint32_t genrand_uint32(mt_t *g)
+{
+    uint32_t y;
+    if (g->index >= MT_N)
+        mt_twist(g);
+    y = g->state[g->index++];
     y ^= (y >> 11);
     y ^= (y << 7) & 0x9d2c5680U;
     y ^= (y << 15) & 0xefc60000U;
@@ -75,6 +85,18 @@ static double genrand_res53(mt_t *g)
 {
     uint32_t a = genrand_uint32(g) >> 5, b = genrand_uint32(g) >> 6;
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* Pass over the two words of a genrand_res53 whose value is not used: the
+ * state moves as if they were drawn, with no tempering and no conversion. */
+static void skip_res53(mt_t *g)
+{
+    int k;
+    for (k = 0; k < 2; k++) {
+        if (g->index >= MT_N)
+            mt_twist(g);
+        g->index++;
+    }
 }
 
 /* ---- growable FCFS queues of job ids: ring buffers, capacity a power of 2 ---- */
@@ -155,7 +177,8 @@ static void rates_free(rates_t *r)
     free(r->busy);
 }
 
-static void rates_refold(rates_t *r, const char *is_busy)
+/* Refold for the servers whose entry of `is_busy` is nonzero. */
+static void rates_refold(rates_t *r, const int *is_busy)
 {
     double run = r->lam_total, speeds = 0.0;
     int b = 0, srv;
@@ -180,7 +203,7 @@ static int next_event(const rates_t *r, mt_t *g)
 {
     double u;
     int lo = 0, hi = r->len;
-    genrand_res53(g); /* the sampled holding time's uniform, discarded */
+    skip_res53(g); /* the sampled holding time's uniform, discarded */
     u = genrand_res53(g) * r->q;
     while (lo < hi) {
         int mid = (int)(((unsigned)lo + (unsigned)hi) / 2);
@@ -255,6 +278,33 @@ static void end_batch(const counts_t *c, double *area_row, double *duration)
     *duration = c->now;
 }
 
+/* Per job type, the servers that serve it: servers[start[t] .. start[t + 1]),
+ * from the types per server; start has s + 2 entries, the last unused. */
+static void servers_by_type(int s, int n, const int32_t *compat_start, const int32_t *compat,
+                            int32_t *start, int32_t *servers)
+{
+    int32_t k;
+    int srv, t;
+    for (k = 0; k < compat_start[n]; k++)
+        start[compat[k] + 2]++;
+    for (t = 2; t < s + 2; t++)
+        start[t] += start[t - 1];
+    for (srv = 0; srv < n; srv++)
+        for (k = compat_start[srv]; k < compat_start[srv + 1]; k++)
+            servers[start[compat[k] + 1]++] = srv;
+}
+
+/* Add delta, 1 or -1, to the nonempty queues of each server in `servers`;
+ * returns whether one of them became busy (1) or idle (-1). */
+static int occupy(int *nonempty, const int32_t *servers, int32_t n_servers, int delta)
+{
+    int changed = 0;
+    int32_t i;
+    for (i = 0; i < n_servers; i++)
+        changed |= (nonempty[servers[i]] += delta) == (delta > 0);
+    return changed;
+}
+
 /*
  * Common arguments of both kernels:
  *   s, n              types and servers
@@ -286,7 +336,11 @@ int rht_run_coc(int s, int n, double lam_total, const double *arrivals, const do
     rates_t r = {0};
     counts_t c = {0};
     ring_t *queues = calloc((size_t)s, sizeof *queues);
-    char *is_busy = calloc((size_t)(n ? n : 1), 1);
+    /* a server is busy when a type it serves is present: per server, the
+     * nonempty queues it serves, which change when a queue fills or empties */
+    int *nonempty = calloc((size_t)(n ? n : 1), sizeof *nonempty);
+    int32_t *by_type_start = calloc((size_t)s + 2, sizeof *by_type_start);
+    int32_t *by_type = malloc((size_t)(compat_start[n] ? compat_start[n] : 1) * sizeof *by_type);
     int64_t next_id = 0, countdown = sample_every, i;
     int status, seg, dirty = 1, t, srv;
 
@@ -295,24 +349,16 @@ int rht_run_coc(int s, int n, double lam_total, const double *arrivals, const do
     status = rates_init(&r, s, n, lam_total, arrivals, mu);
     if (status == RHT_OK)
         status = counts_init(&c, s, samples, cap_samples);
-    if (status == RHT_OK && (!queues || !is_busy))
+    if (status == RHT_OK && (!queues || !nonempty || !by_type_start || !by_type))
         status = RHT_NOMEM;
+    if (status == RHT_OK)
+        servers_by_type(s, n, compat_start, compat, by_type_start, by_type);
     for (seg = 0; status == RHT_OK && seg < n_segments; seg++) {
         counts_restart(&c);
         for (i = 0; i < segments[seg]; i++) {
             int e;
             if (dirty) {
-                /* a server is busy when a type it serves is present */
-                for (srv = 0; srv < n; srv++) {
-                    int32_t k;
-                    is_busy[srv] = 0;
-                    for (k = compat_start[srv]; k < compat_start[srv + 1]; k++)
-                        if (queues[compat[k]].len) {
-                            is_busy[srv] = 1;
-                            break;
-                        }
-                }
-                rates_refold(&r, is_busy);
+                rates_refold(&r, nonempty);
                 dirty = 0;
             }
             c.now += r.hold;
@@ -326,7 +372,9 @@ int rht_run_coc(int s, int n, double lam_total, const double *arrivals, const do
                 if (status != RHT_OK)
                     break;
                 change(&c, e, 1);
-                dirty |= queues[e].len == 1;
+                if (queues[e].len == 1)
+                    dirty |= occupy(nonempty, by_type + by_type_start[e],
+                                    by_type_start[e + 1] - by_type_start[e], 1);
                 continue;
             }
             srv = r.busy[e - s];
@@ -337,7 +385,9 @@ int rht_run_coc(int s, int n, double lam_total, const double *arrivals, const do
             }
             ring_pop(&queues[t]);
             change(&c, t, -1);
-            dirty |= queues[t].len == 0;
+            if (!queues[t].len)
+                dirty |= occupy(nonempty, by_type + by_type_start[t],
+                                by_type_start[t + 1] - by_type_start[t], -1);
             if (!--countdown) {
                 countdown = sample_every;
                 if (seg && (status = sample(&c)) != RHT_OK)
@@ -352,7 +402,9 @@ int rht_run_coc(int s, int n, double lam_total, const double *arrivals, const do
         for (t = 0; t < s; t++)
             free(queues[t].buf);
     free(queues);
-    free(is_busy);
+    free(nonempty);
+    free(by_type_start);
+    free(by_type);
     rates_free(&r);
     counts_free(&c);
     return status;
@@ -370,7 +422,7 @@ int rht_run_cos(int s, int n, double lam_total, const double *arrivals, const do
     rates_t r = {0};
     counts_t c = {0};
     ring_t *waiting = calloc((size_t)s, sizeof *waiting);
-    char *is_busy = calloc((size_t)(n ? n : 1), 1);
+    int *is_busy = calloc((size_t)(n ? n : 1), sizeof *is_busy);
     char *serves = calloc((size_t)n * (size_t)s + 1, 1);   /* serves[srv * s + t] */
     int *idle = malloc((size_t)(n ? n : 1) * sizeof *idle);       /* longest idle first */
     int64_t next_id = 0, countdown = sample_every, i;

@@ -4,10 +4,14 @@
 cannot be had; `simulator.simulate` then runs its Python kernels. The
 kernels write into numpy arrays that the caller allocates, the samples
 too, and free all they allocate before they return. The first
-call in a process looks for the library in a per-user cache directory,
-`$XDG_CACHE_HOME/redundancy-ht` (`~/.cache/redundancy-ht` when that is
-unset), or else `redundancy-ht-<uid>` under `tempfile.gettempdir()`, in a
-file named by the sha256 of the C source. If it is not there, the source
+call in a process reads the C source through the module's loader (which
+serves a zip import too), hashes it with the builtin sha256 module of the
+running Python (`_sha2` from 3.12 on, `_sha256` before; `hashlib`, which
+loads OpenSSL, only where that is missing) and looks for the library in a
+per-user cache directory, `$XDG_CACHE_HOME/redundancy-ht`
+(`~/.cache/redundancy-ht` when that is unset), or, only when that cannot
+be used, `redundancy-ht-<uid>` under `tempfile.gettempdir()`, in a file
+named by the sha256 of the C source. If it is not there, the source
 is compiled with the system `cc` into a temporary file that then replaces
 the library's path, so concurrent processes never load half a file.
 Nothing is written to the source tree. A failed build leaves a
@@ -20,6 +24,7 @@ from __future__ import annotations
 import functools
 import importlib
 import os
+import sys
 
 _CC = "cc"  # the compiler command
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -28,9 +33,8 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 @functools.cache
 def library():
     """The compiled kernels with their argument types declared, or None."""
-    from importlib import resources
-
-    source = resources.files(__package__).joinpath("_kernels.c").read_bytes()
+    # the module's loader reads the source beside it, from a zip archive too
+    source = __loader__.get_data(os.path.join(os.path.dirname(__file__), "_kernels.c"))
     digest = _sha256(source)
     folder = _cache_dir()
     if folder is None:
@@ -59,27 +63,30 @@ def library():
 
 def _sha256(data):
     """The sha256 hex digest of `data`. Importing hashlib loads OpenSSL, ~3 ms
-    a process, so the lean builtin module comes first, as in `random`."""
-    for name in ("_sha2", "_sha256"):  # Python 3.12 on, 3.11 and before
-        try:
-            return importlib.import_module(name).sha256(data).hexdigest()
-        except ImportError:
-            pass
-    import hashlib
+    a process, so the lean builtin module of the running version comes first,
+    as in `random`; a failed import would search all of sys.path first."""
+    try:
+        module = importlib.import_module("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+    except ImportError:
+        import hashlib as module
+    return module.sha256(data).hexdigest()
 
-    return hashlib.sha256(data).hexdigest()
+
+def _candidates(uid):
+    """The cache directories in order of preference; the temporary one is
+    worked out only when asked for, as `tempfile.gettempdir` writes a probe file."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    yield os.path.join(base, "redundancy-ht")
+    import tempfile
+
+    yield os.path.join(tempfile.gettempdir(), f"redundancy-ht-{uid}")
 
 
 def _cache_dir():
     """The first cache directory that is this user's and writable, created if
     missing, or None."""
-    import tempfile
-
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     uid = os.getuid() if hasattr(os, "getuid") else None
-    candidates = [os.path.join(base, "redundancy-ht"),
-                  os.path.join(tempfile.gettempdir(), f"redundancy-ht-{uid}")]
-    for folder in candidates:
+    for folder in _candidates(uid):
         if not os.path.isabs(folder):
             continue
         try:

@@ -364,8 +364,21 @@ def _draw_counts(rng, n, weights):
     return rng.multinomial(n, fw / fw.sum())
 
 
-def sample_limit(law, n: int, seed) -> numpy.ndarray:
-    """Monte-Carlo draws from a LimitLaw or MixtureLaw; returns (n, |S|) floats."""
+LIMIT_BLOCK = 8192  # rows of limit-law draws _limit_blocks makes at a time, which bounds its memory
+
+
+def _limit_blocks(law, n: int, seed):
+    """`sample_limit`'s n draws, in order, as (rows, |S|) blocks of at most
+    LIMIT_BLOCK rows. Each block is the same buffer, overwritten by the next,
+    so a caller keeps what it needs of one before it asks for another. The
+    arguments are checked at the call, before any draw.
+
+    The atoms' counts are split multinomially; an atom's draws are then
+    unit-mean exponentials, K a row, times its coefficient matrix. A block
+    takes the exponentials of whole rows in stream order, so the draws are
+    those of one (count, K) array per atom. A block holds one row only where
+    its atom has one draw: numpy multiplies a single row as a vector, which
+    rounds otherwise than the matrix product of more rows."""
     if n < 1:
         raise DomainError("need n >= 1 samples")
     seed = _check_seed(seed)
@@ -373,11 +386,31 @@ def sample_limit(law, n: int, seed) -> numpy.ndarray:
 
     rng = np.random.default_rng(seed)
     counts = _draw_counts(rng, n, [w for (w, _, _) in law.atoms])
-    out = []
-    for (count, (_, coeffs, _)) in zip(counts, law.atoms):
-        if count == 0:
-            continue
-        a = np.asarray(coeffs, dtype=float)
-        u = rng.exponential(1.0, size=(count, a.shape[0]))
-        out.append(u @ a)
-    return np.concatenate(out, axis=0)
+    coeffs = [np.asarray(c, dtype=float) for (_, c, _) in law.atoms]
+    buffer = np.empty((min(n, LIMIT_BLOCK), coeffs[0].shape[1]))
+
+    def blocks():
+        for count, a in zip(counts, coeffs):
+            while count:
+                rows = min(LIMIT_BLOCK, count)
+                if count - rows == 1:  # leave no single row for last
+                    rows -= 1
+                count -= rows
+                u = rng.standard_exponential(size=(rows, a.shape[0]))
+                yield np.matmul(u, a, out=buffer[:rows])
+
+    return blocks()
+
+
+def sample_limit(law, n: int, seed) -> numpy.ndarray:
+    """Monte-Carlo draws from a LimitLaw or MixtureLaw; returns (n, |S|) floats,
+    the rows of each atom together, in the order of the atoms (`_limit_blocks`)."""
+    import numpy as np
+
+    blocks = _limit_blocks(law, n, seed)
+    out = np.empty((n, len(law.atoms[0][1][0])))
+    row = 0
+    for block in blocks:
+        out[row:row + len(block)] = block
+        row += len(block)
+    return out

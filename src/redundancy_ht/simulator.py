@@ -433,6 +433,35 @@ def _ks_sorted(a, b):
     return stat, crit
 
 
+def _row_sums(cols):
+    """The row totals of cols.T, bit for bit as `cols.T.sum(axis=1)` gives them
+    for a C-contiguous copy of cols.T, but adding whole columns, the rows of cols.
+
+    numpy sums each row pairwise (`pairwise_sum` in its loops): from 0.0
+    term by term below 8 terms, in 8 running sums folded as a tree from 8 to
+    128 terms, and above that as two parts, the first half rounded down to a
+    multiple of 8 terms."""
+    import numpy as np
+
+    def total(lo, n):
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            return total(lo, half) + total(lo + half, n - half)
+        if n < 8:
+            res, tail = np.zeros(cols.shape[1]), lo
+        else:
+            tail = lo + n - n % 8
+            r = cols[lo:lo + 8].copy()
+            for i in range(lo + 8, tail, 8):
+                r += cols[i:i + 8]
+            res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for col in cols[tail:lo + n]:
+            res += col
+        return res
+
+    return total(0, len(cols))
+
+
 class ScaledLawRow(Record):
     eps: float
     ks_per_type: tuple
@@ -450,21 +479,36 @@ def scaled_law_check(dag: ComponentDag, discipline, eps_values, events_per_eps, 
 
     gamma is taken from `traj` (its epsilon is ignored: `eps_values` sets the
     positions); None means the ray lambda = (1-eps) lambda*. Returns one row per
-    eps with per-marginal and total two-sample KS distances against Monte-Carlo
-    draws from the law. Sampling epochs are every max(KS_MIN_SPACING, 8 eps^-2)-th
-    departure counted from the first event, so that the KS samples are
-    effectively independent at every eps on the grid."""
+    eps with per-marginal and total two-sample KS distances against
+    `law_samples` Monte-Carlo draws from the law, those of `sample_limit` with
+    seed + 999. Sampling epochs are every max(KS_MIN_SPACING, int(8.0 / eps**2))-th
+    departure counted from the first event (the float quotient rounds down:
+    199, 799 and 3,199 at eps 0.2, 0.1 and 0.05), so that the KS samples are
+    effectively independent at every eps on the grid.
+
+    The draws come a block at a time (`analytic._limit_blocks`): each block
+    goes, transposed, into one (|S|, law_samples) array of columns, and its
+    row totals (`_row_sums`) into one more array, and both are sorted in
+    place; no (law_samples, |S|) array is held."""
     seed = _check_seed(seed)
     import numpy as np
 
-    from .analytic import _direction, limit_law, sample_limit, sigma_mixture
+    from .analytic import _direction, _limit_blocks, limit_law, sigma_mixture
 
     model, lam_star = dag.model, dag.lambda_star
     law = (limit_law if dag.subtrees_laminar else sigma_mixture)(dag, traj)
     rows = []
-    ref = sample_limit(law, law_samples, seed=seed + 999)
-    ref_total = np.sort(ref.sum(axis=1))
-    ref_cols = [np.sort(ref[:, t]) for t in range(model.n_types)]
+    blocks = _limit_blocks(law, law_samples, seed + 999)
+    ref_cols = np.empty((model.n_types, law_samples))
+    ref_total = np.empty(law_samples)
+    start = 0
+    for block in blocks:
+        cols = ref_cols[:, start:start + len(block)]
+        cols[...] = block.T
+        ref_total[start:start + len(block)] = _row_sums(cols)
+        start += len(block)
+    ref_cols.sort(axis=1)
+    ref_total.sort()
     gamma = _direction(model, lam_star, traj).gamma
     runs = []  # (horizon, spacing) per eps, all checked before the first simulation
     for i, eps in enumerate(eps_values):

@@ -2,12 +2,14 @@ import itertools
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 import scipy.stats
 
 from redundancy_ht import SystemModel, TrajectorySpec, default_trajectory, generators
-from redundancy_ht.analytic import (LimitLaw, limit_law, limiting_laplace,
-                                    limiting_transform, pgf_coc, pgf_cos, sample_limit)
+from redundancy_ht.analytic import (LIMIT_BLOCK, LimitLaw, MixtureLaw, _draw_counts, limit_law,
+                                    limiting_laplace, limiting_transform, pgf_coc, pgf_cos,
+                                    sample_limit, sigma_mixture)
 from redundancy_ht.criticality import crp_components
 from redundancy_ht.errors import CapExceeded, DomainError, PoleError
 from redundancy_ht.oracles import (beta_hat, beta_hat_sigma_k,
@@ -340,6 +342,36 @@ def test_sample_limit_total_erlang(four_server):
     x = sample_limit(limit_law(dag), 100_000, seed=4)
     total = x.sum(axis=1)
     assert abs(total.mean() - 3.0) < 3 * math.sqrt(3.0 / 100_000)
+
+
+def _concatenated_sample_limit(law, n, seed):
+    """sample_limit as one (count, K) draw per atom, concatenated: the
+    differential oracle of its blocks."""
+    rng = np.random.default_rng(seed)
+    counts = _draw_counts(rng, n, [w for (w, _, _) in law.atoms])
+    out = []
+    for (count, (_, coeffs, _)) in zip(counts, law.atoms):
+        if count == 0:
+            continue
+        a = np.asarray(coeffs, dtype=float)
+        u = rng.exponential(1.0, size=(count, a.shape[0]))
+        out.append(u @ a)
+    return np.concatenate(out, axis=0)
+
+
+@pytest.mark.parametrize("n", [1, LIMIT_BLOCK - 1, LIMIT_BLOCK, LIMIT_BLOCK + 1,
+                               3 * LIMIT_BLOCK + 5, 100_000])
+def test_sample_limit_matches_the_concatenated_sampler(n, four_server, diamond):
+    product = limit_law(_ctx(four_server)[1])
+    mixture = sigma_mixture(_ctx(diamond)[1])
+    assert len(mixture.atoms) == 2
+    coeffs = product.coeffs
+    # an atom that is drawn 0 times, between two that are drawn
+    zero = MixtureLaw(atoms=((F(1, 2), coeffs, None), (0, coeffs, None), (F(1, 2), coeffs, None)))
+    for law in (product, mixture, zero):
+        for seed in (0, 17):
+            got = sample_limit(law, n, seed)
+            assert np.array_equal(got, _concatenated_sample_limit(law, n, seed))
 
 
 def test_sample_mixture_vs_sigma_aggregation(four_server):

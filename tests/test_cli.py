@@ -510,7 +510,7 @@ def test_verify_limit_uses_the_mixture_off_laminar(doc, law_type, tmp_path, monk
         seen.append(law)
         raise _Started
 
-    monkeypatch.setattr(analytic, "sample_limit", recording_sampler)
+    monkeypatch.setattr(analytic, "_limit_blocks", recording_sampler)
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(_Started):

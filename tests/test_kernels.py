@@ -6,13 +6,14 @@ import random
 import shutil
 import subprocess
 import sys
+from fractions import Fraction as F
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from redundancy_ht import _kernels, load_model
+from redundancy_ht import SystemModel, _kernels, generators, load_model
 from redundancy_ht.simulator import (MIN_BATCHES, _arrival_rates, _compat, _estimate, _run_coc,
                                      _run_compiled, _run_cos, _segments, simulate)
 
@@ -62,6 +63,35 @@ def test_compiled_kernels_match_python_kernels(lib, path):
                     python, compiled = _both(lib, fmodel, discipline, horizon, warmup, seed,
                                              sample_every)
                     _assert_same(python, compiled)
+
+
+def _eighteen_types_on_five_servers():
+    subsets = [set(s) for k in range(1, 6) for s in itertools.combinations(range(1, 6), k)]
+    return SystemModel(mu=(F(1),) * 5, lam=F(1, 2), job_types=tuple(map(frozenset, subsets[-18:])),
+                       p=(F(1, 18),) * 18)
+
+
+# random models whose servers share types; random-0 and random-3 have servers of equal speed
+SHARED = {f"random-{seed}": (lambda seed=seed: generators.random_stable_model(
+    random.Random(seed), max_servers=5, max_types=10, cover_all_servers=True))
+    for seed in (0, 3, 9, 11)}
+SHARED["18-types-5-servers"] = _eighteen_types_on_five_servers
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_compiled_kernels_match_python_kernels_on_shared_servers(lib, name):
+    """A queue that several servers serve empties and fills while other
+    queues of those servers stay nonempty: the busy set changes only with
+    the last of them."""
+    model = SHARED[name]()
+    assert any(len(types) > 1 for types in model.job_types)
+    fmodel = model.as_float()
+    for discipline in ("coc", "cos"):
+        for seed in (1, 2 ** 33 + 7):
+            for sample_every in (1, 13):
+                python, compiled = _both(lib, fmodel, discipline, 8_000, 2_000, seed,
+                                         sample_every)
+                _assert_same(python, compiled)
 
 
 def test_compiled_kernels_on_tiny_runs(lib, n_model):
@@ -157,6 +187,45 @@ def test_build_goes_to_the_cache_once(lib, n_model, tmp_path, monkeypatch, fresh
     assert [p.suffix for p in folder.iterdir()] == [".so"]
     assert os.stat(folder).st_mode & 0o077 == 0
     assert sorted(p.name for p in package.iterdir()) == before
+
+
+def test_the_user_cache_needs_no_temp_dir_or_resources(lib, n_model, tmp_path, monkeypatch,
+                                                       fresh_loader):
+    """The source is read through the module's loader, and the temporary
+    directory is worked out only when the user cache cannot be used."""
+    import importlib.resources
+    import tempfile
+
+    folder = tmp_path / "cache" / "redundancy-ht"
+    folder.mkdir(parents=True, mode=0o700)
+    shutil.copy(lib._name, folder)  # the built library, as a warm cache holds it
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("not needed to find the library in the user cache")
+
+    monkeypatch.setattr(tempfile, "gettempdir", refuse)
+    monkeypatch.setattr(importlib.resources, "files", refuse)
+    calls = _counting_runs(monkeypatch)
+    assert simulate(n_model, "coc", horizon_events=100, seed=4).kernel == "c"
+    assert fresh_loader()._name == str(folder / os.path.basename(lib._name))
+    assert calls == []
+
+
+def test_build_falls_back_to_the_temp_dir(lib, n_model, tmp_path, monkeypatch, fresh_loader):
+    """A relative XDG_CACHE_HOME is no cache: the library is built in and
+    loaded from redundancy-ht-<uid> under the temporary directory."""
+    import tempfile
+
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    calls = _counting_runs(monkeypatch)
+    assert simulate(n_model, "cos", horizon_events=100, seed=4).kernel == "c"
+    folder = tmp_path / f"redundancy-ht-{os.getuid()}"
+    assert len(calls) == 1
+    assert [p.suffix for p in folder.iterdir()] == [".so"]
+    assert fresh_loader()._name == str(next(folder.iterdir()))
+    assert not os.path.exists("relative")
 
 
 _RSS_CHILD = """

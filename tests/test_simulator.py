@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from redundancy_ht import SystemModel, _kernels, generators, simulator
-from redundancy_ht.analytic import LimitLaw, sample_limit
+from redundancy_ht.analytic import LimitLaw, limit_law, sample_limit, sigma_mixture
 from redundancy_ht.criticality import crp_components
 from redundancy_ht.errors import CapExceeded, DomainError
 from redundancy_ht.model import TrajectorySpec, dump_model, model_at_trajectory
@@ -21,8 +21,9 @@ from redundancy_ht.moments import moment_total
 from redundancy_ht.oracles import (config_distribution, config_marginals_from_oracle,
                                    critical_rate_and_subsets_bruteforce, ctmc_oracle)
 from redundancy_ht.prelimit import expected_type_counts, sample_prelimit
-from redundancy_ht.simulator import (MIN_BATCHES, T975, _compat, _EventTable, _run_coc, _run_cos,
-                                    _segments, ks_two_sample, scaled_law_check, simulate)
+from redundancy_ht.simulator import (MIN_BATCHES, T975, _compat, _EventTable, _ks_sorted,
+                                     _row_sums, _run_coc, _run_cos, _segments, ks_two_sample,
+                                     scaled_law_check, simulate)
 
 import sim_reference as reference
 
@@ -474,6 +475,51 @@ def test_scaled_law_check_runs(n_model):
     assert len(rows) == 2
     assert rows[0].scaled_samples.shape[1] == 2
     assert rows[1].ks_total < rows[0].ks_total
+
+
+@pytest.mark.parametrize("width", [*range(1, 41), 127, 128, 129, 300])
+def test_row_sums_are_numpy_row_sums(width):
+    rng = np.random.default_rng(width)
+    rows = rng.standard_exponential((257, width)) * 10.0 ** rng.integers(-12, 12, (257, width))
+    rows[rng.random(rows.shape) < 0.2] = 0.0  # zeros, and ties among the rest
+    ties = rng.random(rows.shape) < 0.2
+    rows[ties] = rng.choice(rows[0], ties.sum())
+    assert np.array_equal(_row_sums(np.ascontiguousarray(rows.T)), rows.sum(axis=1))
+
+
+@pytest.mark.parametrize("discipline", ["coc", "cos"])
+@pytest.mark.parametrize("name", ["n_model", "four_server", "diamond"])
+def test_scaled_law_check_matches_the_full_reference(name, discipline, request):
+    """The KS rows from the sorted columns and totals of the law's blocks
+    equal those from its (n, |S|) draw, sorted by column and by sum(axis=1)."""
+    dag = crp_components(request.getfixturevalue(name))
+    rows = scaled_law_check(dag, discipline, [0.3, 0.2], 6_000, seed=4, law_samples=20_003,
+                            keep_samples=True)
+    law = (limit_law if dag.subtrees_laminar else sigma_mixture)(dag)
+    ref = sample_limit(law, 20_003, 4 + 999)
+    cols = [np.sort(ref[:, t]) for t in range(ref.shape[1])]
+    total = np.sort(ref.sum(axis=1))
+    for row in rows:
+        scaled = row.scaled_samples
+        assert row.ks_per_type == tuple(_ks_sorted(np.sort(scaled[:, t]), col)[0]
+                                        for t, col in enumerate(cols))
+        assert (row.ks_total, row.ks_total_critical) == \
+            _ks_sorted(np.sort(scaled.sum(axis=1)), total)
+
+
+def test_scaled_law_check_holds_no_full_law_draw(four_server):
+    """The law's draws are held as sorted columns and totals, 5 doubles a
+    draw on four types, with no (n, |S|) array or sorted copies beside them."""
+    dag = crp_components(four_server)
+    scaled_law_check(dag, "coc", [0.2], 2_000, seed=1, law_samples=1_000)  # imports, caches
+    n = 200_000
+    tracemalloc.start()
+    try:
+        scaled_law_check(dag, "coc", [0.2], 2_000, seed=1, law_samples=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * 8
 
 
 def test_scaled_law_check_follows_the_trajectory(n_model):
