@@ -5,13 +5,14 @@ cannot be had; `simulator.simulate` then runs its Python kernels. The
 kernels write into numpy arrays that the caller allocates, the samples
 too, and free all they allocate before they return. The first
 call in a process reads the C source through the module's loader (which
-serves a zip import too), hashes it with the builtin sha256 module of the
-running Python (`_sha2` from 3.12 on, `_sha256` before; `hashlib`, which
-loads OpenSSL, only where that is missing) and looks for the library in a
+serves a zip import too), hashes it with the builtin sha512 module of the
+running Python (`_sha2` from 3.12 on, `_sha512` before; `hashlib`, which
+loads OpenSSL, only where that is missing), which `random`, and so
+`simulator`, has imported already, and looks for the library in a
 per-user cache directory, `$XDG_CACHE_HOME/redundancy-ht`
 (`~/.cache/redundancy-ht` when that is unset), or, only when that cannot
 be used, `redundancy-ht-<uid>` under `tempfile.gettempdir()`, in a file
-named by the sha256 of the C source. If it is not there, the source
+named by the sha512 of the C source. If it is not there, the source
 is compiled with the system `cc` into a temporary file that then replaces
 the library's path, so concurrent processes never load half a file.
 Nothing is written to the source tree. A failed build leaves a
@@ -35,7 +36,7 @@ def library():
     """The compiled kernels with their argument types declared, or None."""
     # the module's loader reads the source beside it, from a zip archive too
     source = __loader__.get_data(os.path.join(os.path.dirname(__file__), "_kernels.c"))
-    digest = _sha256(source)
+    digest = _sha512(source)
     folder = _cache_dir()
     if folder is None:
         return None
@@ -61,15 +62,16 @@ def library():
     return lib
 
 
-def _sha256(data):
-    """The sha256 hex digest of `data`. Importing hashlib loads OpenSSL, ~3 ms
+def _sha512(data):
+    """The sha512 hex digest of `data`. Importing hashlib loads OpenSSL, ~3 ms
     a process, so the lean builtin module of the running version comes first,
-    as in `random`; a failed import would search all of sys.path first."""
+    the one `random` imports for its seeds; a failed import would search all
+    of sys.path first."""
     try:
-        module = importlib.import_module("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+        module = importlib.import_module("_sha2" if sys.version_info >= (3, 12) else "_sha512")
     except ImportError:
         import hashlib as module
-    return module.sha256(data).hexdigest()
+    return module.sha512(data).hexdigest()
 
 
 def _candidates(uid):

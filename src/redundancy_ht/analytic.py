@@ -388,6 +388,8 @@ def _limit_blocks(law, n: int, seed):
     counts = _draw_counts(rng, n, [w for (w, _, _) in law.atoms])
     coeffs = [np.asarray(c, dtype=float) for (_, c, _) in law.atoms]
     buffer = np.empty((min(n, LIMIT_BLOCK), coeffs[0].shape[1]))
+    # the exponentials of a block, reused too; atoms may differ in K
+    exponentials = np.empty(min(n, LIMIT_BLOCK) * max(a.shape[0] for a in coeffs))
 
     def blocks():
         for count, a in zip(counts, coeffs):
@@ -396,7 +398,8 @@ def _limit_blocks(law, n: int, seed):
                 if count - rows == 1:  # leave no single row for last
                     rows -= 1
                 count -= rows
-                u = rng.standard_exponential(size=(rows, a.shape[0]))
+                u = exponentials[:rows * a.shape[0]].reshape(rows, a.shape[0])
+                rng.standard_exponential(out=u)
                 yield np.matmul(u, a, out=buffer[:rows])
 
     return blocks()

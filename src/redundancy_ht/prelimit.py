@@ -5,14 +5,16 @@ Conditionally on the ordered vector T of first type occurrences, the jobs
 between consecutive first occurrences form independent geometric segments
 (support {0, 1, ...}, P(X = n) = (1-p) p^n), each split multinomially over
 the types seen so far. Its law depends on the set of the first j entries
-alone (_segment, which segment_law and the sampler read). Scaling by the
-distance to criticality, segments at critical prefixes become unit
+alone (_segment, which segment_law and the sampler read), as in
+order-independent queues (Berezner, Kriel & Krzesinski 1995). Scaling by
+the distance to criticality, segments at critical prefixes become unit
 exponentials and all others vanish.
 
-The configuration T itself is drawn by peeling: its set from the
+The sampler draws the configuration T by peeling: its set from the
 prefix-set table of analytic._prefix_table, then its types from last to
 first. oracles.config_distribution lists every ordered vector and checks
-those probabilities.
+those probabilities. The segments are then drawn once per prefix set, for
+all samples whose vector passes through it, not once per vector.
 
 Every moment reads one prefix-set series: E[(c.Q)^n] is n! times the
 coefficient of s^n in the PGF at z_t = e^{c_t s} (linear_moment). The
@@ -31,6 +33,10 @@ from .errors import DomainError
 from .model import Record, Scalar, SystemModel
 
 MOMENT_ORDER_CAP = 12
+# the sampler adds a prefix set's draws block by block, by slices, where its
+# blocks average this many rows or more, else through one index of their rows:
+# a slice costs about a microsecond, an indexed entry about 8 ns
+SLICE_ROWS = 100
 
 
 class SegmentLaw(Record):
@@ -99,12 +105,19 @@ def sample_prelimit(model: SystemModel, discipline: str, n: int, seed,
     distribution without listing the ordered vectors: first its set B with
     probability proportional to F(B) * kappa(free(B)), then the last type t
     of the remaining set A with probability proportional to p_t F(A - {t}),
-    down to the empty set, splitting the sample counts multinomially. Then
-    come independent geometric segment totals and multinomial splits, their
-    parameters computed once per prefix set (_segment); the per-type counts
-    are 1{S in T} plus the split sums. With return_configs the drawn vectors
-    (by length, then lexicographically) and each sample's index into them
-    are returned as well.
+    down to the empty set, splitting the sample counts multinomially. The
+    drawn vectors, by length, then lexicographically, hold the rows in
+    blocks, one block per vector.
+
+    A segment's law depends on its prefix set A alone (_segment), so the
+    segments are drawn per set, in order of bitmask: for all m rows whose
+    vector passes through A, one geometric call gives m totals and one
+    multinomial call splits them over A's types in index order, with
+    fractions p_u/p(A). The draws go to those rows in row order, by
+    slices of the vectors' blocks where these are long (SLICE_ROWS). The
+    per-type counts are 1{S in T} plus the split sums. With return_configs
+    the drawn vectors and each sample's index into them are returned as
+    well.
     """
     if n < 1:
         raise DomainError("need n >= 1 samples")
@@ -127,30 +140,45 @@ def sample_prelimit(model: SystemModel, discipline: str, n: int, seed,
                     peeled[a ^ 1 << t, (t,) + tail] = k
         groups = peeled
     entries_list = sorted(drawn, key=lambda e: (len(e), e))
-    out = np.zeros((n, model.n_types), dtype=np.int64)
-    segments = {}  # prefix set -> 1 - p^{T,j} and the split fractions, as floats
+    counts = [drawn[entries] for entries in entries_list]
+    passes = {}  # prefix set -> the row blocks of the vectors through it
+    finals = []  # the set of each vector
     row = 0
-    for entries in entries_list:
-        m = drawn[entries]
-        block = slice(row, row + m)
-        for t in entries:
-            out[block, t] += 1
+    for entries, m in zip(entries_list, counts):
         prefix = 0
-        for j, t in enumerate(entries, start=1):
+        for t in entries:
             prefix |= 1 << t
-            if prefix not in segments:
-                types = _bits(prefix)
-                b, p_j, _ = _segment(model, types)
-                segments[prefix] = 1.0 - float(b), {u: float(model.p[u] / p_j) for u in types}
-            q, fraction = segments[prefix]
-            totals = rng.geometric(q, size=m) - 1
-            fracs = np.asarray([fraction[u] for u in entries[:j]])
-            splits = rng.multinomial(totals, fracs / fracs.sum())
-            for i, u in enumerate(entries[:j]):
-                out[block, u] += splits[:, i]
+            blocks = passes.setdefault(prefix, [])
+            if blocks and blocks[-1][1] == row:  # this block follows the last one
+                blocks[-1][1] += m
+            else:
+                blocks.append([row, row + m])
+        finals.append(prefix)
         row += m
+    # 1{S in T}: the bits of each row's set
+    out = np.repeat(np.asarray(finals, dtype=np.int64), counts)[:, None]
+    out = out >> np.arange(model.n_types) & 1
+    for prefix in sorted(passes):
+        types = _bits(prefix)
+        b, p_a, _ = _segment(model, types)
+        blocks = passes[prefix]
+        size = sum(end - start for start, end in blocks)
+        totals = rng.geometric(1.0 - float(b), size=size) - 1
+        fractions = [float(model.p[u] / p_a) for u in types]
+        splits = rng.multinomial(totals, fractions).T  # one row of draws per type
+        if size >= SLICE_ROWS * len(blocks):
+            k = 0
+            for start, end in blocks:
+                for u, split in zip(types, splits):
+                    out[start:end, u] += split[k:k + end - start]
+                k += end - start
+        else:  # the rows of all blocks as one index
+            starts, ends = np.asarray(blocks).T
+            lengths = ends - starts
+            rows = np.arange(size) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+            for u, split in zip(types, splits):
+                out[rows, u] += split
     if return_configs:
-        counts = [drawn[entries] for entries in entries_list]
         return out, np.repeat(np.arange(len(entries_list), dtype=np.int64), counts), entries_list
     return out
 

@@ -3,7 +3,7 @@
 Each discipline has one event loop, a kernel that keeps all of its per-event
 state in local variables. It runs compiled where it can: `_kernels.c`
 holds both loops in C, built with the system `cc` on the first `simulate`
-call and cached per user, keyed by the source's sha256
+call and cached per user, keyed by the source's sha512
 (`$XDG_CACHE_HOME/redundancy-ht`, `~/.cache/redundancy-ht`, else under
 the temporary directory; see `_kernels`). The C loops reproduce CPython's
 Mersenne Twister and make the same floating-point operations in the same

@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,6 +137,54 @@ def test_sample_streams_its_rows(tmp_path, capsys):
     assert code == 0
     assert len((tmp_path / "samples.csv").read_text().splitlines()) == 100_001
     assert peak < 4 * 2 ** 20
+
+
+def _csv_body(table, **layout):
+    """The rows `_write_csv` writes for `_array_chunks(table, **layout)`, the
+    header left out."""
+    n_cols = 3 if layout.get("long") else table.shape[1] + bool(layout.get("numbered"))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_csv(SimpleNamespace(out_dir=None), "table", ["h"] * n_cols,
+                       cli._array_chunks(table, **layout))
+    return out.getvalue().split("\r\n", 1)[1]
+
+
+def _str_rows(rows):
+    return "".join(",".join(str(v) for v in row) + "\r\n" for row in rows)
+
+
+def _tables(rng, shape):
+    """All zeros, the values of each length from 1 to 19 digits, lengths
+    mixed in one table, and the extremes of int64."""
+    yield np.zeros(shape, dtype=np.int64)
+    for digits in range(1, 20):
+        low, high = (0 if digits == 1 else 10 ** (digits - 1)), min(10 ** digits, 2 ** 63)
+        yield rng.integers(low, high, size=shape, dtype=np.int64)
+    yield rng.integers(0, 2 ** 63, size=shape, dtype=np.int64) // 10 ** rng.integers(0, 19, shape)
+    yield np.full(shape, 2 ** 63 - 1, dtype=np.int64)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (9, 1), (300, 4), (4097, 4)])
+def test_integer_csv_is_str_of_each_cell(shape):
+    """Integer tables go through numpy digit arithmetic; the text must be
+    str() of each cell, byte for byte, in the plain, numbered and long
+    layouts of `sample`, `simulate_samples.csv` and the rest."""
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    for table in _tables(rng, shape):
+        rows = table.tolist()
+        assert _csv_body(table) == _str_rows(rows)
+        assert _csv_body(table, numbered=True) == _str_rows([i, *r] for i, r in enumerate(rows))
+        assert _csv_body(table, long=True) == _str_rows(
+            (i, j, v) for i, r in enumerate(rows) for j, v in enumerate(r))
+
+
+def test_csv_of_other_arrays_keeps_the_format_path():
+    # negative integers and floats are written as str() of each cell too
+    table = np.array([[-3, 0, 12], [7, -100, 5]])
+    assert _csv_body(table) == _str_rows(table.tolist())
+    floats = np.array([[0.1, 1e300, -2.5], [3.0, 1 / 3, 0.0]])
+    assert _csv_body(floats) == _str_rows(floats.tolist())
 
 
 def test_simulate_outputs(n_model_file, tmp_path, capsys):

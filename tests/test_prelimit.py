@@ -164,11 +164,11 @@ def test_sampler_cos_mean_vs_moment(n_model):
     assert abs(total.mean() - expected) < 3 * se
 
 
-def test_sampler_config_frequencies_chi2(n_model):
-    n = 200_000
-    x, config_idx, entries_list = sample_prelimit(n_model, "coc", n, seed=13,
-                                                  return_configs=True)
-    all_entries, probs = config_distribution(n_model)
+def _config_chi2(model, discipline, n, config_idx, entries_list):
+    """Pearson's chi-square of the drawn configurations against
+    config_distribution, the cells of expectation below 5 merged into one,
+    and its degrees of freedom."""
+    all_entries, probs = config_distribution(model, discipline)
     drawn = dict(zip(entries_list, np.bincount(config_idx, minlength=len(entries_list))))
     observed = np.asarray([drawn.get(e, 0) for e in all_entries], dtype=float)
     expected = np.asarray([float(p) for p in probs]) * n
@@ -179,7 +179,32 @@ def test_sampler_config_frequencies_chi2(n_model):
         tail = expected[~keep].sum()
         chi2 += (observed[~keep].sum() - tail) ** 2 / tail
         dof += 1
+    return chi2, dof
+
+
+def test_sampler_config_frequencies_chi2(n_model):
+    n = 200_000
+    x, config_idx, entries_list = sample_prelimit(n_model, "coc", n, seed=13,
+                                                  return_configs=True)
+    chi2, dof = _config_chi2(n_model, "coc", n, config_idx, entries_list)
     assert chi2 < scipy.stats.chi2.ppf(0.99, dof)
+
+
+@pytest.mark.parametrize("discipline", ["coc", "cos"])
+@pytest.mark.parametrize("name", ["four_server", "diamond"])
+def test_sampler_configs_and_type_means_beyond_two_types(request, name, discipline):
+    """On 4 and 3 types, where prefix sets are shared by many vectors: the
+    configuration frequencies against config_distribution and the per-type
+    means against expected_type_counts (4 standard errors, for 3-4 types)."""
+    model = request.getfixturevalue(name)
+    n = 100_000
+    x, config_idx, entries_list = sample_prelimit(model, discipline, n, seed=21,
+                                                  return_configs=True)
+    chi2, dof = _config_chi2(model, discipline, n, config_idx, entries_list)
+    assert chi2 < scipy.stats.chi2.ppf(0.999, dof)
+    for t, target in enumerate(expected_type_counts(model, discipline)):
+        se = x[:, t].std() / math.sqrt(n)
+        assert abs(x[:, t].mean() - float(target)) < 4 * se
 
 
 def test_sampler_empty_configuration_probability(n_model):
@@ -240,9 +265,11 @@ def test_unstable_model_rejected():
         sample_prelimit(bad, "coc", 10, seed=0)
 
 
-def _sample_per_vector(model, discipline, n, seed):
-    """sample_prelimit as it was written first: the segment law of every drawn
-    vector from segment_law, one vector at a time."""
+def _sample_per_set(model, discipline, n, seed):
+    """sample_prelimit written row by row: the peeling as the sampler does it,
+    then for each prefix set A in order of bitmask one geometric and one
+    multinomial draw for the rows whose vector passes through A, with the
+    parameters that segment_law gives a vector through A."""
     rng = np.random.default_rng(seed)
     f, final = _peeling_weights(model, discipline)
     groups = {(a, ()): m for a, m in zip(f, _draw_counts(rng, n, final)) if m}
@@ -259,30 +286,29 @@ def _sample_per_vector(model, discipline, n, seed):
                     peeled[a ^ 1 << t, (t,) + tail] = k
         groups = peeled
     entries_list = sorted(drawn, key=lambda e: (len(e), e))
+    config_idx = np.repeat(np.arange(len(entries_list)), [drawn[e] for e in entries_list])
+    row_entries = [entries_list[i] for i in config_idx]
     out = np.zeros((n, model.n_types), dtype=np.int64)
-    config_idx = np.zeros(n, dtype=np.int64)
-    row = 0
-    for idx, entries in enumerate(entries_list):
-        m = drawn[entries]
-        block = slice(row, row + m)
-        config_idx[block] = idx
-        for t in entries:
-            out[block, t] += 1
-        if entries:
-            law = segment_law(model, entries)
-            for j, b in enumerate(law.segment_params, start=1):
-                totals = rng.geometric(1.0 - float(b), size=m) - 1
-                fracs = np.asarray([float(x) for x in law.split_fractions[j - 1]])
-                splits = rng.multinomial(totals, fracs / fracs.sum())
-                for i, t in enumerate(entries[:j]):
-                    out[block, t] += splits[:, i]
-        row += m
+    for r, entries in enumerate(row_entries):
+        out[r, list(entries)] = 1
+    sets = {}  # prefix set -> (its size, a vector through it)
+    for entries in entries_list:
+        for j in range(1, len(entries) + 1):
+            sets.setdefault(sum(1 << t for t in entries[:j]), (j, entries))
+    for a in sorted(sets):
+        j, through = sets[a]
+        law = segment_law(model, through)
+        fraction = dict(zip(through[:j], law.split_fractions[j - 1]))
+        types = sorted(fraction)
+        rows = [r for r, e in enumerate(row_entries) if set(e[:j]) == set(types)]
+        totals = rng.geometric(1.0 - float(law.segment_params[j - 1]), size=len(rows)) - 1
+        out[np.ix_(rows, types)] += rng.multinomial(totals, [float(fraction[u]) for u in types])
     return out, config_idx, entries_list
 
 
 def test_sampler_equals_per_vector_segment_laws(mm1, n_model, four_server, diamond):
-    """Segment parameters computed once per prefix set draw the same arrays,
-    seed for seed, as segment_law computed for every drawn vector."""
+    """The sampler draws the same arrays, seed for seed, as a row-by-row
+    oracle that takes each prefix set's parameters from segment_law."""
     rng = random.Random(7)
     models = [mm1, n_model, four_server, diamond, four_server.as_float()]
     models += [generators.random_stable_model(rng, max_servers=5, max_types=5,
@@ -290,26 +316,27 @@ def test_sampler_equals_per_vector_segment_laws(mm1, n_model, four_server, diamo
     for k, model in enumerate(models):
         for discipline in ("coc", "cos"):
             got = sample_prelimit(model, discipline, 3000, seed=k, return_configs=True)
-            want = _sample_per_vector(model, discipline, 3000, k)
+            want = _sample_per_set(model, discipline, 3000, k)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             assert got[2] == want[2]
 
 
 # sha256 of sample_prelimit's arrays and drawn vectors (2,000 samples, seed
-# 17). test_sampler_equals_per_vector_segment_laws shares the segment
-# parameters with the sampler through segment_law; these pin the streams
-# themselves, so a fault in that shared computation shows here.
+# 17). The oracle of test_sampler_equals_per_vector_segment_laws reads its
+# parameters from segment_law, which reads _segment as the sampler does;
+# these pin the streams themselves, so a fault in that shared computation
+# shows here.
 SAMPLE_PINS = {
-    ("n_model", "coc"): "043063aa365bcf034df3c50a0e189fcc9d21ced0c0ce49683bb83a097606bd71",
-    ("n_model", "cos"): "3caba302e8984701db98aaf71a1581267e98d6b099c555f04e34240e40940cb6",
-    ("four_server", "coc"): "e19ef74469d9b036cfa721c3ea49e3105dbf98505b5455d3b67fae130339976e",
-    ("four_server", "cos"): "d85c2fbae1681c0a0ea4a6ff9bd7f46a772db2afbcba22d53bfb1d0c13348a47",
-    ("diamond", "coc"): "2f7b2b39d96d27817b5a7d4202d3a243db1b5e8f22aad495109c0c8fa4108080",
-    ("diamond", "cos"): "6001e43611cac01bf54172f67e71065acf004bd446e42e8fff5e43b25f3ef40a",
+    ("n_model", "coc"): "5b04ec9f7668e388a91a34e8a87dbdb1d92a8bb29dfdf6c35f4d28c181b04874",
+    ("n_model", "cos"): "e5b9161ef45a0c14d583359d3191dd26e895d1639db46d591dc02dc9b684c5f9",
+    ("four_server", "coc"): "be30013fe755a424c572725224526be65115cb0f0e45a42bcd84dfd2b7b243c7",
+    ("four_server", "cos"): "d92f6ff230c36ea9b3c940ed9bae7dbe0223f2a13ae0aa9c162c9e8a556ea12a",
+    ("diamond", "coc"): "4a909ba02eb3cf619a6da30b26e0d020230b669b8567654865cdcebf1aba95c6",
+    ("diamond", "cos"): "dbb3852695c93f272eb59a58700b56531567219fc73da8465ed5abfc472f61ec",
     ("four_server_float", "coc"):
-        "6414b3f6c4aa5dae2173786ad93fe7298258c46947a6e5c4042f72f9b3936db0",
+        "be30013fe755a424c572725224526be65115cb0f0e45a42bcd84dfd2b7b243c7",
     ("four_server_float", "cos"):
-        "d85c2fbae1681c0a0ea4a6ff9bd7f46a772db2afbcba22d53bfb1d0c13348a47",
+        "d92f6ff230c36ea9b3c940ed9bae7dbe0223f2a13ae0aa9c162c9e8a556ea12a",
 }
 
 

@@ -460,7 +460,8 @@ def test_scaled_law_check_checks_its_seed_first(n_model, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the limit law was sampled before the seed was checked")
 
-    monkeypatch.setattr(analytic, "sample_limit", never)
+    # scaled_law_check imports _limit_blocks when it runs, so it finds this one
+    monkeypatch.setattr(analytic, "_limit_blocks", never)
     dag = crp_components(n_model)
     for seed in (-5, -1000, 1.5, "3"):
         with pytest.raises(DomainError):
