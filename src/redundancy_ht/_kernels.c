@@ -7,9 +7,8 @@
  *
  * - The random stream is CPython's MT19937, started from the state that
  *   `random.Random(seed)` holds after seeding (`init_by_array` over the
- *   32-bit words of abs(seed)); each uniform is `genrand_res53`, and each
- *   event passes over the two words of one discarded uniform, neither
- *   tempered nor converted, before it draws the one that picks it.
+ *   32-bit words of abs(seed)); each event draws one uniform,
+ *   `genrand_res53`.
  * - The event rates of the current busy set are the left folds of
  *   `_EventTable`: the arrival boundaries (given), then lam_total and the
  *   running sums of the busy servers' speeds in server order, the last entry
@@ -19,7 +18,8 @@
  *   Under c.o.c. a server is busy while a queue it serves is nonempty: each
  *   server counts those queues, and the counts change only when a queue
  *   fills or empties.
- * - The event is `bisect_right` of u*q into those rates, as CPython runs it.
+ * - The event is the number of those rates <= u*q, the index that
+ *   `bisect_right` gives.
  * - FCFS picks the compatible queue whose head has the smallest job id, in
  *   the server's type order; c.o.s. scans the idle servers longest idle
  *   first and deletes the one it takes.
@@ -87,18 +87,6 @@ static double genrand_res53(mt_t *g)
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
-/* Pass over the two words of a genrand_res53 whose value is not used: the
- * state moves as if they were drawn, with no tempering and no conversion. */
-static void skip_res53(mt_t *g)
-{
-    int k;
-    for (k = 0; k < 2; k++) {
-        if (g->index >= MT_N)
-            mt_twist(g);
-        g->index++;
-    }
-}
-
 /* ---- growable FCFS queues of job ids: ring buffers, capacity a power of 2 ---- */
 
 typedef struct {
@@ -148,9 +136,9 @@ static int earliest(const ring_t *queues, const int32_t *types, int32_t n_types)
 /* ---- the event rates of the current busy set (one `_EventTable` entry) ---- */
 
 typedef struct {
-    int s, n, len;   /* types, servers, entries of cum */
+    int s, n;        /* types, servers */
     double lam_total, q, hold;
-    double *cum;     /* s - 1 arrival boundaries, then s + n more at most */
+    double *cum;     /* s - 1 arrival boundaries, then n + 1 more at most */
     int *busy;       /* the busy servers in server order */
     const double *mu;
 } rates_t;
@@ -192,27 +180,19 @@ static void rates_refold(rates_t *r, const int *is_busy)
         }
     r->cum[r->s - 1] = r->lam_total;
     r->cum[r->s - 1 + b] = INFINITY;
-    r->len = r->s + b;
     r->q = r->lam_total + speeds;
     r->hold = 1.0 / r->q;
 }
 
-/* Draw the next event: the index into cum that bisect_right gives u * q, or
- * -1 past its end (which finite rates never give). */
+/* Draw the next event: the number of cumulative rates <= u * q, the index
+ * bisect_right gives; the last rate, inf, stops the count. */
 static int next_event(const rates_t *r, mt_t *g)
 {
-    double u;
-    int lo = 0, hi = r->len;
-    skip_res53(g); /* the sampled holding time's uniform, discarded */
-    u = genrand_res53(g) * r->q;
-    while (lo < hi) {
-        int mid = (int)(((unsigned)lo + (unsigned)hi) / 2);
-        if (u < r->cum[mid])
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    return lo < r->len ? lo : -1;
+    double u = genrand_res53(g) * r->q;
+    int e = 0;
+    while (r->cum[e] <= u)
+        e++;
+    return e;
 }
 
 /* ---- counts, their areas and the samples ---- */
@@ -363,10 +343,6 @@ int rht_run_coc(int s, int n, double lam_total, const double *arrivals, const do
             }
             c.now += r.hold;
             e = next_event(&r, &g);
-            if (e < 0) {
-                status = RHT_BAD_STATE;
-                break;
-            }
             if (e < s) {
                 status = ring_push(&queues[e], next_id++);
                 if (status != RHT_OK)
@@ -452,10 +428,6 @@ int rht_run_cos(int s, int n, double lam_total, const double *arrivals, const do
             }
             c.now += r.hold;
             e = next_event(&r, &g);
-            if (e < 0) {
-                status = RHT_BAD_STATE;
-                break;
-            }
             if (e < s) {
                 for (pos = 0; pos < n_idle && !serves[(size_t)idle[pos] * s + e]; pos++)
                     ;

@@ -8,9 +8,10 @@ call and cached per user, keyed by the source's sha512
 the temporary directory; see `_kernels`). The C loops reproduce CPython's
 Mersenne Twister and make the same floating-point operations in the same
 order, so for a fixed seed they return what the Python kernels below return,
-to the bit, about ten times as fast (`BENCH_11.json`). Where no compiler or writable cache exists, or
-the build fails (once: a marker keeps later processes from retrying), the
-Python kernels run; no flag chooses, and `SimEstimate.kernel` says which ran.
+to the bit, 9 to 16 times as fast on the benchmark models (`BENCH_27.json`).
+Where no compiler or writable cache exists, or the build fails (once: a
+marker keeps later processes from retrying), the Python kernels run; no
+flag chooses, and `SimEstimate.kernel` says which ran.
 
 - `_run_coc`: cancel-on-completion on the aggregated central queue, one
   FCFS queue of job ids per type. Each server works on the earliest
@@ -24,18 +25,14 @@ Both simulate the jump chain and advance the clock by the expected holding
 time 1/q of each state, q being its total rate, in place of a sampled
 exponential: discrete-time conversion (Hordijk, Iglehart & Schassberger
 1976; Fox & Glynn 1986), which keeps time averages consistent with a
-variance no larger than the sampled clock's. The next event is one
-`bisect_right` into the state's cumulative event rates, arrivals of a
-random type and then completions at the busy servers in proportion to their
-speeds. Those rates, with 1/q, q and the event codes, are looked up per
-state mask (`_EventTable`, filled on first use; the C loops refold them
-whenever the busy set changes). Each event still draws,
-and discards, the uniform that its sampled holding time took, so that a
-fixed seed gives the jump chain, the sampled counts and every KS statistic
-of the sampled-clock simulator it replaced, barring a uniform within
-rounding of a rate boundary; only time averages and their half-widths
-differ. A count's time integral is brought up to date only
-when the count changes, and every count's at the end of a batch. The
+variance no larger than the sampled clock's. So each event draws one
+uniform u, and the event is `bisect_right` of u * q into the state's
+cumulative event rates, arrivals of a random type and then completions at
+the busy servers in proportion to their speeds. Those rates, with 1/q, q
+and the event codes, are looked up per state mask (`_EventTable`, filled
+on first use; the C loops refold them whenever the busy set changes). A
+count's time integral is brought up to date only when the count changes,
+and every count's at the end of a batch. The
 warm-up and the `MIN_BATCHES` batches run as separate loop segments
 (`_segments`), each restarting the clock and the integrals at 0; the
 warm-up keeps neither integrals nor samples, and the samples are kept flat
@@ -262,7 +259,6 @@ def _run_coc(fmodel, segments, seed, sample_every):
         for _ in itertools.repeat(None, n_events):
             hold, rate, cum, codes = table[present]
             now += hold
-            rand()  # the sampled holding time's uniform, discarded
             t = codes[bisect_right(cum, rand() * rate)]
             if t < s:
                 queues[t].append(next_id)
@@ -317,7 +313,6 @@ def _run_cos(fmodel, segments, seed, sample_every):
         for _ in itertools.repeat(None, n_events):
             hold, rate, cum, codes = table[busy_mask]
             now += hold
-            rand()  # the sampled holding time's uniform, discarded
             t = codes[bisect_right(cum, rand() * rate)]
             if t < s:
                 for pos, srv in enumerate(idle):
@@ -433,35 +428,6 @@ def _ks_sorted(a, b):
     return stat, crit
 
 
-def _row_sums(cols):
-    """The row totals of cols.T, bit for bit as `cols.T.sum(axis=1)` gives them
-    for a C-contiguous copy of cols.T, but adding whole columns, the rows of cols.
-
-    numpy sums each row pairwise (`pairwise_sum` in its loops): from 0.0
-    term by term below 8 terms, in 8 running sums folded as a tree from 8 to
-    128 terms, and above that as two parts, the first half rounded down to a
-    multiple of 8 terms."""
-    import numpy as np
-
-    def total(lo, n):
-        if n > 128:
-            half = n // 2 - n // 2 % 8
-            return total(lo, half) + total(lo + half, n - half)
-        if n < 8:
-            res, tail = np.zeros(cols.shape[1]), lo
-        else:
-            tail = lo + n - n % 8
-            r = cols[lo:lo + 8].copy()
-            for i in range(lo + 8, tail, 8):
-                r += cols[i:i + 8]
-            res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for col in cols[tail:lo + n]:
-            res += col
-        return res
-
-    return total(0, len(cols))
-
-
 class ScaledLawRow(Record):
     eps: float
     ks_per_type: tuple
@@ -488,8 +454,9 @@ def scaled_law_check(dag: ComponentDag, discipline, eps_values, events_per_eps, 
 
     The draws come a block at a time (`analytic._limit_blocks`): each block
     goes, transposed, into one (|S|, law_samples) array of columns, and its
-    row totals (`_row_sums`) into one more array, and both are sorted in
-    place; no (law_samples, |S|) array is held."""
+    totals, its columns summed from left to right (`sum(axis=0)`), into one
+    more array, and both are sorted in place; no (law_samples, |S|) array is
+    held."""
     seed = _check_seed(seed)
     import numpy as np
 
@@ -505,7 +472,7 @@ def scaled_law_check(dag: ComponentDag, discipline, eps_values, events_per_eps, 
     for block in blocks:
         cols = ref_cols[:, start:start + len(block)]
         cols[...] = block.T
-        ref_total[start:start + len(block)] = _row_sums(cols)
+        cols.sum(axis=0, out=ref_total[start:start + len(block)])
         start += len(block)
     ref_cols.sort(axis=1)
     ref_total.sort()

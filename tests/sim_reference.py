@@ -2,11 +2,11 @@
 simulator's kernels.
 
 `_run` advances the clock by the expected holding time, the reciprocal of
-the total rate, draws and discards the uniform a sampled holding time would
-take, and picks an arrival of a random type or a completion at a server
-chosen in proportion to its speed from the event table entry of the
-policy's state. It leaves what these do to a queue policy with `busy()`
-(that entry), `arrive(t)`, `finish(server)` and an invariant `check()`:
+the total rate, and with one uniform picks an arrival of a random type or a
+completion at a server chosen in proportion to its speed from the event
+table entry of the policy's state. It leaves what these do to a queue
+policy with `busy()` (that entry), `arrive(t)`, `finish(server)` and an
+invariant `check()`:
 
 - `_CentralQueue`: cancel-on-completion on the aggregated central queue.
   Each server works on the earliest compatible job, so a job departs at
@@ -74,7 +74,6 @@ def _run(policy, fmodel, horizon, warmup, seed, sample_every, debug_checks):
                 acc.cut()
                 next_cut = next(cuts, None)
             acc.now += hold
-        unif()  # the holding-time draw, discarded
         code = codes[bisect.bisect_right(cum, unif() * rate)]
         if code < s:
             arrive(code)
