@@ -428,6 +428,25 @@ def _ks_sorted(a, b):
     return stat, crit
 
 
+def _sorted_law(blocks, n_types: int, n: int):
+    """The (n_types, n) columns of n law draws that come as (rows, n_types)
+    blocks, and the draws' totals, the columns summed from left to right
+    (`sum(axis=0)`, which below 8 types is the rows' `sum(axis=1)`), each
+    sorted in place. A block is copied before the next is asked for."""
+    import numpy as np
+
+    cols, total = np.empty((n_types, n)), np.empty(n)
+    start = 0
+    for block in blocks:
+        part = cols[:, start:start + len(block)]
+        part[...] = block.T
+        part.sum(axis=0, out=total[start:start + len(block)])
+        start += len(block)
+    cols.sort(axis=1)
+    total.sort()
+    return cols, total
+
+
 class ScaledLawRow(Record):
     eps: float
     ks_per_type: tuple
@@ -452,11 +471,9 @@ def scaled_law_check(dag: ComponentDag, discipline, eps_values, events_per_eps, 
     199, 799 and 3,199 at eps 0.2, 0.1 and 0.05), so that the KS samples are
     effectively independent at every eps on the grid.
 
-    The draws come a block at a time (`analytic._limit_blocks`): each block
-    goes, transposed, into one (|S|, law_samples) array of columns, and its
-    totals, its columns summed from left to right (`sum(axis=0)`), into one
-    more array, and both are sorted in place; no (law_samples, |S|) array is
-    held."""
+    The draws come a block at a time (`analytic._limit_blocks`) into one
+    (|S|, law_samples) array of columns and one of totals (`_sorted_law`);
+    no (law_samples, |S|) array is held."""
     seed = _check_seed(seed)
     import numpy as np
 
@@ -465,17 +482,8 @@ def scaled_law_check(dag: ComponentDag, discipline, eps_values, events_per_eps, 
     model, lam_star = dag.model, dag.lambda_star
     law = (limit_law if dag.subtrees_laminar else sigma_mixture)(dag, traj)
     rows = []
-    blocks = _limit_blocks(law, law_samples, seed + 999)
-    ref_cols = np.empty((model.n_types, law_samples))
-    ref_total = np.empty(law_samples)
-    start = 0
-    for block in blocks:
-        cols = ref_cols[:, start:start + len(block)]
-        cols[...] = block.T
-        cols.sum(axis=0, out=ref_total[start:start + len(block)])
-        start += len(block)
-    ref_cols.sort(axis=1)
-    ref_total.sort()
+    ref_cols, ref_total = _sorted_law(_limit_blocks(law, law_samples, seed + 999),
+                                      model.n_types, law_samples)
     gamma = _direction(model, lam_star, traj).gamma
     runs = []  # (horizon, spacing) per eps, all checked before the first simulation
     for i, eps in enumerate(eps_values):

@@ -22,8 +22,8 @@ from redundancy_ht.oracles import (config_distribution, config_marginals_from_or
                                    critical_rate_and_subsets_bruteforce, ctmc_oracle)
 from redundancy_ht.prelimit import expected_type_counts, sample_prelimit
 from redundancy_ht.simulator import (MIN_BATCHES, T975, _compat, _EventTable, _ks_sorted,
-                                     _run_coc, _run_cos, _segments, ks_two_sample,
-                                     scaled_law_check, simulate)
+                                     _run_coc, _run_cos, _segments, _sorted_law,
+                                     ks_two_sample, scaled_law_check, simulate)
 
 import sim_reference as reference
 
@@ -481,6 +481,34 @@ def test_scaled_law_check_runs(n_model):
     assert len(rows) == 2
     assert rows[0].scaled_samples.shape[1] == 2
     assert rows[1].ks_total < rows[0].ks_total
+
+
+@pytest.mark.parametrize("width", [*range(1, 41), 127, 128, 129, 300])
+def test_sorted_law_totals_sum_columns_left_to_right(width):
+    """_sorted_law's columns and totals are those of the whole array of draws,
+    though each block comes in one buffer, overwritten by the next; below 8
+    columns the totals are sum(axis=1)'s."""
+    rng = np.random.default_rng(width)
+    rows = rng.standard_exponential((257, width)) * 10.0 ** rng.integers(-12, 12, (257, width))
+    rows[rng.random(rows.shape) < 0.2] = 0.0  # zeros, and ties among the rest
+    ties = rng.random(rows.shape) < 0.2
+    rows[ties] = rng.choice(rows[0], ties.sum())
+
+    def blocks():
+        buffer = np.empty((100, width))
+        for start in range(0, 257, 100):
+            block = buffer[:len(rows[start:start + 100])]
+            block[...] = rows[start:start + 100]
+            yield block
+
+    cols, total = _sorted_law(blocks(), width, 257)
+    assert np.array_equal(cols, np.sort(rows.T, axis=1))
+    left_to_right = np.zeros(257)
+    for col in rows.T:
+        left_to_right += col
+    assert np.array_equal(total, np.sort(left_to_right))
+    if width < 8:
+        assert np.array_equal(total, np.sort(rows.sum(axis=1)))
 
 
 @pytest.fixture
