@@ -29,12 +29,14 @@ p_star) and over topological orders (sigma_aggregate, beta_hat), are in
 """
 from __future__ import annotations
 
+import math
 import numbers
+from fractions import Fraction
 from functools import lru_cache
 
 from .criticality import SUBSET_CAP, ComponentDag, require_stable
 from .errors import CapExceeded, DomainError, PoleError
-from .model import Record, Scalar, SystemModel, TrajectorySpec, default_trajectory
+from .model import Record, Scalar, SystemModel, TrajectorySpec, default_trajectory, is_exact
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +52,18 @@ def _server_mask(servers) -> int:
     return sum(1 << (s - 1) for s in servers)
 
 
+def _ratio(x) -> tuple:
+    """x as (numerator, denominator): two ints when x is exact, else (x, 1)."""
+    return (x.numerator, x.denominator) if is_exact(x) else (x, 1)
+
+
+def _scaled(values) -> tuple:
+    """(L, [L x for x in values]) for the least integer L that makes every L x
+    an integer; the values are exact."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
 def _idle_sums(model: SystemModel) -> list:
     """kappa(U) = sum over idle-server sets I within U of K(I), for every server mask U.
 
@@ -57,25 +71,48 @@ def _idle_sums(model: SystemModel) -> list:
     u of I, compat being the arrival fraction of the types compatible with
     a server in the prefix (the FCFS-ALIS product form). By set:
     K({}) = 1 and K(I) = sum_{u in I} mu_u K(I - {u}) / (N lam compat(I)).
+
+    On an exact model each K(I) is an integer numerator over a denominator,
+    with mu_u = m_u / M, p_t = w_t / W and N lam = a / b scaled to integers:
+    K(I) = b W sum_u m_u K(I - {u}) / (a M w(I)). The subset sums then run
+    over one common denominator and give Fractions; a float model runs the
+    recursion as written, in floats.
     """
     n = model.n_servers
     if n > SUBSET_CAP:
         raise CapExceeded(f"{n} servers exceeds the subset-lattice cap {SUBSET_CAP}")
-    nlam = n * model.lam
     type_masks = [_server_mask(s) for s in model.job_types]
-    kappa = [1] * (1 << n)
+    exact = model.exact
+    if exact:
+        nlam = n * model.lam
+        p_scale, weights = _scaled(model.p)
+        speed, mu = _scaled(model.mu)
+        above, below = nlam.denominator * p_scale, nlam.numerator * speed
+    else:
+        nlam, weights, mu = n * model.lam, model.p, model.mu
+    num, den = [1] * (1 << n), [1] * (1 << n)
     for idle in range(1, 1 << n):
-        compat = sum(p for p, m in zip(model.p, type_masks) if m & idle)
+        compat = sum(w for w, m in zip(weights, type_masks) if m & idle)
         if compat == 0:
             raise DomainError(
                 f"servers {[u + 1 for u in _bits(idle)]} have no compatible job type")
-        kappa[idle] = sum(model.mu[u] * kappa[idle ^ 1 << u] for u in _bits(idle)) \
-            / (nlam * compat)
+        rest = {u: idle ^ 1 << u for u in _bits(idle)}
+        if not exact:
+            num[idle] = sum(mu[u] * num[r] for u, r in rest.items()) / (nlam * compat)
+            continue
+        common = math.lcm(*(den[r] for r in rest.values()))
+        x = above * sum(mu[u] * num[r] * (common // den[r]) for u, r in rest.items())
+        y = below * compat * common
+        h = math.gcd(x, y)
+        num[idle], den[idle] = x // h, y // h
+    if exact:  # every K(I) over one denominator
+        common = math.lcm(*den)
+        num = [x * (common // y) for x, y in zip(num, den)]
     for u in range(n):  # subset sums: kappa(U) = sum_{I within U} K(I)
         for idle in range(1 << n):
             if idle >> u & 1:
-                kappa[idle] = kappa[idle] + kappa[idle ^ 1 << u]
-    return kappa
+                num[idle] = num[idle] + num[idle ^ 1 << u]
+    return [Fraction(x, common) for x in num] if exact else num
 
 
 DISCIPLINES = ("coc", "cos")
@@ -99,6 +136,22 @@ def _free_idle_sum(model: SystemModel, kappa: list, types) -> Scalar:
     return kappa[((1 << model.n_servers) - 1) ^ _server_mask(model.servers_of(types))]
 
 
+def _free_masks(model: SystemModel) -> list:
+    """The mask of the servers compatible with no type of A, for every set A of job types."""
+    type_masks = [_server_mask(s) for s in model.job_types]
+    used = [0] * (1 << model.n_types)
+    for a in range(1, len(used)):
+        low = a & -a
+        used[a] = used[a ^ low] | type_masks[low.bit_length() - 1]
+    full = (1 << model.n_servers) - 1
+    return [full ^ u for u in used]
+
+
+def _exact(model: SystemModel, z) -> bool:
+    """True when the model and every coefficient of z are exact."""
+    return model.exact and all(is_exact(c) for zt in z for c in zt)
+
+
 def _prefix_table(model: SystemModel, z, base: int = 0, top: int = None,
                   open_top: bool = False) -> dict:
     """F_base(A) for every set A of job types with base <= A <= top, as power series in s.
@@ -113,11 +166,18 @@ def _prefix_table(model: SystemModel, z, base: int = 0, top: int = None,
     entry at top leaves out its stay factor 1 / (1 - N lam pz(top) / mu(top)),
     which diverges where top is critical at lambda; any other stay factor
     with a denominator <= 0 raises PoleError.
+
+    An entry is a pair (coefficients, denominator). On an exact model at an
+    exact z the coefficients are integer numerators over one positive
+    integer (_integer_table); otherwise the recursion above runs in floats,
+    over the denominator 1.
     """
     if model.n_types > SUBSET_CAP:
         raise CapExceeded(
             f"{model.n_types} job types exceeds the subset-lattice cap {SUBSET_CAP}")
     top = (1 << model.n_types) - 1 if top is None else top
+    if _exact(model, z):
+        return _integer_table(model, z, base, top, open_top)
     nlam = model.n_servers * model.lam
     degrees = range(len(z[0]))
     pz = [[model.p[t] * c for c in z[t]] for t in model.type_indices]
@@ -143,39 +203,117 @@ def _prefix_table(model: SystemModel, z, base: int = 0, top: int = None,
             continue
         stay = 1 - rate * pz_sum[a][0]
         if stay <= 0:
-            raise PoleError(f"z is at or beyond a pole of the PGF (outside its domain) "
-                            f"at the set of type indices {_bits(a)}")
+            _pole(a)
         # F (1 - rate pz(A)) = rate sum_t p_t z_t F(A - {t}), solved degree by degree
         fa = []
         for k in degrees:
             fa.append(rate * (arrivals[k] + sum(pz_sum[a][i] * fa[k - i] for i in range(1, k + 1)))
                       / stay)
         f[a] = fa
+    return {a: (fa, 1) for a, fa in f.items()}
+
+
+def _pole(a: int):
+    raise PoleError(f"z is at or beyond a pole of the PGF (outside its domain) "
+                    f"at the set of type indices {_bits(a)}")
+
+
+def _integer_table(model: SystemModel, z, base: int, top: int, open_top: bool) -> dict:
+    """_prefix_table on an exact model at an exact z, in integers.
+
+    With g_t = L p_t z_t, mu_u = m_u / M and N lam = a / b scaled to
+    integers, each set solves
+    F(A) (b L m(A) - a M g(A)) = a M sum_{t in A - base} g_t F(A - {t})
+    degree by degree: its entry's coefficients are integers over the least
+    common multiple q of its predecessors' denominators times e^n, for
+    e = b L m(A) - a M g_0(A) the scaled stay factor and n the number of
+    coefficients, reduced by one gcd. The stay factor of A is <= 0 where
+    e <= 0; open_top's entry at top has the denominator q b L m(top).
+    """
+    types = _bits(top)
+    size = len(z[0])
+    scale, flat = _scaled([model.p[t] * c for t in types for c in z[t]])
+    g = {t: flat[j * size:(j + 1) * size] for j, t in enumerate(types)}
+    speed, mu = _scaled(model.mu)
+    nlam = model.n_servers * model.lam
+    outflow, inflow = nlam.denominator * scale, nlam.numerator * speed  # b L and a M
+    type_masks = {t: _server_mask(model.job_types[t]) for t in types}
+    f = {base: ([1] + [0] * (size - 1), 1)}
+    g_sum = {base: [sum(g[t][k] for t in _bits(base)) for k in range(size)]}
+    servers = {base: _server_mask(model.servers_of(_bits(base)))}
+    leads = {}  # b L m(A) by server mask, which many type sets share
+    free, sub = top & ~base, 0
+    while sub != free:
+        sub = (sub - free) & free  # the next subset of free, in increasing order
+        a = base | sub
+        low = sub & -sub
+        srv = servers[a] = servers[a ^ low] | type_masks[low.bit_length() - 1]
+        ga = g_sum[a] = [x + y for x, y in zip(g_sum[a ^ low], g[low.bit_length() - 1])]
+        if srv not in leads:
+            leads[srv] = outflow * sum(mu[u] for u in _bits(srv))
+        preds = [(g[t], f[a ^ 1 << t]) for t in _bits(sub)]
+        common = math.lcm(*(d for _, (_, d) in preds))
+        if size == 1:
+            arrivals = [sum(gt[0] * fs[0] * (common // d) for gt, (fs, d) in preds)]
+        else:
+            arrivals = [0] * size
+            for gt, (fs, d) in preds:
+                up = common // d
+                for k in range(size):
+                    arrivals[k] += up * sum(gt[i] * fs[k - i] for i in range(k + 1))
+        if open_top and a == top:
+            nums, den = [inflow * x for x in arrivals], common * leads[srv]
+        else:
+            e = leads[srv] - inflow * ga[0]
+            if e <= 0:
+                _pole(a)
+            # x_k = F_k q e^(k+1): x_k = a M (r_k e^k + sum_{i >= 1} g_i(A) x_(k-i) e^(i-1))
+            powers = [e ** k for k in range(size + 1)]
+            xs = []
+            for k in range(size):
+                xs.append(inflow * (arrivals[k] * powers[k]
+                                    + sum(ga[i] * xs[k - i] * powers[i - 1]
+                                          for i in range(1, k + 1))))
+            nums = [x * powers[size - 1 - k] for k, x in enumerate(xs)]
+            den = common * powers[size]
+        h = math.gcd(den, *nums)
+        f[a] = ([x // h for x in nums], den // h)
     return f
-
-
-def _set_weights(model: SystemModel, table: dict, kappa: list = None) -> list:
-    """F(A) * kappa(free(A)) for every set A of the table, in its order: the
-    servers free(A) are compatible with no type in A, and kappa = None
-    (c.o.c.) stands for kappa = 1."""
-    if kappa is None:
-        return list(table.values())
-    return [[_free_idle_sum(model, kappa, _bits(a)) * c for c in fa] for a, fa in table.items()]
 
 
 def _prefix_series(model: SystemModel, z, kappa: list = None) -> list:
     """sum over the sets A of job types of F(A) * kappa(free(A)), a power series in s.
 
     F is _prefix_table's; kappa comes from _idle_sums (c.o.s.), and None
-    stands for kappa = 1 (c.o.c.).
+    stands for kappa = 1 (c.o.c.). Exact tables are summed as integers over
+    a common denominator, into one Fraction a coefficient.
     """
-    total = [0] * len(z[0])
-    for fa in _set_weights(model, _prefix_table(model, z), kappa):
-        total = [x + y for x, y in zip(total, fa)]
-    return total
+    table = _prefix_table(model, z)
+    free = None if kappa is None else _free_masks(model)
+    if not _exact(model, z):
+        total = [0] * len(z[0])
+        for a, (fa, _) in table.items():
+            if free is not None:
+                fa = [kappa[free[a]] * c for c in fa]
+            total = [x + y for x, y in zip(total, fa)]
+        return total
+    total, den = [0] * len(z[0]), 1
+    for a, (fa, d) in table.items():
+        if free is not None:
+            w = kappa[free[a]]
+            fa, d = [c * w.numerator for c in fa], d * w.denominator
+        h = math.gcd(den, d)
+        total = [x * (d // h) + y * (den // h) for x, y in zip(total, fa)]
+        den = den // h * d
+    return [Fraction(x, den) for x in total]
 
 
-def _pgf(model: SystemModel, z, kappa) -> Scalar:
+def _pgf(model: SystemModel, z, discipline: str) -> Scalar:
+    _check_discipline(discipline)
+    require_stable(model)  # decided on the model as given, exactly
+    if not (model.exact and all(is_exact(x) for x in z)):  # every table in floats
+        model, z = model.as_float(), [float(x) for x in z]
+    kappa = _idle_sums(model) if discipline == "cos" else None
     # E[prod z_t^Q_t] converges absolutely where the series in |z| does: where
     # every stay factor at |z| is positive, as stability gives when all |z_t| <= 1
     if any(abs(x) > 1 for x in z):
@@ -187,7 +325,7 @@ def _pgf(model: SystemModel, z, kappa) -> Scalar:
 def pgf_coc(model: SystemModel, z) -> Scalar:
     """Joint PGF of per-type job counts under cancel-on-completion: f(z)/f(1),
     with f(z) the sum of oracles.h_term over all ordered vectors of distinct types."""
-    return _pgf(model, z, _kappa(model, "coc"))
+    return _pgf(model, z, "coc")
 
 
 def pgf_cos(model: SystemModel, z) -> Scalar:
@@ -196,7 +334,7 @@ def pgf_cos(model: SystemModel, z) -> Scalar:
     g(z) sums oracles.h_term(T, z) times the ordered-idle-server weights of the
     servers compatible with no type in T.
     """
-    return _pgf(model, z, _kappa(model, "cos"))
+    return _pgf(model, z, "cos")
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +404,11 @@ def _lattice(dag: ComponentDag, traj: TrajectorySpec, key: str) -> tuple:
     for d in dag.down_sets[1:]:
         hi = sum(m for i, m in enumerate(comp_masks) if d >> i & 1)
         g = traj.gamma_of(_bits(hi))
-        steps = {d ^ 1 << i: _prefix_table(at_limit, ones, hi ^ m, hi, open_top=True)[hi][0]
-                 * model.mu_of(_bits(hi)) / g
-                 for i, m in enumerate(comp_masks) if d >> i & 1 and d ^ 1 << i in ideals}
+        steps = {}
+        for i, m in enumerate(comp_masks):
+            if d >> i & 1 and d ^ 1 << i in ideals:
+                (num,), den = _prefix_table(at_limit, ones, hi ^ m, hi, open_top=True)[hi]
+                steps[d ^ 1 << i] = Fraction(num, den) * model.mu_of(_bits(hi)) / g
         nodes[d] = (tuple(nlam * model.p[t] / g if hi >> t & 1 else 0
                           for t in model.type_indices), steps)
         paths[d] = sum(paths[lo] * w for lo, w in steps.items())

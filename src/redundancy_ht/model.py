@@ -203,15 +203,15 @@ class SystemModel(Record):
         return self.replace(lam=lam)
 
     def as_float(self) -> "SystemModel":
+        """The model in floats; ModelError where a number overflows a float or,
+        being positive, rounds to 0."""
         try:
-            return SystemModel(
-                mu=tuple(float(m) for m in self.mu),
-                lam=float(self.lam),
-                job_types=self.job_types,
-                p=tuple(float(ps) for ps in self.p),
-            )
+            mu, lam, p = [float(m) for m in self.mu], float(self.lam), [float(x) for x in self.p]
         except OverflowError:
             raise ModelError("a model number is out of float range") from None
+        if 0 in (*mu, lam, *p):
+            raise ModelError("a model number is out of float range")
+        return SystemModel(mu=tuple(mu), lam=lam, job_types=self.job_types, p=tuple(p))
 
 
 class TrajectorySpec(Record):

@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .analytic import (_bits, _check_seed, _draw_counts, _kappa, _prefix_series, _prefix_table,
-                       _set_weights)
+from .analytic import (_bits, _check_seed, _draw_counts, _free_masks, _kappa, _prefix_series,
+                       _prefix_table, _ratio)
 from .errors import DomainError
 from .model import Record, Scalar, SystemModel
 
@@ -82,18 +82,28 @@ def segment_law(model: SystemModel, entries) -> SegmentLaw:
 
 def _peeling_weights(model: SystemModel, discipline: str):
     """The exact sampler's weights: F(A) for every set A of job types, keyed
-    by bitmask, and the weight F(B) * kappa(free(B)) of each B as the final
-    set of the first-occurrence vector, in the same order."""
+    by bitmask, as _prefix_table's pair (numerators, denominator), and the
+    weight F(B) * kappa(free(B)) of each B as the final set of the
+    first-occurrence vector, in the same order, correctly rounded to a float."""
     kappa = _kappa(model, discipline)
-    table = _prefix_table(model, [[1]] * model.n_types)
-    final = [w for (w,) in _set_weights(model, table, kappa)]
-    return {a: fa for a, (fa,) in table.items()}, final
+    f = {a: (n, d) for a, ((n,), d) in _prefix_table(model, [[1]] * model.n_types).items()}
+    free = None if kappa is None else _free_masks(model)
+    final = []
+    for a, (n, d) in f.items():
+        kn, kd = (1, 1) if kappa is None else _ratio(kappa[free[a]])
+        final.append(n * kn / (d * kd))
+    return f, final
 
 
 def _last_type_weights(model: SystemModel, f: dict, a: int):
-    """The types of the set a and their weights p_t F(a - {t}) of coming last."""
+    """The types of the set a and their weights p_t F(a - {t}) of coming last,
+    each correctly rounded to a float."""
     types = _bits(a)
-    return types, [model.p[t] * f[a ^ 1 << t] for t in types]
+    weights = []
+    for t in types:
+        (pn, pd), (n, d) = _ratio(model.p[t]), f[a ^ 1 << t]
+        weights.append(pn * n / (pd * d))
+    return types, weights
 
 
 def sample_prelimit(model: SystemModel, discipline: str, n: int, seed,
@@ -128,14 +138,19 @@ def sample_prelimit(model: SystemModel, discipline: str, n: int, seed,
     f, final = _peeling_weights(model, discipline)
     groups = {(a, ()): m for a, m in zip(f, _draw_counts(rng, n, final)) if m}
     drawn = {}
+    last = {}  # set -> its types and their probabilities of coming last, as _draw_counts has them
     while groups:
         peeled = {}
         for (a, tail), m in groups.items():
             if a == 0:
                 drawn[tail] = m
                 continue
-            types, weights = _last_type_weights(model, f, a)
-            for t, k in zip(types, _draw_counts(rng, m, weights)):
+            if a not in last:
+                types, weights = _last_type_weights(model, f, a)
+                weights = np.asarray(weights)
+                last[a] = types, weights / weights.sum()
+            types, probabilities = last[a]
+            for t, k in zip(types, rng.multinomial(m, probabilities)):
                 if k:
                     peeled[a ^ 1 << t, (t,) + tail] = k
         groups = peeled

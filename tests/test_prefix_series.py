@@ -18,7 +18,7 @@ import pytest
 
 from redundancy_ht import (SystemModel, TrajectorySpec, analytic, default_trajectory,
                            generators, model_at_trajectory)
-from redundancy_ht.analytic import limiting_transform, pgf_coc, pgf_cos, sigma_mixture
+from redundancy_ht.analytic import _bits, limiting_transform, pgf_coc, pgf_cos, sigma_mixture
 from redundancy_ht.criticality import crp_components
 from redundancy_ht.errors import DomainError
 from redundancy_ht.moments import moment, moment_total
@@ -251,16 +251,25 @@ def _with_trajectories(rng, models):
 
 
 def test_peeling_probabilities_match_configurations():
+    """The sampler's table, read exactly, peels each vector with its exact
+    probability, and its float weights are the exact ones correctly rounded."""
     for _, model in _models(406, 20):
         for discipline in ("coc", "cos"):
-            f, final = _peeling_weights(model, discipline)
-            set_prob = {a: w / sum(final) for a, w in zip(f, final)}
+            pairs, final = _peeling_weights(model, discipline)
+            f = {a: F(*fa) for a, fa in pairs.items()}
+            kappa = analytic._idle_sums(model) if discipline == "cos" else None
+            exact = [fa * (1 if kappa is None else analytic._free_idle_sum(model, kappa, _bits(a)))
+                     for a, fa in f.items()]
+            assert final == [float(w) for w in exact]
+            set_prob = {a: w / sum(exact) for a, w in zip(f, exact)}
             for entries, prob in zip(*config_distribution(model, discipline)):
                 a = sum(1 << t for t in entries)
                 peeled = set_prob[a]
                 for t in reversed(entries):
-                    types, weights = _last_type_weights(model, f, a)
-                    peeled = peeled * weights[types.index(t)] / sum(weights)
+                    types, weights = _last_type_weights(model, pairs, a)
+                    last = [model.p[u] * f[a ^ 1 << u] for u in types]
+                    assert weights == [float(w) for w in last]
+                    peeled = peeled * last[types.index(t)] / sum(last)
                     a ^= 1 << t
                 assert peeled == prob
 
