@@ -7,9 +7,13 @@ factor of a product depends only on a prefix set and its newest element,
 so one recursion over the subsets of types (_prefix_table), weighted by
 one over the subsets of servers (_idle_sums), computes these sums as power
 series in s; the PGFs, the pre-limit moments and the exact sampler read
-it. _kappa alone decides a discipline's weights (none for c.o.c., the
-idle-server sums for c.o.s.), after checking the discipline's name and the
-model's stability; prelimit, simulator and oracles take it from here.
+it. On an exact model at an exact point both recursions run in Python
+integers, each entry a numerator over its own denominator, and equal the
+recursions written over Fractions (tests/prefix_reference.py); at a float
+point, or on a float model, they run in floats alone. _kappa alone decides
+a discipline's weights (none for c.o.c., the idle-server sums for c.o.s.),
+after checking the discipline's name and the model's stability; prelimit,
+simulator and oracles take it from here.
 
 Limit: as the arrival-rate vector approaches the stability boundary along
 a trajectory lambda_S(eps) = N*lambda* p_S - eps*gamma_S, the scaled queue
@@ -50,11 +54,6 @@ def _bits(mask: int) -> list:
 def _server_mask(servers) -> int:
     """Server set as a bitmask: bit s-1 stands for server s."""
     return sum(1 << (s - 1) for s in servers)
-
-
-def _ratio(x) -> tuple:
-    """x as (numerator, denominator): two ints when x is exact, else (x, 1)."""
-    return (x.numerator, x.denominator) if is_exact(x) else (x, 1)
 
 
 def _scaled(values) -> tuple:

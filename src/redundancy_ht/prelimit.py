@@ -28,9 +28,9 @@ import math
 from fractions import Fraction
 
 from .analytic import (_bits, _check_seed, _draw_counts, _free_masks, _kappa, _prefix_series,
-                       _prefix_table, _ratio)
+                       _prefix_table)
 from .errors import DomainError
-from .model import Record, Scalar, SystemModel
+from .model import Record, Scalar, SystemModel, is_exact
 
 MOMENT_ORDER_CAP = 12
 # the sampler adds a prefix set's draws block by block, by slices, where its
@@ -78,6 +78,11 @@ def segment_law(model: SystemModel, entries) -> SegmentLaw:
         split.append(tuple(model.p[u] / p_j for u in entries[:j]))
     return SegmentLaw(entries=entries, segment_params=tuple(seg),
                       type_params=tuple(typ), split_fractions=tuple(split))
+
+
+def _ratio(x) -> tuple:
+    """x as (numerator, denominator): two ints when x is exact, else (x, 1)."""
+    return (x.numerator, x.denominator) if is_exact(x) else (x, 1)
 
 
 def _peeling_weights(model: SystemModel, discipline: str):
