@@ -8,12 +8,13 @@ so one recursion over the subsets of types (_prefix_table), weighted by
 one over the subsets of servers (_idle_sums), computes these sums as power
 series in s; the PGFs, the pre-limit moments and the exact sampler read
 it. On an exact model at an exact point both recursions run in Python
-integers, each entry a numerator over its own denominator, and equal the
-recursions written over Fractions (tests/prefix_reference.py); at a float
-point, or on a float model, they run in floats alone. _kappa alone decides
-a discipline's weights (none for c.o.c., the idle-server sums for c.o.s.),
-after checking the discipline's name and the model's stability; prelimit,
-simulator and oracles take it from here.
+integers, as numerators over a denominator, and equal the recursions
+written over Fractions (tests/prefix_reference.py); otherwise they run in
+floats over the denominator 1, and the table spans the full lattice only.
+_kappa alone decides a discipline's weights (none for c.o.c., the
+idle-server sums by set of types, _free_weights, for c.o.s.), after
+checking the discipline's name and the model's stability; prelimit and
+oracles take it from here.
 
 Limit: as the arrival-rate vector approaches the stability boundary along
 a trajectory lambda_S(eps) = N*lambda* p_S - eps*gamma_S, the scaled queue
@@ -63,8 +64,9 @@ def _scaled(values) -> tuple:
     return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
-def _idle_sums(model: SystemModel) -> list:
-    """kappa(U) = sum over idle-server sets I within U of K(I), for every server mask U.
+def _idle_sums(model: SystemModel) -> tuple:
+    """kappa(U) = sum over idle-server sets I within U of K(I), for every server
+    mask U, as a pair (numerators by server mask, one denominator).
 
     K(I) sums prod_l mu_{u_l} / (N lam compat(u_1..u_l)) over the orderings
     u of I, compat being the arrival fraction of the types compatible with
@@ -74,8 +76,8 @@ def _idle_sums(model: SystemModel) -> list:
     On an exact model each K(I) is an integer numerator over a denominator,
     with mu_u = m_u / M, p_t = w_t / W and N lam = a / b scaled to integers:
     K(I) = b W sum_u m_u K(I - {u}) / (a M w(I)). The subset sums then run
-    over one common denominator and give Fractions; a float model runs the
-    recursion as written, in floats.
+    in integers over one common denominator; a float model runs the
+    recursion as written, in floats over the denominator 1.
     """
     n = model.n_servers
     if n > SUBSET_CAP:
@@ -104,14 +106,27 @@ def _idle_sums(model: SystemModel) -> list:
         y = below * compat * common
         h = math.gcd(x, y)
         num[idle], den[idle] = x // h, y // h
-    if exact:  # every K(I) over one denominator
-        common = math.lcm(*den)
-        num = [x * (common // y) for x, y in zip(num, den)]
+    common = math.lcm(*den)  # every K(I) over one denominator, 1 on a float model
+    num = [x * (common // y) for x, y in zip(num, den)]
     for u in range(n):  # subset sums: kappa(U) = sum_{I within U} K(I)
         for idle in range(1 << n):
             if idle >> u & 1:
                 num[idle] = num[idle] + num[idle ^ 1 << u]
-    return [Fraction(x, common) for x in num] if exact else num
+    return num, common
+
+
+def _free_weights(model: SystemModel) -> tuple:
+    """kappa(free(A)) for every set A of job types, keyed by bitmask, in
+    _idle_sums' pair (numerators, denominator): free(A) holds the servers
+    compatible with no type of A."""
+    kappa, den = _idle_sums(model)
+    type_masks = [_server_mask(s) for s in model.job_types]
+    used = [0] * (1 << model.n_types)
+    for a in range(1, len(used)):
+        low = a & -a
+        used[a] = used[a ^ low] | type_masks[low.bit_length() - 1]
+    full = (1 << model.n_servers) - 1
+    return [kappa[full ^ u] for u in used], den
 
 
 DISCIPLINES = ("coc", "cos")
@@ -122,28 +137,25 @@ def _check_discipline(discipline: str):
         raise DomainError(f"unknown discipline {discipline!r}; expected one of {DISCIPLINES}")
 
 
+def _per_type(model: SystemModel, values, name: str):
+    """values, once they hold one entry per job type of the model."""
+    if len(values) != model.n_types:
+        raise DomainError(f"need one {name} per job type, got {len(values)} for {model.n_types}")
+    return values
+
+
 def _kappa(model: SystemModel, discipline: str):
-    """The idle-server sums the discipline weighs with (None for c.o.c.),
-    once the discipline is known and the model stable."""
+    """The discipline's weights by set of job types (None for c.o.c., _free_weights
+    for c.o.s.), once the discipline is known and the model stable."""
     _check_discipline(discipline)
     require_stable(model)
-    return _idle_sums(model) if discipline == "cos" else None
+    return _free_weights(model) if discipline == "cos" else None
 
 
-def _free_idle_sum(model: SystemModel, kappa: list, types) -> Scalar:
-    """kappa of the servers compatible with no type in `types`."""
-    return kappa[((1 << model.n_servers) - 1) ^ _server_mask(model.servers_of(types))]
-
-
-def _free_masks(model: SystemModel) -> list:
-    """The mask of the servers compatible with no type of A, for every set A of job types."""
-    type_masks = [_server_mask(s) for s in model.job_types]
-    used = [0] * (1 << model.n_types)
-    for a in range(1, len(used)):
-        low = a & -a
-        used[a] = used[a ^ low] | type_masks[low.bit_length() - 1]
-    full = (1 << model.n_servers) - 1
-    return [full ^ u for u in used]
+def _free_idle_sum(kappa: tuple, types) -> Scalar:
+    """kappa of the servers compatible with no type in `types`, from _free_weights' pair."""
+    w, den = kappa[0][sum(1 << t for t in types)], kappa[1]
+    return Fraction(w, den) if is_exact(w) else w / den
 
 
 def _exact(model: SystemModel, z) -> bool:
@@ -169,37 +181,30 @@ def _prefix_table(model: SystemModel, z, base: int = 0, top: int = None,
     An entry is a pair (coefficients, denominator). On an exact model at an
     exact z the coefficients are integer numerators over one positive
     integer (_integer_table); otherwise the recursion above runs in floats,
-    over the denominator 1.
+    over the denominator 1, on the full lattice: intervals are exact-only.
     """
     if model.n_types > SUBSET_CAP:
         raise CapExceeded(
             f"{model.n_types} job types exceeds the subset-lattice cap {SUBSET_CAP}")
-    top = (1 << model.n_types) - 1 if top is None else top
     if _exact(model, z):
+        top = (1 << model.n_types) - 1 if top is None else top
         return _integer_table(model, z, base, top, open_top)
     nlam = model.n_servers * model.lam
     degrees = range(len(z[0]))
     pz = [[model.p[t] * c for c in z[t]] for t in model.type_indices]
     type_masks = [_server_mask(s) for s in model.job_types]
-    f = {base: [1] + [0] * (len(degrees) - 1)}
-    pz_sum = {base: [sum(pz[t][k] for t in _bits(base)) for k in degrees]}
-    servers = {base: _server_mask(model.servers_of(_bits(base)))}
+    f = {0: [1] + [0] * (len(degrees) - 1)}
+    pz_sum, servers = {0: [0] * len(degrees)}, {0: 0}
     rates = {}  # N lam / mu by server mask, which many type sets share
-    free, sub = top & ~base, 0
-    while sub != free:
-        sub = (sub - free) & free  # the next subset of free, in increasing order
-        a = base | sub
-        low = sub & -sub
+    for a in range(1, 1 << model.n_types):
+        low = a & -a
         srv = servers[a] = servers[a ^ low] | type_masks[low.bit_length() - 1]
         pz_sum[a] = [x + y for x, y in zip(pz_sum[a ^ low], pz[low.bit_length() - 1])]
         if srv not in rates:
             rates[srv] = nlam / sum(model.mu[u] for u in _bits(srv))
         rate = rates[srv]
-        arrivals = [sum(pz[t][i] * f[a ^ 1 << t][k - i] for t in _bits(sub) for i in range(k + 1))
+        arrivals = [sum(pz[t][i] * f[a ^ 1 << t][k - i] for t in _bits(a) for i in range(k + 1))
                     for k in degrees]
-        if open_top and a == top:
-            f[a] = [rate * x for x in arrivals]
-            continue
         stay = 1 - rate * pz_sum[a][0]
         if stay <= 0:
             _pole(a)
@@ -280,39 +285,34 @@ def _integer_table(model: SystemModel, z, base: int, top: int, open_top: bool) -
     return f
 
 
-def _prefix_series(model: SystemModel, z, kappa: list = None) -> list:
+def _prefix_series(model: SystemModel, z, kappa: tuple = None) -> list:
     """sum over the sets A of job types of F(A) * kappa(free(A)), a power series in s.
 
-    F is _prefix_table's; kappa comes from _idle_sums (c.o.s.), and None
-    stands for kappa = 1 (c.o.c.). Exact tables are summed as integers over
-    a common denominator, into one Fraction a coefficient.
+    F is _prefix_table's; kappa is _free_weights' pair (c.o.s.), and None
+    stands for kappa = 1 (c.o.c.). Exact sums run over one common
+    denominator, divided once at the end into Fractions; a float table's
+    denominators are all 1, and its weights are floats, each rounded once.
     """
     table = _prefix_table(model, z)
-    free = None if kappa is None else _free_masks(model)
-    if not _exact(model, z):
-        total = [0] * len(z[0])
-        for a, (fa, _) in table.items():
-            if free is not None:
-                fa = [kappa[free[a]] * c for c in fa]
-            total = [x + y for x, y in zip(total, fa)]
-        return total
+    exact = _exact(model, z)
+    weights, q = ([1] * len(table), 1) if kappa is None else kappa
+    if not exact:  # int / int rounds once, and never overflows; w / 1 on a float model
+        weights, q = [w / q for w in weights], 1
     total, den = [0] * len(z[0]), 1
     for a, (fa, d) in table.items():
-        if free is not None:
-            w = kappa[free[a]]
-            fa, d = [c * w.numerator for c in fa], d * w.denominator
         h = math.gcd(den, d)
-        total = [x * (d // h) + y * (den // h) for x, y in zip(total, fa)]
+        total = [x * (d // h) + weights[a] * y * (den // h) for x, y in zip(total, fa)]
         den = den // h * d
-    return [Fraction(x, den) for x in total]
+    return [Fraction(x, den * q) for x in total] if exact else total
 
 
 def _pgf(model: SystemModel, z, discipline: str) -> Scalar:
     _check_discipline(discipline)
+    _per_type(model, z, "z value")
     require_stable(model)  # decided on the model as given, exactly
     if not (model.exact and all(is_exact(x) for x in z)):  # every table in floats
         model, z = model.as_float(), [float(x) for x in z]
-    kappa = _idle_sums(model) if discipline == "cos" else None
+    kappa = _free_weights(model) if discipline == "cos" else None
     # E[prod z_t^Q_t] converges absolutely where the series in |z| does: where
     # every stay factor at |z| is positive, as stability gives when all |z_t| <= 1
     if any(abs(x) > 1 for x in z):
@@ -451,8 +451,9 @@ def limiting_transform(dag: ComponentDag, t, traj: TrajectorySpec = None, c=None
     that depends on A_k alone, so the sum over sigma runs forward over the
     down-sets (_lattice): G(A) = A's factor times sum_lo G(lo) w(lo, A).
     """
+    _per_type(dag.model, t, "t value")
+    c = [0] * len(t) if c is None else _per_type(dag.model, c, "weight")
     nodes, total = _lattice(dag, traj, repr(traj))
-    c = [0] * len(t) if c is None else c
     g = {0: [1] + [0] * n}
     for d, (row, steps) in nodes.items():
         b = _laplace_denominator(row, t)
@@ -470,6 +471,7 @@ def limiting_transform(dag: ComponentDag, t, traj: TrajectorySpec = None, c=None
 
 def limiting_laplace(dag: ComponentDag, t, traj: TrajectorySpec = None) -> Scalar:
     """Product form prod_k (1 + sum_{S in V_k} t_S N*lambda* p_S / gamma(V_k))^-1."""
+    _per_type(dag.model, t, "t value")
     val = 1
     for row in limit_law(dag, traj).coeffs:
         val = val / _laplace_denominator(row, t)

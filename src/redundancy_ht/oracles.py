@@ -131,7 +131,7 @@ def config_distribution(model: SystemModel, discipline: str = "coc") -> tuple:
     for entries in iter_ordered_type_tuples(model):
         w = h_term(model, entries, ones)
         if kappa is not None:
-            w = w * _free_idle_sum(model, kappa, entries)
+            w = w * _free_idle_sum(kappa, entries)
         entries_list.append(entries)
         weights.append(w)
     total = sum(weights)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .analytic import (_bits, _check_seed, _draw_counts, _free_masks, _kappa, _prefix_series,
+from .analytic import (_bits, _check_seed, _draw_counts, _kappa, _per_type, _prefix_series,
                        _prefix_table)
 from .errors import DomainError
 from .model import Record, Scalar, SystemModel, is_exact
@@ -92,12 +92,8 @@ def _peeling_weights(model: SystemModel, discipline: str):
     first-occurrence vector, in the same order, correctly rounded to a float."""
     kappa = _kappa(model, discipline)
     f = {a: (n, d) for a, ((n,), d) in _prefix_table(model, [[1]] * model.n_types).items()}
-    free = None if kappa is None else _free_masks(model)
-    final = []
-    for a, (n, d) in f.items():
-        kn, kd = (1, 1) if kappa is None else _ratio(kappa[free[a]])
-        final.append(n * kn / (d * kd))
-    return f, final
+    weights, q = ([1] * len(f), 1) if kappa is None else kappa
+    return f, [n * weights[a] / (d * q) for a, (n, d) in f.items()]
 
 
 def _last_type_weights(model: SystemModel, f: dict, a: int):
@@ -211,9 +207,7 @@ def linear_moment(model: SystemModel, c, n: int, discipline: str = "coc") -> Sca
     """
     if not 1 <= n <= MOMENT_ORDER_CAP:
         raise DomainError(f"moment order must be in 1..{MOMENT_ORDER_CAP}")
-    if len(c) != model.n_types:
-        raise DomainError(f"need one weight per job type, got {len(c)} for {model.n_types}")
-    return _linear_moment(model, c, n, _kappa(model, discipline))
+    return _linear_moment(model, _per_type(model, c, "weight"), n, _kappa(model, discipline))
 
 
 def _linear_moment(model: SystemModel, c, n: int, kappa) -> Scalar:

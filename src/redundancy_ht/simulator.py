@@ -480,12 +480,10 @@ def scaled_law_check(dag: ComponentDag, discipline, eps_values, events_per_eps, 
     from .analytic import _direction, _limit_blocks, limit_law, sigma_mixture
 
     model, lam_star = dag.model, dag.lambda_star
-    law = (limit_law if dag.subtrees_laminar else sigma_mixture)(dag, traj)
-    rows = []
-    ref_cols, ref_total = _sorted_law(_limit_blocks(law, law_samples, seed + 999),
-                                      model.n_types, law_samples)
-    gamma = _direction(model, lam_star, traj).gamma
-    runs = []  # (horizon, spacing) per eps, all checked before the first simulation
+    if not isinstance(events_per_eps, int) and len(events_per_eps) != len(eps_values):
+        raise DomainError(f"need one event count per eps, got {len(events_per_eps)} "
+                          f"for {len(eps_values)}")
+    runs = []  # (horizon, spacing) per eps, all checked before the first draw
     for i, eps in enumerate(eps_values):
         horizon = events_per_eps if isinstance(events_per_eps, int) else events_per_eps[i]
         try:
@@ -499,6 +497,11 @@ def scaled_law_check(dag: ComponentDag, discipline, eps_values, events_per_eps, 
         if 0 < horizon and spacing > (simulate_size(horizon, spacing)[0] + horizon) // 2:
             raise DomainError(f"{horizon} events give no sample {spacing} events apart at eps={eps}")
         runs.append((horizon, spacing))
+    law = (limit_law if dag.subtrees_laminar else sigma_mixture)(dag, traj)
+    rows = []
+    ref_cols, ref_total = _sorted_law(_limit_blocks(law, law_samples, seed + 999),
+                                      model.n_types, law_samples)
+    gamma = _direction(model, lam_star, traj).gamma
     for i, (eps, (horizon, spacing)) in enumerate(zip(eps_values, runs)):
         pre = model_at_trajectory(model, TrajectorySpec(gamma, Fraction(eps)), lam_star)
         est = simulate(pre, discipline, horizon_events=horizon, seed=seed + i,

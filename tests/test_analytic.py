@@ -17,6 +17,7 @@ from redundancy_ht.oracles import (beta_hat, beta_hat_sigma_k,
                                    h_term, laplace_of_mixture, mixture_law,
                                    nested_sum_identity, ordered_vector, p_star,
                                    sigma_aggregate, sigma_weight_formula)
+from redundancy_ht.prelimit import linear_moment
 
 
 def _ctx(model):
@@ -75,6 +76,27 @@ def test_pgf_refuses_z_outside_its_domain(pgf, n_model):
     for z in [(F(5, 4), 1), (F(6, 5), F(6, 5)), (F(-1, 2), F(1, 2))]:
         assert 0 < abs(pgf(n_model, [F(x) for x in z])) < math.inf
     assert pgf_coc(n_model, [F(5, 4), F(1)]) == 2
+
+
+@pytest.mark.parametrize("size", [2, 5], ids=["short", "long"])
+def test_per_type_vectors_need_one_entry_per_type(size, four_server):
+    """Every function that reads a vector with an entry per job type refuses
+    it at any other length."""
+    _, dag = _ctx(four_server)
+    values, zeros = [F(1, 2)] * size, [F(0)] * 4
+    calls = {"z value": [lambda: pgf_coc(four_server, values),
+                         lambda: pgf_cos(four_server, values),
+                         lambda: pgf_coc(four_server.as_float(), [0.5] * size)],
+             "t value": [lambda: limiting_transform(dag, values),
+                         lambda: limiting_laplace(dag, values)],
+             "weight": [lambda: limiting_transform(dag, zeros, c=values, n=1),
+                        lambda: linear_moment(four_server, values, 1),
+                        lambda: linear_moment(four_server, values, 2, "cos")]}
+    for name, fns in calls.items():
+        for fn in fns:
+            with pytest.raises(DomainError,
+                               match=f"^need one {name} per job type, got {size} for 4$"):
+                fn()
 
 
 def test_pgf_first_moment_cross_module(n_model):

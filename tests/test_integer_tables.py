@@ -7,7 +7,9 @@ random stable models every entry must be equal as a Fraction, reduced, over
 a positive denominator, at degrees 0-4, over random [base, top] intervals
 with and without open_top, at points with negative entries and with
 |z_t| > 1; where a stay factor is <= 0 both must raise the same PoleError at
-the same set.
+the same set. `analytic._free_weights`, the idle sums read per set of job
+types, must equal the reference read at each set's free servers: as
+Fractions on exact models, bit for bit on float ones.
 """
 import json
 import math
@@ -83,29 +85,80 @@ def test_integer_table_equals_the_fraction_recursion():
 
 def test_prefix_series_equals_the_fraction_sums():
     for rng, model in _models(2802, 12, max_servers=5, max_types=7, cover_all_servers=True):
-        kappa = analytic._idle_sums(model)
+        kappa = analytic._free_weights(model)
         z = _point(rng, model.n_types, 3, "inside")
         table = reference.prefix_table(model, z)
         for weights in (None, kappa):
             want = [0] * 3
             for a, fa in table.items():
-                w = 1 if weights is None else analytic._free_idle_sum(model, kappa, analytic._bits(a))
+                w = 1 if weights is None else analytic._free_idle_sum(kappa, analytic._bits(a))
                 want = [x + w * y for x, y in zip(want, fa)]
             got = analytic._prefix_series(model, z, weights)
             assert got == want and all(type(x) is F for x in got)
 
 
+def _idle_fractions(pair):
+    """_idle_sums' pair as Fractions, after checking that it is integers over
+    a positive integer."""
+    if isinstance(pair, str):
+        return pair
+    nums, den = pair
+    assert type(den) is int and den > 0 and all(type(x) is int for x in nums)
+    return [F(x, den) for x in nums]
+
+
 def test_integer_idle_sums_equal_the_fraction_recursion():
     refused = 0
     for _, model in _models(2803, 40, max_servers=8, max_types=8):
-        got, want = _outcome(lambda: analytic._idle_sums(model)), \
+        got, want = _idle_fractions(_outcome(lambda: analytic._idle_sums(model))), \
             _outcome(lambda: reference.idle_sums(model))
         assert got == want, model
         if isinstance(want, str):
             refused += 1
-        else:
-            assert all(type(x) in (F, int) for x in got)
     assert 0 < refused < 40
+
+
+def test_free_weights_equal_the_idle_sums_at_the_free_servers():
+    """kappa(free(A)) for every set A of job types: as Fractions, the
+    reference idle sums at the mask of the servers no type of A uses, with
+    the same DomainError; on the float model the float recursion, bit for bit."""
+    refused = 0
+    for _, model in _models(2804, 40, max_servers=8, max_types=8):
+        full = (1 << model.n_servers) - 1
+        free = [full ^ analytic._server_mask(model.servers_of(analytic._bits(a)))
+                for a in range(1 << model.n_types)]
+        for m in (model, model.as_float()):
+            got, want = _outcome(lambda: analytic._free_weights(m)), \
+                _outcome(lambda: reference.idle_sums(m))
+            if isinstance(want, str):
+                assert got == want, m
+                refused += m is model
+                continue
+            weights, den = got
+            if m.exact:
+                assert type(den) is int and all(type(w) is int for w in weights)
+                assert [F(w, den) for w in weights] == [want[u] for u in free], m
+            else:
+                assert den == 1 and weights == [want[u] for u in free], m
+    assert 0 < refused < 40
+
+
+def test_float_prefix_series_is_the_left_fold_of_the_weighted_table():
+    """At a float point the series is the left fold of weight times entry over
+    the float table, bit for bit: on a float model with its float weights,
+    on an exact model with each exact weight as float(Fraction)."""
+    for rng, model in _models(2805, 12, max_servers=5, max_types=7, cover_all_servers=True):
+        z = [[float(c) for c in zt] for zt in _point(rng, model.n_types, 3, "inside")]
+        for m in (model.as_float(), model):
+            table = analytic._prefix_table(m, z)
+            for kappa in (None, analytic._free_weights(m)):
+                weights = [1] * len(table) if kappa is None else \
+                    [w if type(w) is float else float(F(w, kappa[1])) for w in kappa[0]]
+                want = [0] * 3
+                for a, (fa, _) in table.items():
+                    want = [x + weights[a] * y for x, y in zip(want, fa)]
+                got = analytic._prefix_series(m, z, kappa)
+                assert got == want and all(type(x) is float for x in got)
 
 
 def _write(tmp_path, doc):
@@ -137,7 +190,7 @@ def test_float_pgf_builds_no_exact_table(discipline, tmp_path, monkeypatch, caps
 
     entries = lambda table: [v[0] if isinstance(v, tuple) else v for v in table.values()]
     monkeypatch.setattr(analytic, "_prefix_table", recorded(analytic._prefix_table, entries))
-    monkeypatch.setattr(analytic, "_idle_sums", recorded(analytic._idle_sums, lambda k: [k]))
+    monkeypatch.setattr(analytic, "_idle_sums", recorded(analytic._idle_sums, lambda k: [k[0]]))
     path = _write(tmp_path, FOUR_SERVER)
     for z in ("0.5,0.25,0.75,0.5", "-0.5,1.25,0.5,1"):
         assert main(["pgf", "--model", path, "--z=" + z, "--backend", "float",

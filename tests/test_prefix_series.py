@@ -211,6 +211,21 @@ def test_float_backend_within_1e12():
             assert abs(approx - float(exact)) <= 1e-12 * abs(float(exact))
 
 
+def test_float_point_on_an_exact_model_beyond_the_float_range_of_its_weights():
+    """The c.o.s. weights of an exact model are integers over one denominator,
+    here both beyond the largest float; at a float point each weight is still
+    rounded once, and the moments stay within 1e-12 of the exact ones."""
+    tiny = F(1, 3 ** 700)
+    model = SystemModel(mu=(F(1), F(1)), lam=F(4, 5), job_types=(frozenset({1, 2}), frozenset({2})),
+                        p=(F(1, 2) + tiny, F(1, 2) - tiny))
+    assert analytic._free_weights(model)[1] > 2 ** 1100
+    for c in ([1.0, 1.0], [0.5, 2.0]):
+        for n in (1, 2):
+            exact = float(linear_moment(model, [F(x) for x in c], n, "cos"))
+            approx = linear_moment(model, c, n, "cos")
+            assert type(approx) is float and abs(approx - exact) <= 1e-12 * exact
+
+
 def test_server_without_types_has_no_idle_weight():
     # server 2 serves no type: its idle time has no arrival rate to divide by
     model = SystemModel(mu=(F(1), F(1)), lam=F(1, 4), job_types=(frozenset({1}),), p=(F(1),))
@@ -257,8 +272,8 @@ def test_peeling_probabilities_match_configurations():
         for discipline in ("coc", "cos"):
             pairs, final = _peeling_weights(model, discipline)
             f = {a: F(*fa) for a, fa in pairs.items()}
-            kappa = analytic._idle_sums(model) if discipline == "cos" else None
-            exact = [fa * (1 if kappa is None else analytic._free_idle_sum(model, kappa, _bits(a)))
+            kappa = analytic._kappa(model, discipline)
+            exact = [fa * (1 if kappa is None else analytic._free_idle_sum(kappa, _bits(a)))
                      for a, fa in f.items()]
             assert final == [float(w) for w in exact]
             set_prob = {a: w / sum(exact) for a, w in zip(f, exact)}

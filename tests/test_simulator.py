@@ -473,6 +473,19 @@ def test_scaled_law_check_checks_its_seed_first(n_model, monkeypatch):
             scaled_law_check(dag, "coc", eps_values=[0.2], events_per_eps=1000, seed=seed)
 
 
+@pytest.mark.parametrize("events", [[60_000], [60_000] * 3], ids=["short", "long"])
+def test_scaled_law_check_needs_one_event_count_per_eps(events, n_model, monkeypatch):
+    from redundancy_ht import analytic
+
+    def never(*args, **kwargs):
+        raise AssertionError("the limit law was sampled before the event counts were checked")
+
+    monkeypatch.setattr(analytic, "_limit_blocks", never)
+    with pytest.raises(DomainError, match=f"^need one event count per eps, got {len(events)} for 2$"):
+        scaled_law_check(crp_components(n_model), "coc", eps_values=[0.2, 0.1],
+                         events_per_eps=events)
+
+
 def test_scaled_law_check_runs(n_model):
     report = critical_rate_and_subsets_bruteforce(n_model)
     dag = crp_components(n_model, report.lambda_star)
