@@ -6,15 +6,14 @@ or additionally over ordered idle-server vectors (cancel-on-start). Each
 factor of a product depends only on a prefix set and its newest element,
 so one recursion over the subsets of types (_prefix_table), weighted by
 one over the subsets of servers (_idle_sums), computes these sums as power
-series in s; the PGFs, the pre-limit moments and the exact sampler read
-it. On an exact model at an exact point both recursions run in Python
-integers, as numerators over a denominator, and equal the recursions
-written over Fractions (tests/prefix_reference.py); otherwise they run in
-floats over the denominator 1, and the table spans the full lattice only.
-_kappa alone decides a discipline's weights (none for c.o.c., the
-idle-server sums by set of types, _free_weights, for c.o.s.), after
-checking the discipline's name and the model's stability; prelimit and
-oracles take it from here.
+series in s. The PGFs, the pre-limit moments, the exact sampler and
+oracles.config_distribution all enter through _kappa: it checks the
+arguments, puts the model in floats unless it and every value are exact,
+and alone decides a discipline's weights (ones for c.o.c., _free_weights
+for c.o.s.). A table never mixes backends: on an exact model
+both recursions run in Python integers, as numerators over a denominator,
+and equal the recursions written over Fractions (tests/prefix_reference.py);
+on a float model they run in floats over the denominator 1.
 
 Limit: as the arrival-rate vector approaches the stability boundary along
 a trajectory lambda_S(eps) = N*lambda* p_S - eps*gamma_S, the scaled queue
@@ -144,51 +143,53 @@ def _per_type(model: SystemModel, values, name: str):
     return values
 
 
-def _kappa(model: SystemModel, discipline: str):
-    """The discipline's weights by set of job types (None for c.o.c., _free_weights
-    for c.o.s.), once the discipline is known and the model stable."""
+def _kappa(model: SystemModel, discipline: str, values=None, name: str = None) -> tuple:
+    """(model, values, kappa), the one entry of the weighted prefix-set sums.
+    Checks the discipline, one `name` per type in values (if given) and
+    stability on the model as given; the model and values come back in floats
+    unless all are exact, kappa as (weights by type set, denominator):
+    ([1] * 2^S, 1) for c.o.c., _free_weights for c.o.s."""
     _check_discipline(discipline)
+    values = [] if values is None else _per_type(model, values, name)
     require_stable(model)
-    return _free_weights(model) if discipline == "cos" else None
+    full = _all_types(model)
+    if not (model.exact and all(is_exact(x) for x in values)):
+        model, values = model.as_float(), [float(x) for x in values]
+    return model, values, _free_weights(model) if discipline == "cos" else ([1] * (full + 1), 1)
 
 
 def _free_idle_sum(kappa: tuple, types) -> Scalar:
-    """kappa of the servers compatible with no type in `types`, from _free_weights' pair."""
+    """kappa of the servers compatible with no type in `types`, from _kappa's pair."""
     w, den = kappa[0][sum(1 << t for t in types)], kappa[1]
     return Fraction(w, den) if is_exact(w) else w / den
 
 
-def _exact(model: SystemModel, z) -> bool:
-    """True when the model and every coefficient of z are exact."""
-    return model.exact and all(is_exact(c) for zt in z for c in zt)
-
-
-def _prefix_table(model: SystemModel, z, base: int = 0, top: int = None,
-                  open_top: bool = False) -> dict:
-    """F_base(A) for every set A of job types with base <= A <= top, as power series in s.
-
-    Type sets are bitmasks over type indices (top defaults to all types),
-    and the table is keyed by them in increasing order. z[t] holds the
-    coefficients of z_t as a series in s, and every entry has as many. F
-    is the normalising-constant recursion of order-independent queues,
-    F_base(base) = 1 and
-    F_base(A) = (N lam / mu(A)) / (1 - N lam pz(A) / mu(A)) * sum_{t in A - base} p_t z_t F_base(A - {t}),
-    so that F_0(A) sums oracles.h_term over the orderings of A. With open_top the
-    entry at top leaves out its stay factor 1 / (1 - N lam pz(top) / mu(top)),
-    which diverges where top is critical at lambda; any other stay factor
-    with a denominator <= 0 raises PoleError.
-
-    An entry is a pair (coefficients, denominator). On an exact model at an
-    exact z the coefficients are integer numerators over one positive
-    integer (_integer_table); otherwise the recursion above runs in floats,
-    over the denominator 1, on the full lattice: intervals are exact-only.
-    """
+def _all_types(model: SystemModel) -> int:
+    """The bitmask of all job types; CapExceeded beyond 2^SUBSET_CAP type sets."""
     if model.n_types > SUBSET_CAP:
         raise CapExceeded(
             f"{model.n_types} job types exceeds the subset-lattice cap {SUBSET_CAP}")
-    if _exact(model, z):
-        top = (1 << model.n_types) - 1 if top is None else top
-        return _integer_table(model, z, base, top, open_top)
+    return (1 << model.n_types) - 1
+
+
+def _prefix_table(model: SystemModel, z) -> dict:
+    """F(A) for every set A of job types, as power series in s.
+
+    Type sets are bitmasks over type indices, and the table is keyed by them
+    in increasing order. z[t] holds the coefficients of z_t as a series in
+    s, and every entry has as many. F is the normalising-constant recursion
+    of order-independent queues, F({}) = 1 and
+    F(A) = (N lam / mu(A)) / (1 - N lam pz(A) / mu(A)) * sum_{t in A} p_t z_t F(A - {t}),
+    so that F(A) sums oracles.h_term over the orderings of A; a stay factor
+    with a denominator <= 0 raises PoleError.
+
+    An entry is a pair (coefficients, denominator), in the model's backend:
+    integer numerators over one positive integer on an exact model, whose z
+    _kappa has left exact (_integer_table); floats over 1 on a float model.
+    """
+    full = _all_types(model)
+    if model.exact:
+        return _integer_table(model, z, 0, full, False)
     nlam = model.n_servers * model.lam
     degrees = range(len(z[0]))
     pz = [[model.p[t] * c for c in z[t]] for t in model.type_indices]
@@ -196,7 +197,7 @@ def _prefix_table(model: SystemModel, z, base: int = 0, top: int = None,
     f = {0: [1] + [0] * (len(degrees) - 1)}
     pz_sum, servers = {0: [0] * len(degrees)}, {0: 0}
     rates = {}  # N lam / mu by server mask, which many type sets share
-    for a in range(1, 1 << model.n_types):
+    for a in range(1, full + 1):
         low = a & -a
         srv = servers[a] = servers[a ^ low] | type_masks[low.bit_length() - 1]
         pz_sum[a] = [x + y for x, y in zip(pz_sum[a ^ low], pz[low.bit_length() - 1])]
@@ -223,7 +224,10 @@ def _pole(a: int):
 
 
 def _integer_table(model: SystemModel, z, base: int, top: int, open_top: bool) -> dict:
-    """_prefix_table on an exact model at an exact z, in integers.
+    """F_base(A) for base <= A <= top, an exact model at an exact z, in integers:
+    _prefix_table's recursion from F_base(base) = 1, over t in A - base. With
+    open_top the entry at top leaves out its stay factor, which diverges
+    where top is critical at lambda (_lattice's steps).
 
     With g_t = L p_t z_t, mu_u = m_u / M and N lam = a / b scaled to
     integers, each set solves
@@ -285,34 +289,25 @@ def _integer_table(model: SystemModel, z, base: int, top: int, open_top: bool) -
     return f
 
 
-def _prefix_series(model: SystemModel, z, kappa: tuple = None) -> list:
+def _prefix_series(model: SystemModel, z, kappa: tuple) -> list:
     """sum over the sets A of job types of F(A) * kappa(free(A)), a power series in s.
 
-    F is _prefix_table's; kappa is _free_weights' pair (c.o.s.), and None
-    stands for kappa = 1 (c.o.c.). Exact sums run over one common
-    denominator, divided once at the end into Fractions; a float table's
-    denominators are all 1, and its weights are floats, each rounded once.
+    F is _prefix_table's and kappa _kappa's weight pair, both in the model's
+    backend. Exact sums run over one common denominator, divided once at the
+    end into Fractions; on a float model every denominator is 1.
     """
     table = _prefix_table(model, z)
-    exact = _exact(model, z)
-    weights, q = ([1] * len(table), 1) if kappa is None else kappa
-    if not exact:  # int / int rounds once, and never overflows; w / 1 on a float model
-        weights, q = [w / q for w in weights], 1
+    weights, q = kappa
     total, den = [0] * len(z[0]), 1
     for a, (fa, d) in table.items():
         h = math.gcd(den, d)
         total = [x * (d // h) + weights[a] * y * (den // h) for x, y in zip(total, fa)]
         den = den // h * d
-    return [Fraction(x, den * q) for x in total] if exact else total
+    return [Fraction(x, den * q) for x in total] if model.exact else total
 
 
 def _pgf(model: SystemModel, z, discipline: str) -> Scalar:
-    _check_discipline(discipline)
-    _per_type(model, z, "z value")
-    require_stable(model)  # decided on the model as given, exactly
-    if not (model.exact and all(is_exact(x) for x in z)):  # every table in floats
-        model, z = model.as_float(), [float(x) for x in z]
-    kappa = _free_weights(model) if discipline == "cos" else None
+    model, z, kappa = _kappa(model, discipline, z, "z value")
     # E[prod z_t^Q_t] converges absolutely where the series in |z| does: where
     # every stay factor at |z| is positive, as stability gives when all |z_t| <= 1
     if any(abs(x) > 1 for x in z):
@@ -397,6 +392,7 @@ def _lattice(dag: ComponentDag, traj: TrajectorySpec, key: str) -> tuple:
     at_limit = model.with_lambda(dag.lambda_star)
     nlam = model.n_servers * dag.lambda_star
     traj = _direction(model, dag.lambda_star, traj)
+    _all_types(model)  # the steps' intervals have the cap of the full lattice
     ones = [[1]] * model.n_types
     comp_masks = [sum(1 << t for t in comp.types) for comp in dag.components]
     ideals, nodes, paths = set(dag.down_sets), {}, {0: 1}
@@ -406,7 +402,7 @@ def _lattice(dag: ComponentDag, traj: TrajectorySpec, key: str) -> tuple:
         steps = {}
         for i, m in enumerate(comp_masks):
             if d >> i & 1 and d ^ 1 << i in ideals:
-                (num,), den = _prefix_table(at_limit, ones, hi ^ m, hi, open_top=True)[hi]
+                (num,), den = _integer_table(at_limit, ones, hi ^ m, hi, True)[hi]
                 steps[d ^ 1 << i] = Fraction(num, den) * model.mu_of(_bits(hi)) / g
         nodes[d] = (tuple(nlam * model.p[t] / g if hi >> t & 1 else 0
                           for t in model.type_indices), steps)

@@ -125,15 +125,12 @@ def config_distribution(model: SystemModel, discipline: str = "coc") -> tuple:
     servers compatible with no type in T. This lists every ordered vector
     and serves as the oracle of sample_prelimit's peeling probabilities.
     """
-    kappa = _kappa(model, discipline)
+    model, _, kappa = _kappa(model, discipline)
     ones = [1] * model.n_types
     entries_list, weights = [], []
     for entries in iter_ordered_type_tuples(model):
-        w = h_term(model, entries, ones)
-        if kappa is not None:
-            w = w * _free_idle_sum(kappa, entries)
         entries_list.append(entries)
-        weights.append(w)
+        weights.append(h_term(model, entries, ones) * _free_idle_sum(kappa, entries))
     total = sum(weights)
     return tuple(entries_list), tuple(w / total for w in weights)
 

@@ -19,16 +19,15 @@ all samples whose vector passes through it, not once per vector.
 Every moment reads one prefix-set series: E[(c.Q)^n] is n! times the
 coefficient of s^n in the PGF at z_t = e^{c_t s} (linear_moment). The
 total moments of `moments` take c = 1, the per-type means c = e_S. The
-sampler and the moments weigh by the discipline's idle-server sums from
-analytic._kappa, as the PGFs do.
+sampler and the moments enter the prefix-set sums through analytic._kappa,
+as the PGFs do, so that each table runs in one backend.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .analytic import (_bits, _check_seed, _draw_counts, _kappa, _per_type, _prefix_series,
-                       _prefix_table)
+from .analytic import _bits, _check_seed, _draw_counts, _kappa, _prefix_series, _prefix_table
 from .errors import DomainError
 from .model import Record, Scalar, SystemModel, is_exact
 
@@ -90,9 +89,8 @@ def _peeling_weights(model: SystemModel, discipline: str):
     by bitmask, as _prefix_table's pair (numerators, denominator), and the
     weight F(B) * kappa(free(B)) of each B as the final set of the
     first-occurrence vector, in the same order, correctly rounded to a float."""
-    kappa = _kappa(model, discipline)
+    model, _, (weights, q) = _kappa(model, discipline)
     f = {a: (n, d) for a, ((n,), d) in _prefix_table(model, [[1]] * model.n_types).items()}
-    weights, q = ([1] * len(f), 1) if kappa is None else kappa
     return f, [n * weights[a] / (d * q) for a, (n, d) in f.items()]
 
 
@@ -207,11 +205,11 @@ def linear_moment(model: SystemModel, c, n: int, discipline: str = "coc") -> Sca
     """
     if not 1 <= n <= MOMENT_ORDER_CAP:
         raise DomainError(f"moment order must be in 1..{MOMENT_ORDER_CAP}")
-    return _linear_moment(model, _per_type(model, c, "weight"), n, _kappa(model, discipline))
+    return _linear_moment(*_kappa(model, discipline, c, "weight"), n)
 
 
-def _linear_moment(model: SystemModel, c, n: int, kappa) -> Scalar:
-    """`linear_moment` with the discipline's idle-server sums given."""
+def _linear_moment(model: SystemModel, c, kappa: tuple, n: int) -> Scalar:
+    """`linear_moment` on what _kappa returns."""
     exp_s = [Fraction(1, math.factorial(k)) for k in range(n + 1)]
     series = _prefix_series(model, [[e * ct ** k for k, e in enumerate(exp_s)] for ct in c], kappa)
     return math.factorial(n) * series[n] / series[0]
@@ -220,6 +218,6 @@ def _linear_moment(model: SystemModel, c, n: int, kappa) -> Scalar:
 def expected_type_counts(model: SystemModel, discipline: str = "coc") -> tuple:
     """Exact per-type stationary means: E[Q_S] (c.o.c.) or E[Qtilde_S] (c.o.s.),
     the linear moment of order 1 with c the indicator of S."""
-    kappa = _kappa(model, discipline)
-    return tuple(_linear_moment(model, [int(u == t) for u in model.type_indices], 1, kappa)
+    model, _, kappa = _kappa(model, discipline)
+    return tuple(_linear_moment(model, [int(u == t) for u in model.type_indices], kappa, 1)
                  for t in model.type_indices)

@@ -486,6 +486,8 @@ def scaled_law_check(dag: ComponentDag, discipline, eps_values, events_per_eps, 
     runs = []  # (horizon, spacing) per eps, all checked before the first draw
     for i, eps in enumerate(eps_values):
         horizon = events_per_eps if isinstance(events_per_eps, int) else events_per_eps[i]
+        if horizon < 1:  # simulate's refusal, made before the law draw
+            raise DomainError("need at least one event")
         try:
             spacing = max(KS_MIN_SPACING, int(8.0 / eps ** 2))
         except (ZeroDivisionError, OverflowError):  # eps^-2 beyond the float range
@@ -493,8 +495,8 @@ def scaled_law_check(dag: ComponentDag, discipline, eps_values, events_per_eps, 
                               f"at eps={eps}") from None
         # an epoch needs `spacing` departures; a run starts empty, so each
         # departure follows its job's arrival and at most half the events,
-        # warm-up included, are departures (simulate refuses a horizon < 1)
-        if 0 < horizon and spacing > (simulate_size(horizon, spacing)[0] + horizon) // 2:
+        # warm-up included, are departures
+        if spacing > (simulate_size(horizon, spacing)[0] + horizon) // 2:
             raise DomainError(f"{horizon} events give no sample {spacing} events apart at eps={eps}")
         runs.append((horizon, spacing))
     law = (limit_law if dag.subtrees_laminar else sigma_mixture)(dag, traj)

@@ -1,13 +1,13 @@
 """The integer prefix-set engine against the generic recursion on Fractions,
 and the float backend of `pgf` kept in floats.
 
-`analytic._prefix_table` and `analytic._idle_sums` compute exact entries in
-Python integers; `prefix_reference` runs the same recursions as written. On
-random stable models every entry must be equal as a Fraction, reduced, over
-a positive denominator, at degrees 0-4, over random [base, top] intervals
-with and without open_top, at points with negative entries and with
-|z_t| > 1; where a stay factor is <= 0 both must raise the same PoleError at
-the same set. `analytic._free_weights`, the idle sums read per set of job
+`analytic._prefix_table`, `analytic._integer_table` and `analytic._idle_sums`
+compute exact entries in Python integers; `prefix_reference` runs the same
+recursions as written. On random stable models every entry must be equal as
+a Fraction, reduced, over a positive denominator, at degrees 0-4, on the
+full lattice and over random [base, top] intervals with and without
+open_top, at points with negative entries and with |z_t| > 1; where a stay
+factor is <= 0 both must raise the same PoleError at the same set. `analytic._free_weights`, the idle sums read per set of job
 types, must equal the reference read at each set's free servers: as
 Fractions on exact models, bit for bit on float ones.
 """
@@ -66,16 +66,16 @@ def test_integer_table_equals_the_fraction_recursion():
     for rng, model in _models(2801, 30, max_servers=5, max_types=8):
         n = model.n_types
         widths.add(n)
-        full = (1 << n) - 1
         for size in range(1, 6):  # degrees 0-4
             kind = rng.choice(("inside", "negative", "outside"))
             z = _point(rng, n, size, kind)
             top = rng.randrange(1, 1 << n)
             base = top & rng.randrange(1 << n)
-            for args in ((0, full, False), (base, top, False), (base, top, True)):
-                if args[0] == args[1]:
+            for args in ((), (base, top, False), (base, top, True)):
+                if args and args[0] == args[1]:
                     continue
-                got = _as_fractions(_outcome(lambda: analytic._prefix_table(model, z, *args)))
+                table = analytic._integer_table if args else analytic._prefix_table
+                got = _as_fractions(_outcome(lambda: table(model, z, *args)))
                 want = _outcome(lambda: reference.prefix_table(model, z, *args))
                 assert got == want, (model, z, args)
                 outcomes["pole" if isinstance(want, str) else "table"] += 1
@@ -85,15 +85,15 @@ def test_integer_table_equals_the_fraction_recursion():
 
 def test_prefix_series_equals_the_fraction_sums():
     for rng, model in _models(2802, 12, max_servers=5, max_types=7, cover_all_servers=True):
-        kappa = analytic._free_weights(model)
         z = _point(rng, model.n_types, 3, "inside")
         table = reference.prefix_table(model, z)
-        for weights in (None, kappa):
+        for discipline in ("coc", "cos"):
+            kappa = analytic._kappa(model, discipline)[2]
             want = [0] * 3
             for a, fa in table.items():
-                w = 1 if weights is None else analytic._free_idle_sum(kappa, analytic._bits(a))
+                w = analytic._free_idle_sum(kappa, analytic._bits(a))
                 want = [x + w * y for x, y in zip(want, fa)]
-            got = analytic._prefix_series(model, z, weights)
+            got = analytic._prefix_series(model, z, kappa)
             assert got == want and all(type(x) is F for x in got)
 
 
@@ -144,21 +144,20 @@ def test_free_weights_equal_the_idle_sums_at_the_free_servers():
 
 
 def test_float_prefix_series_is_the_left_fold_of_the_weighted_table():
-    """At a float point the series is the left fold of weight times entry over
-    the float table, bit for bit: on a float model with its float weights,
-    on an exact model with each exact weight as float(Fraction)."""
+    """On a float model the series is the left fold of weight times entry over
+    the float table, bit for bit, with the discipline's float weights."""
     for rng, model in _models(2805, 12, max_servers=5, max_types=7, cover_all_servers=True):
         z = [[float(c) for c in zt] for zt in _point(rng, model.n_types, 3, "inside")]
-        for m in (model.as_float(), model):
-            table = analytic._prefix_table(m, z)
-            for kappa in (None, analytic._free_weights(m)):
-                weights = [1] * len(table) if kappa is None else \
-                    [w if type(w) is float else float(F(w, kappa[1])) for w in kappa[0]]
-                want = [0] * 3
-                for a, (fa, _) in table.items():
-                    want = [x + weights[a] * y for x, y in zip(want, fa)]
-                got = analytic._prefix_series(m, z, kappa)
-                assert got == want and all(type(x) is float for x in got)
+        m = model.as_float()
+        table = analytic._prefix_table(m, z)
+        for discipline in ("coc", "cos"):
+            kappa = analytic._kappa(m, discipline)[2]
+            assert kappa[1] == 1
+            want = [0] * 3
+            for a, (fa, _) in table.items():
+                want = [x + kappa[0][a] * y for x, y in zip(want, fa)]
+            got = analytic._prefix_series(m, z, kappa)
+            assert got == want and all(type(x) is float for x in got)
 
 
 def _write(tmp_path, doc):

@@ -17,10 +17,11 @@ from fractions import Fraction as F
 import pytest
 
 from redundancy_ht import (SystemModel, TrajectorySpec, analytic, default_trajectory,
-                           generators, model_at_trajectory)
+                           generators, model_at_trajectory, prelimit)
 from redundancy_ht.analytic import _bits, limiting_transform, pgf_coc, pgf_cos, sigma_mixture
 from redundancy_ht.criticality import crp_components
-from redundancy_ht.errors import DomainError
+from redundancy_ht.errors import DomainError, ModelError
+from redundancy_ht.model import is_exact
 from redundancy_ht.moments import moment, moment_total
 from redundancy_ht.oracles import (_compositions, config_distribution,
                                    critical_rate_and_subsets_bruteforce, enumerate_k_critical,
@@ -28,7 +29,7 @@ from redundancy_ht.oracles import (_compositions, config_distribution,
                                    laplace_of_mixture, linear_exponential_moment, mixture_law,
                                    omega_weight, ordered_vector, sigma_aggregate)
 from redundancy_ht.prelimit import (_last_type_weights, _peeling_weights, expected_type_counts,
-                                    linear_moment, segment_law)
+                                    linear_moment, sample_prelimit, segment_law)
 
 
 def idle_vector_weight(model, u):
@@ -226,6 +227,58 @@ def test_float_point_on_an_exact_model_beyond_the_float_range_of_its_weights():
             assert type(approx) is float and abs(approx - exact) <= 1e-12 * exact
 
 
+def test_no_table_mixes_backends(monkeypatch):
+    """No prefix-set table is asked for on an exact model with a float
+    coefficient: every entry point, at float inputs on an exact and on a
+    float model, under both disciplines, runs each table in one backend."""
+    calls = []
+
+    def checked(model, z):
+        assert not model.exact or all(is_exact(x) for zt in z for x in zt), (model, z)
+        calls.append(model.exact)
+        return real(model, z)
+
+    real = analytic._prefix_table
+    monkeypatch.setattr(analytic, "_prefix_table", checked)
+    monkeypatch.setattr(prelimit, "_prefix_table", checked)
+    for rng, model in _models(413, 6):
+        c = [rng.randint(-3, 5) / 4 for _ in model.type_indices]
+        z = [rng.randint(0, 9) / 9 for _ in model.type_indices]
+        for m in (model, model.as_float()):
+            for discipline, pgf in (("coc", pgf_coc), ("cos", pgf_cos)):
+                pgf(m, z)
+                linear_moment(m, c, 2, discipline)
+                moment_total(m, 2, discipline)
+                expected_type_counts(m, discipline)
+                sample_prelimit(m, discipline, 5, seed=1)
+    assert True in calls and False in calls
+
+
+def test_linear_moment_at_float_weights_is_the_float_models():
+    """At float weights an exact model is computed as its float model, bit for bit."""
+    rng = random.Random(414)
+    for _ in range(20):
+        model = generators.random_stable_model(rng, max_servers=5, max_types=5,
+                                               cover_all_servers=True)
+        c = [rng.randint(-6, 9) / 3 for _ in model.type_indices]
+        for discipline in ("coc", "cos"):
+            for n in (1, 2, 3):
+                got = linear_moment(model, c, n, discipline)
+                assert type(got) is float
+                assert got == linear_moment(model.as_float(), c, n, discipline), (model, c, n)
+
+
+def test_exact_model_beyond_the_float_range_refuses_float_weights():
+    """Float weights put an exact model in floats, which a model number beyond
+    the float range refuses, as pgf's float backend does."""
+    model = SystemModel(mu=(F(10) ** 400, F(10) ** 400), lam=F(1), p=(F(1, 2), F(1, 2)),
+                        job_types=(frozenset({1, 2}), frozenset({2})))
+    for discipline in ("coc", "cos"):
+        assert linear_moment(model, [F(1, 2), F(1)], 1, discipline) > 0
+        with pytest.raises(ModelError, match="^a model number is out of float range$"):
+            linear_moment(model, [0.5, 1.0], 1, discipline)
+
+
 def test_server_without_types_has_no_idle_weight():
     # server 2 serves no type: its idle time has no arrival rate to divide by
     model = SystemModel(mu=(F(1), F(1)), lam=F(1, 4), job_types=(frozenset({1}),), p=(F(1),))
@@ -272,9 +325,8 @@ def test_peeling_probabilities_match_configurations():
         for discipline in ("coc", "cos"):
             pairs, final = _peeling_weights(model, discipline)
             f = {a: F(*fa) for a, fa in pairs.items()}
-            kappa = analytic._kappa(model, discipline)
-            exact = [fa * (1 if kappa is None else analytic._free_idle_sum(kappa, _bits(a)))
-                     for a, fa in f.items()]
+            _, _, kappa = analytic._kappa(model, discipline)
+            exact = [fa * analytic._free_idle_sum(kappa, _bits(a)) for a, fa in f.items()]
             assert final == [float(w) for w in exact]
             set_prob = {a: w / sum(exact) for a, w in zip(f, exact)}
             for entries, prob in zip(*config_distribution(model, discipline)):

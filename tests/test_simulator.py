@@ -486,6 +486,20 @@ def test_scaled_law_check_needs_one_event_count_per_eps(events, n_model, monkeyp
                          events_per_eps=events)
 
 
+@pytest.mark.parametrize("events", [0, -5, [1000, -1], [0, 1000]],
+                         ids=["zero", "negative", "second-negative", "first-zero"])
+def test_scaled_law_check_needs_one_event_before_the_law_draw(events, n_model, monkeypatch):
+    from redundancy_ht import analytic
+
+    def never(*args, **kwargs):
+        raise AssertionError("the limit law was sampled before the event counts were checked")
+
+    monkeypatch.setattr(analytic, "_limit_blocks", never)
+    with pytest.raises(DomainError, match="^need at least one event$"):
+        scaled_law_check(crp_components(n_model), "coc", eps_values=[0.2, 0.1],
+                         events_per_eps=events)
+
+
 def test_scaled_law_check_runs(n_model):
     report = critical_rate_and_subsets_bruteforce(n_model)
     dag = crp_components(n_model, report.lambda_star)
